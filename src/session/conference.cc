@@ -1,7 +1,9 @@
 #include "session/conference.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -142,19 +144,6 @@ bool HasMultipathRtpExtension(Variant v) {
          v == Variant::kConvergeWebRtcFec;
 }
 
-// End-to-end signals the star hub relays to the origin sender: keyframe
-// requests (the origin owns the encoder) and Converge QoE feedback (the
-// origin owns the scheduler split). Everything else from a downlink
-// receiver is consumed at the hub: RR/transport feedback drive the
-// per-downlink congestion controllers and NACKs are answered from hub
-// history (HubForwarder::OnReceiverRtcp) — the uplink congestion loop is
-// closed separately by the hub's own feedback endpoint, so the origin's
-// GCC must never see downlink feedback.
-bool ForwardsUpstream(const RtcpPacket& packet) {
-  return std::holds_alternative<KeyframeRequest>(packet.payload) ||
-         std::holds_alternative<QoeFeedback>(packet.payload);
-}
-
 }  // namespace
 
 Conference::Conference(const ConferenceConfig& config) : config_(config) {
@@ -185,11 +174,6 @@ Conference::Conference(const ConferenceConfig& config) : config_(config) {
     CONVERGE_INVARIANT("Conference", Timestamp::Zero(), error.empty(), error);
     if (!error.empty()) config_.membership.clear();
   }
-  present_.resize(static_cast<size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    present_[static_cast<size_t>(p)] =
-        MembershipPresentAtStart(p, config_.membership) ? 1 : 0;
-  }
   // Hub-graph validation. The cascade is a star concept; a mesh with
   // num_hubs > 1 is rejected and degraded to the plain mesh.
   if (config_.num_hubs < 1) {
@@ -198,7 +182,7 @@ Conference::Conference(const ConferenceConfig& config) : config_(config) {
                            std::to_string(config_.num_hubs));
     config_.num_hubs = 1;
   }
-  if (config_.num_hubs > 1 && config_.topology != Topology::kStar) {
+  if (multi_hub() && config_.topology != Topology::kStar) {
     CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
                        "multi-hub cascade requires the star topology");
     config_.num_hubs = 1;
@@ -208,11 +192,21 @@ Conference::Conference(const ConferenceConfig& config) : config_(config) {
       config_.home_hub.empty() ||
           config_.home_hub.size() == static_cast<size_t>(n),
       "home_hub must be empty or have one entry per participant");
-  CONVERGE_INVARIANT(
-      "Conference", Timestamp::Zero(),
-      config_.hub_fault_plans.size() <=
-          static_cast<size_t>(config_.num_hubs),
-      "more hub fault plans than hubs");
+  if (config_.hub_fault_plans.size() > static_cast<size_t>(config_.num_hubs)) {
+    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
+                       "more hub fault plans than hubs");
+    config_.hub_fault_plans.resize(static_cast<size_t>(config_.num_hubs));
+  }
+  // A hub outage re-homes onto another hub; with one hub there is none, so
+  // a single-hub plan could only be ignored.
+  if (!multi_hub() &&
+      std::any_of(config_.hub_fault_plans.begin(),
+                  config_.hub_fault_plans.end(),
+                  [](const FaultPlan& plan) { return !plan.empty(); })) {
+    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
+                       "hub fault plans require num_hubs > 1");
+    config_.hub_fault_plans.clear();
+  }
   // Layered-media gating. Simulcast needs (a) the star topology — a mesh
   // receiver would get every rung and the receiver's PacketBuffer keys
   // frames by (stream, frame_id), so two rungs of one capture would collide
@@ -244,7 +238,7 @@ Conference::Conference(const ConferenceConfig& config) : config_(config) {
         "simulcast requires a Converge-family variant (per-path NACK)");
     config_.simulcast_rungs = 1;
   }
-  home_hub_.resize(static_cast<size_t>(n), 0);
+  routes_.resize(static_cast<size_t>(n));
   for (int p = 0; p < n; ++p) {
     int hub = p % config_.num_hubs;
     if (config_.home_hub.size() == static_cast<size_t>(n)) {
@@ -258,13 +252,12 @@ Conference::Conference(const ConferenceConfig& config) : config_(config) {
                                std::to_string(config_.num_hubs) + ")");
       }
     }
-    home_hub_[static_cast<size_t>(p)] = hub;
+    Route& route = routes_[static_cast<size_t>(p)];
+    route.home_hub = hub;
+    route.present = MembershipPresentAtStart(p, config_.membership);
+    route.legs_by_origin.resize(static_cast<size_t>(n));
   }
-  hub_alive_.assign(static_cast<size_t>(config_.num_hubs), 1);
-  hub_failures_.assign(static_cast<size_t>(config_.num_hubs), 0);
-  rehomed_away_.assign(static_cast<size_t>(config_.num_hubs), 0);
-  rehomed_onto_.assign(static_cast<size_t>(config_.num_hubs), 0);
-  extra_incarnations_.assign(static_cast<size_t>(n), 0);
+  for (int h = 0; h < config_.num_hubs; ++h) hubs_.push_back({.hub = h});
   if (config_.trace_capacity > 0) {
     trace_ = std::make_unique<TraceRecorder>(config_.trace_capacity);
   }
@@ -345,6 +338,76 @@ ReceiverEndpoint::Config MakeReceiverConfig(const ConferenceConfig& config,
   return rconf;
 }
 
+MetricsCollector::Config MakeMetricsConfig(const ConferenceConfig& config,
+                                          int from) {
+  MetricsCollector::Config mconf;
+  mconf.num_streams =
+      config.participants[static_cast<size_t>(from)].num_streams;
+  mconf.expected_frame_interval = Duration::Seconds(1.0 / config.fps);
+  return mconf;
+}
+
+// An egress engine (receiver forwarder or trunk) starts optimistic — at the
+// aggregate publisher rate it would have to carry — and lets its own
+// delay/loss feedback pull a constrained link down.
+HubForwarder::Config EgressConfig(HubForwarder::Config conf,
+                                  CcAlgorithm algorithm, DataRate start,
+                                  const char* trace_component) {
+  conf.cc.controller.algorithm = algorithm;
+  conf.cc.controller.start_rate = start;
+  conf.cc.controller.max_rate = start * 2;
+  conf.cc.controller.trace_component = trace_component;
+  return conf;
+}
+
+// A membership or hub-fabric event on the "conference" trace track; `id`
+// names the participant or hub.
+void TraceConferenceEvent(const char* name, Timestamp at, int id) {
+  if (TraceRecorder* trace = TraceRecorder::Current()) {
+    trace->Instant("conference", name, at, static_cast<double>(id));
+  }
+}
+
+// The arrival half of one wire hop: enters the next node on behalf of
+// `participant`, handing it the payload that crossed the wire.
+template <typename Payload, typename Next>
+struct HopArrival {
+  Payload payload;
+  Next next;
+  int participant;
+  void operator()(Timestamp arrival) {
+    TraceParticipantScope scope(participant);
+    next(std::move(payload), arrival);
+  }
+};
+
+// One wire hop of the routing graph: puts `packet` on `link` and, on
+// arrival, continues into the next node. Nothing goes on the wire once the
+// sending side is retired (`live` false). Duplication faults clone media
+// here — the link only sees bytes and an opaque move-only continuation, so
+// it cannot copy a packet itself. Feedback is never duplicated: the
+// duplication draw consumes RNG and is made for media only.
+template <typename Payload, typename Next>
+void WireHop(Link& link, bool live, int participant, Payload packet,
+             Next next) {
+  using Arrival = HopArrival<Payload, Next>;
+  // InlineFunction's inline-storage condition: a continuation that failed
+  // it would cost a heap allocation per packet.
+  static_assert(sizeof(Arrival) <= Link::kDeliverInlineBytes &&
+                    alignof(Arrival) <= alignof(std::max_align_t) &&
+                    std::is_nothrow_move_constructible_v<Arrival>,
+                "hop continuation does not fit Link's inline buffer");
+  if (!live) return;
+  const int64_t wire_bytes = packet.wire_size();
+  if constexpr (std::is_same_v<Payload, RtpPacket>) {
+    for (int copy = link.SendCopies(); copy > 1; --copy) {
+      link.Send(wire_bytes, Arrival{packet, next, participant});
+    }
+  }
+  link.Send(wire_bytes,
+            Arrival{std::move(packet), std::move(next), participant});
+}
+
 }  // namespace
 
 // One full pipeline for the ordered pair (from, to), built in exactly the
@@ -352,84 +415,67 @@ ReceiverEndpoint::Config MakeReceiverConfig(const ConferenceConfig& config,
 // FEC, metrics, sender fork, receiver) — with one sending participant and
 // one receiving participant this IS the old Call, RNG stream and event
 // schedule included, which is what keeps the 2-party adapter byte-identical.
-// The initial build calls this with the construction RNG; mid-call joins
-// call it with churn_rng_.
 Conference::Leg* Conference::BuildMeshLeg(int from, int to, int incarnation,
                                           Random& rng) {
-  uplinks_.push_back(std::make_unique<Uplink>());
-  Uplink& up = *uplinks_.back();
-  legs_.push_back(std::make_unique<Leg>());
-  Leg& leg = *legs_.back();
-  up.from = from;
-  up.to = to;
-  up.incarnation = incarnation;
-  leg.from = from;
-  leg.to = to;
-  leg.incarnation = incarnation;
-  leg.uplink = &up;
-  Leg* leg_ptr = &leg;
+  Uplink* up = uplinks_
+                   .emplace_back(std::make_unique<Uplink>(Uplink{
+                       .from = from, .to = to, .incarnation = incarnation}))
+                   .get();
+  Leg* leg = legs_
+                 .emplace_back(std::make_unique<Leg>(
+                     Leg{.from = from, .to = to, .incarnation = incarnation,
+                         .uplink = up}))
+                 .get();
   {
     TraceParticipantScope scope(from);
-    up.network =
+    up->network =
         std::make_unique<Network>(&loop_, EdgePaths(from, to), rng.Fork());
-    up.scheduler = MakeScheduler(config_);
-    up.fec = MakeFec(config_);
+    up->scheduler = MakeScheduler(config_);
+    up->fec = MakeFec(config_);
   }
+  leg->inbound = up->network.get();
   {
     TraceParticipantScope scope(to);
-    MetricsCollector::Config mconf;
-    mconf.num_streams =
-        config_.participants[static_cast<size_t>(from)].num_streams;
-    mconf.expected_frame_interval = Duration::Seconds(1.0 / config_.fps);
-    leg.metrics = std::make_unique<MetricsCollector>(&loop_, mconf);
+    leg->metrics = std::make_unique<MetricsCollector>(
+        &loop_, MakeMetricsConfig(config_, from));
   }
   {
     TraceParticipantScope scope(from);
-    up.sender = std::make_unique<Sender>(
+    up->sender = std::make_unique<Sender>(
         &loop_, MakeSenderConfig(config_, from, incarnation),
-        up.scheduler.get(), up.fec.get(), up.network->path_ids(), rng.Fork(),
-        [this, leg_ptr](PathId path, RtpPacket packet) {
-          MeshTransmitRtp(leg_ptr, path, std::move(packet));
+        up->scheduler.get(), up->fec.get(), up->network->path_ids(),
+        rng.Fork(),
+        [this, leg](PathId path, RtpPacket packet) {
+          RtpToReceiver(leg, path, std::move(packet));
         },
-        [this, leg_ptr](PathId path, const RtcpPacket& packet) {
-          MeshTransmitRtcpForward(leg_ptr, path, packet);
+        [this, leg](PathId path, const RtcpPacket& packet) {
+          RtcpToReceiver(leg, path, packet);
         });
   }
-  {
-    TraceParticipantScope scope(to);
-    leg.receiver = std::make_unique<ReceiverEndpoint>(
-        &loop_,
-        MakeReceiverConfig(config_, from, incarnation, /*subscribe=*/true,
-                           &arena_),
-        leg.metrics.get(),
-        [this, leg_ptr](PathId path, const RtcpPacket& packet) {
-          MeshTransmitRtcpBackward(leg_ptr, path, packet);
-        });
-  }
-  return leg_ptr;
+  TraceParticipantScope scope(to);
+  leg->receiver = std::make_unique<ReceiverEndpoint>(
+      &loop_,
+      MakeReceiverConfig(config_, from, incarnation, /*subscribe=*/true,
+                         &arena_),
+      leg->metrics.get(), [this, leg](PathId path, const RtcpPacket& packet) {
+        RtcpToPublisher(leg->uplink, leg->live, path, packet);
+      });
+  return leg;
+}
+
+bool Conference::InCall(int p, bool ParticipantSpec::*role) const {
+  return routes_[static_cast<size_t>(p)].present &&
+         config_.participants[static_cast<size_t>(p)].*role;
 }
 
 void Conference::BuildMesh(Random& rng) {
   const int n = static_cast<int>(config_.participants.size());
-  size_t num_legs = 0;
   for (int from = 0; from < n; ++from) {
-    if (!config_.participants[static_cast<size_t>(from)].sends) continue;
+    if (!InCall(from, &ParticipantSpec::sends)) continue;
     for (int to = 0; to < n; ++to) {
-      if (to == from) continue;
-      if (config_.participants[static_cast<size_t>(to)].receives) ++num_legs;
-    }
-  }
-  uplinks_.reserve(num_legs);
-  legs_.reserve(num_legs);
-
-  for (int from = 0; from < n; ++from) {
-    if (!present_[static_cast<size_t>(from)]) continue;
-    if (!config_.participants[static_cast<size_t>(from)].sends) continue;
-    for (int to = 0; to < n; ++to) {
-      if (to == from) continue;
-      if (!present_[static_cast<size_t>(to)]) continue;
-      if (!config_.participants[static_cast<size_t>(to)].receives) continue;
-      BuildMeshLeg(from, to, /*incarnation=*/0, rng);
+      if (to != from && InCall(to, &ParticipantSpec::receives)) {
+        BuildMeshLeg(from, to, /*incarnation=*/0, rng);
+      }
     }
   }
 }
@@ -438,58 +484,68 @@ void Conference::BuildMesh(Random& rng) {
 // that participant.
 void Conference::BuildStarDownlink(int to, Random& rng) {
   TraceParticipantScope scope(to);
-  downlinks_[static_cast<size_t>(to)] =
+  routes_[static_cast<size_t>(to)].downlink =
       std::make_unique<Network>(&loop_, EdgePaths(kHubId, to), rng.Fork());
+}
+
+std::unique_ptr<ReceiverEndpoint> Conference::BuildFeedbackEndpoint(
+    int origin, int incarnation, ReceiverEndpoint::TransmitRtcpFn transmit) {
+  return std::make_unique<ReceiverEndpoint>(
+      &loop_,
+      MakeReceiverConfig(config_, origin, incarnation, /*subscribe=*/false,
+                         &arena_),
+      /*metrics=*/nullptr, std::move(transmit));
 }
 
 // Per-sender uplink: pipeline into the hub plus the hub-side endpoint that
 // terminates the uplink congestion-control loop.
 Conference::Uplink* Conference::BuildStarUplink(int from, int incarnation,
                                                 Random& rng) {
-  const int n = static_cast<int>(config_.participants.size());
-  uplinks_.push_back(std::make_unique<Uplink>());
-  Uplink& up = *uplinks_.back();
-  up.from = from;
-  up.to = kHubId;
-  up.incarnation = incarnation;
-  up.hub = home_hub_[static_cast<size_t>(from)];
-  Uplink* up_ptr = &up;
+  Route& route = routes_[static_cast<size_t>(from)];
+  Uplink* up = uplinks_
+                   .emplace_back(std::make_unique<Uplink>(
+                       Uplink{.from = from, .to = kHubId,
+                              .incarnation = incarnation,
+                              .hub = route.home_hub}))
+                   .get();
+  route.uplink = up;
   TraceParticipantScope scope(from);
-  up.network =
+  up->network =
       std::make_unique<Network>(&loop_, EdgePaths(from, kHubId), rng.Fork());
-  up.scheduler = MakeScheduler(config_);
-  up.fec = MakeFec(config_);
-  up.sender = std::make_unique<Sender>(
+  up->scheduler = MakeScheduler(config_);
+  up->fec = MakeFec(config_);
+  up->sender = std::make_unique<Sender>(
       &loop_, MakeSenderConfig(config_, from, incarnation),
-      up.scheduler.get(), up.fec.get(), up.network->path_ids(), rng.Fork(),
-      [this, up_ptr](PathId path, RtpPacket packet) {
-        StarTransmitRtp(up_ptr, path, std::move(packet));
+      up->scheduler.get(), up->fec.get(), up->network->path_ids(), rng.Fork(),
+      [this, up](PathId path, RtpPacket packet) {
+        WireHop(up->network->path(path).forward(), up->live, up->from,
+                std::move(packet),
+                [this, up, path](RtpPacket p, Timestamp arrival) {
+                  HubIngressRtp(up, up->hub, up->hub_feedback.get(), path,
+                                std::move(p), arrival);
+                });
       },
-      [this, up_ptr](PathId path, const RtcpPacket& packet) {
-        StarTransmitRtcpForward(up_ptr, path, packet);
+      [this, up](PathId path, const RtcpPacket& packet) {
+        WireHop(up->network->path(path).forward(), up->live, up->from, packet,
+                [this, up, path](const RtcpPacket& p, Timestamp arrival) {
+                  up->hub_feedback->OnRtcpPacket(p, arrival, path);
+                  HubIngressRtcp(up, up->hub, path, p);
+                });
       });
-  up.hub_feedback = std::make_unique<ReceiverEndpoint>(
-      &loop_,
-      MakeReceiverConfig(config_, from, incarnation, /*subscribe=*/false,
-                         &arena_),
-      /*metrics=*/nullptr,
-      [this, up_ptr](PathId path, const RtcpPacket& packet) {
-        up_ptr->network->path(path).backward().Send(
-            packet.wire_size(), [up_ptr, packet](Timestamp arrival) {
-              TraceParticipantScope deliver_scope(up_ptr->from);
-              up_ptr->sender->HandleRtcp(packet, arrival);
-            });
+  up->hub_feedback = BuildFeedbackEndpoint(
+      from, incarnation, [this, up](PathId path, const RtcpPacket& p) {
+        RtcpToPublisher(up, /*live=*/true, path, p);
       });
 
   // The hub forwards uplink path p onto downlink path p, so every edge of
   // a star must expose the same number of paths.
-  for (int to = 0; to < n; ++to) {
-    const Network* down = downlinks_[static_cast<size_t>(to)].get();
+  for (size_t to = 0; to < routes_.size(); ++to) {
+    const Network* down = routes_[to].downlink.get();
     CONVERGE_INVARIANT(
         "Conference", Timestamp::Zero(),
-        down == nullptr || down->num_paths() == up.network->num_paths(),
+        down == nullptr || down->num_paths() == up->network->num_paths(),
         "star edge path-count mismatch: uplink " + std::to_string(from) +
-            " has " + std::to_string(up.network->num_paths()) +
+            " has " + std::to_string(up->network->num_paths()) +
             ", downlink " + std::to_string(to) + " has " +
             std::to_string(down == nullptr ? 0 : down->num_paths()));
   }
@@ -497,176 +553,132 @@ Conference::Uplink* Conference::BuildStarUplink(int from, int incarnation,
   // leaving this hub; the initial build has no trunks yet — BuildTrunk
   // registers the existing uplinks itself.
   for (auto& t : trunks_) {
-    if (t->live && t->from_hub == up.hub) BuildTrunkAgent(t.get(), up_ptr);
+    if (t->live && t->from_hub == up->hub) BuildTrunkAgent(t.get(), up);
   }
-  return up_ptr;
+  return up;
 }
 
 // Receiving leg: per (sender, receiver) metrics + receive pipeline,
 // registered with the sender's uplink for hub fan-out.
 Conference::Leg* Conference::BuildStarLeg(Uplink* up, int to) {
-  legs_.push_back(std::make_unique<Leg>());
-  Leg& leg = *legs_.back();
-  leg.from = up->from;
-  leg.to = to;
-  leg.incarnation = up->incarnation;
-  leg.hub = home_hub_[static_cast<size_t>(to)];
-  leg.uplink = up;
-  leg.downlink = downlinks_[static_cast<size_t>(to)].get();
-  Leg* leg_ptr = &leg;
+  Route& route = routes_[static_cast<size_t>(to)];
+  Leg* leg = legs_
+                 .emplace_back(std::make_unique<Leg>(Leg{
+                     .from = up->from, .to = to,
+                     .incarnation = up->incarnation, .hub = route.home_hub,
+                     .uplink = up, .inbound = route.downlink.get()}))
+                 .get();
   TraceParticipantScope scope(to);
-  MetricsCollector::Config mconf;
-  mconf.num_streams =
-      config_.participants[static_cast<size_t>(up->from)].num_streams;
-  mconf.expected_frame_interval = Duration::Seconds(1.0 / config_.fps);
-  leg.metrics = std::make_unique<MetricsCollector>(&loop_, mconf);
-  leg.receiver = std::make_unique<ReceiverEndpoint>(
+  leg->metrics = std::make_unique<MetricsCollector>(
+      &loop_, MakeMetricsConfig(config_, up->from));
+  leg->receiver = std::make_unique<ReceiverEndpoint>(
       &loop_,
       MakeReceiverConfig(config_, up->from, up->incarnation,
                          /*subscribe=*/true, &arena_),
-      leg.metrics.get(),
-      [this, leg_ptr](PathId path, const RtcpPacket& packet) {
-        StarTransmitRtcpBackward(leg_ptr, path, packet);
+      leg->metrics.get(), [this, leg](PathId path, const RtcpPacket& packet) {
+        // Receiver -> hub on the downlink's feedback direction. The
+        // forwarder consumes transport feedback and receiver reports (its
+        // downlink congestion loop) and answers NACKs from hub history; the
+        // origin's CC never sees downlink feedback. Only keyframe requests
+        // (the origin owns the encoder) and Converge QoE feedback (it owns
+        // the scheduler split) travel on.
+        WireHop(leg->inbound->path(path).backward(), leg->live, leg->to,
+                packet, [this, leg, path](const RtcpPacket& p, Timestamp) {
+                  // The leg may have been retired while this feedback was
+                  // in flight; its forwarder slot may belong to a rejoin.
+                  if (!leg->live) return;
+                  if (routes_[static_cast<size_t>(leg->to)]
+                          .forwarder->OnReceiverRtcp(leg->from, path, p)) {
+                    return;
+                  }
+                  if (std::holds_alternative<KeyframeRequest>(p.payload) ||
+                      std::holds_alternative<QoeFeedback>(p.payload)) {
+                    RelayToPublisher(leg->uplink, leg->hub, path, p);
+                  }
+                });
       });
-  up->fanout.push_back(leg_ptr);
-  star_leg_lookup_[static_cast<size_t>(to)][static_cast<size_t>(up->from)] =
-      leg_ptr;
-  return leg_ptr;
+  up->fanout.push_back(leg);
+  route.legs_by_origin[static_cast<size_t>(up->from)] = leg;
+  return leg;
+}
+
+DataRate Conference::PublisherRate(int exclude, int hub) const {
+  DataRate rate = DataRate::Zero();
+  for (size_t p = 0; p < routes_.size(); ++p) {
+    const ParticipantSpec& spec = config_.participants[p];
+    if (static_cast<int>(p) == exclude || !routes_[p].present ||
+        !spec.sends || (hub >= 0 && routes_[p].home_hub != hub)) {
+      continue;
+    }
+    rate = rate +
+           config_.max_rate_per_stream * static_cast<int64_t>(spec.num_streams);
+  }
+  return rate;
 }
 
 // Per-receiver forwarding engine.
 void Conference::BuildStarForwarder(int to) {
-  const int n = static_cast<int>(config_.participants.size());
-  Network* down = downlinks_[static_cast<size_t>(to)].get();
-  if (down == nullptr) return;
-  // An SFU starts each downlink optimistic — at the aggregate publisher
-  // rate it would have to carry — and lets delay/loss signals pull a
-  // constrained downlink back down. Aggregated over currently-present
-  // senders (= all senders when membership is static).
-  DataRate aggregate = DataRate::Zero();
-  for (int from = 0; from < n; ++from) {
-    if (from == to) continue;
-    if (!present_[static_cast<size_t>(from)]) continue;
-    const ParticipantSpec& spec =
-        config_.participants[static_cast<size_t>(from)];
-    if (!spec.sends) continue;
-    aggregate = aggregate + config_.max_rate_per_stream *
-                                static_cast<int64_t>(spec.num_streams);
-  }
-  HubForwarder::Config hconf = config_.hub;
-  hconf.cc.controller.algorithm = config_.cc_algorithm;
-  hconf.cc.controller.start_rate = aggregate;
-  hconf.cc.controller.max_rate = aggregate * 2;
-  hconf.cc.controller.trace_component = HubTraceComponent(config_.cc_algorithm);
+  Route& route = routes_[static_cast<size_t>(to)];
+  // Aggregated over currently-present senders (= all senders when
+  // membership is static).
+  HubForwarder::Config hconf =
+      EgressConfig(config_.hub, config_.cc_algorithm,
+                   PublisherRate(/*exclude=*/to, /*hub=*/-1),
+                   HubTraceComponent(config_.cc_algorithm));
   // Receiver-facing engines run rung selection whenever the conference is
   // layered; hub.layers carries only the tunables.
   hconf.layers.enabled = config_.simulcast_rungs > 1;
   // Hub work on this receiver's downlinks is attributed to the receiver,
   // like the downlink delivery callbacks.
   TraceParticipantScope scope(to);
-  forwarder_hub_[static_cast<size_t>(to)] =
-      home_hub_[static_cast<size_t>(to)];
-  forwarders_[static_cast<size_t>(to)] = std::make_unique<HubForwarder>(
-      &loop_, hconf, down->path_ids(),
+  route.forwarder = std::make_unique<HubForwarder>(
+      &loop_, hconf, route.downlink->path_ids(),
       [this, to](int from, PathId path, RtpPacket packet) {
-        Leg* leg = star_leg_lookup_[static_cast<size_t>(to)]
-                                   [static_cast<size_t>(from)];
         // A retired leg's forwarder is stopped with it, but a packet can be
         // in flight through the hub when the receiver leaves.
-        if (leg == nullptr || !leg->live) return;
-        StarDeliverDownlink(leg, path, std::move(packet));
+        Leg* leg = routes_[static_cast<size_t>(to)]
+                       .legs_by_origin[static_cast<size_t>(from)];
+        if (leg != nullptr) RtpToReceiver(leg, path, std::move(packet));
       },
       [this, to](int from, uint32_t ssrc, PathId path) {
-        Uplink* u = LiveUplinkOf(from);
-        if (u == nullptr) return;
-        const int serving_hub = forwarder_hub_[static_cast<size_t>(to)];
-        if (!multi_hub() || serving_hub == u->hub) {
-          StarRelayPli(u, ssrc, path);
-          return;
+        if (Uplink* up = routes_[static_cast<size_t>(from)].uplink) {
+          RelayToPublisher(up, routes_[static_cast<size_t>(to)].home_hub,
+                           path, RtcpPacket{path, KeyframeRequest{ssrc}});
         }
-        // The receiver is served by a remote hub: the keyframe request
-        // first crosses the trunk that carried the media (its feedback
-        // direction), then rides the origin's uplink backward link.
-        Trunk* t = LiveTrunk(u->hub, serving_hub);
-        if (t == nullptr) return;
-        RtcpPacket pli;
-        pli.path_id = path;
-        pli.payload = KeyframeRequest{ssrc};
-        t->network->path(path).backward().Send(
-            pli.wire_size(), [this, t, from, ssrc, path](Timestamp) {
-              if (!t->live) return;
-              if (Uplink* u2 = LiveUplinkOf(from)) {
-                StarRelayPli(u2, ssrc, path);
-              }
-            });
       });
 }
 
 void Conference::BuildStar(Random& rng) {
   const int n = static_cast<int>(config_.participants.size());
-  size_t num_uplinks = 0;
-  size_t num_legs = 0;
-  for (int from = 0; from < n; ++from) {
-    if (!config_.participants[static_cast<size_t>(from)].sends) continue;
-    ++num_uplinks;
-    for (int to = 0; to < n; ++to) {
-      if (to == from) continue;
-      if (config_.participants[static_cast<size_t>(to)].receives) ++num_legs;
-    }
-  }
-  uplinks_.reserve(num_uplinks);
-  legs_.reserve(num_legs);
-  downlinks_.resize(static_cast<size_t>(n));
-  forwarders_.resize(static_cast<size_t>(n));
-  forwarder_hub_.assign(static_cast<size_t>(n), 0);
-  star_leg_lookup_.assign(static_cast<size_t>(n),
-                          std::vector<Leg*>(static_cast<size_t>(n), nullptr));
-
-  auto in_call = [&](int p, bool (ParticipantSpec::*role)) {
-    return present_[static_cast<size_t>(p)] != 0 &&
-           config_.participants[static_cast<size_t>(p)].*role;
-  };
-
   for (int to = 0; to < n; ++to) {
-    if (in_call(to, &ParticipantSpec::receives)) BuildStarDownlink(to, rng);
+    if (InCall(to, &ParticipantSpec::receives)) BuildStarDownlink(to, rng);
   }
   for (int from = 0; from < n; ++from) {
-    if (!in_call(from, &ParticipantSpec::sends)) continue;
-    Uplink* up = BuildStarUplink(from, /*incarnation=*/0, rng);
-    (void)up;
+    if (InCall(from, &ParticipantSpec::sends)) {
+      BuildStarUplink(from, /*incarnation=*/0, rng);
+    }
   }
   for (auto& up : uplinks_) {
     for (int to = 0; to < n; ++to) {
-      if (to == up->from) continue;
-      if (!in_call(to, &ParticipantSpec::receives)) continue;
-      BuildStarLeg(up.get(), to);
-    }
-  }
-  for (int to = 0; to < n; ++to) {
-    if (in_call(to, &ParticipantSpec::receives)) BuildStarForwarder(to);
-  }
-  // Trunks are built last — after every single-star phase — so the RNG fork
-  // sequence up to here is the historical one and num_hubs == 1 (which
-  // skips this entirely) stays byte-identical.
-  if (multi_hub()) {
-    for (int a = 0; a < config_.num_hubs; ++a) {
-      for (int b = 0; b < config_.num_hubs; ++b) {
-        if (a != b) BuildTrunk(a, b, rng);
+      if (to != up->from && InCall(to, &ParticipantSpec::receives)) {
+        BuildStarLeg(up.get(), to);
       }
     }
   }
-}
-
-std::vector<PathSpec> Conference::TrunkPaths(int from_hub,
-                                             int to_hub) const {
-  if (config_.paths_for_trunk) {
-    return config_.paths_for_trunk(from_hub, to_hub);
+  for (int to = 0; to < n; ++to) {
+    if (InCall(to, &ParticipantSpec::receives)) BuildStarForwarder(to);
   }
-  return config_.trunk_paths.empty() ? config_.paths : config_.trunk_paths;
+  // Trunks are built last — after every single-hub phase — so the RNG fork
+  // sequence up to here is the historical one; a single hub has none.
+  for (int a = 0; a < config_.num_hubs; ++a) {
+    for (int b = 0; b < config_.num_hubs; ++b) {
+      if (a != b) BuildTrunk(a, b, rng);
+    }
+  }
 }
 
-Conference::Trunk* Conference::LiveTrunk(int from_hub, int to_hub) {
-  for (auto& t : trunks_) {
+Conference::Trunk* Conference::LiveTrunk(int from_hub, int to_hub) const {
+  for (const auto& t : trunks_) {
     if (t->live && t->from_hub == from_hub && t->to_hub == to_hub) {
       return t.get();
     }
@@ -674,224 +686,222 @@ Conference::Trunk* Conference::LiveTrunk(int from_hub, int to_hub) {
   return nullptr;
 }
 
-Conference::Trunk* Conference::BuildTrunk(int from_hub, int to_hub,
-                                          Random& rng) {
-  trunks_.push_back(std::make_unique<Trunk>());
-  Trunk& t = *trunks_.back();
-  t.from_hub = from_hub;
-  t.to_hub = to_hub;
-  Trunk* t_ptr = &t;
-  t.network = std::make_unique<Network>(&loop_, TrunkPaths(from_hub, to_hub),
-                                        rng.Fork());
+void Conference::BuildTrunk(int from_hub, int to_hub, Random& rng) {
+  Trunk* t = trunks_
+                 .emplace_back(std::make_unique<Trunk>(
+                     Trunk{.from_hub = from_hub, .to_hub = to_hub}))
+                 .get();
+  t->network = std::make_unique<Network>(
+      &loop_,
+      config_.paths_for_trunk ? config_.paths_for_trunk(from_hub, to_hub)
+      : config_.trunk_paths.empty() ? config_.paths
+                                    : config_.trunk_paths,
+      rng.Fork());
   // Uplink path p crosses trunk path p onto downlink path p, so the trunk
   // must expose the same path count as the star's edges.
-  for (size_t p = 0; p < downlinks_.size(); ++p) {
-    const Network* down = downlinks_[p].get();
+  for (size_t p = 0; p < routes_.size(); ++p) {
+    const Network* down = routes_[p].downlink.get();
     CONVERGE_INVARIANT(
         "Conference", loop_.now(),
-        down == nullptr || down->num_paths() == t.network->num_paths(),
+        down == nullptr || down->num_paths() == t->network->num_paths(),
         "trunk " + std::to_string(from_hub) + "->" + std::to_string(to_hub) +
             " path-count mismatch: trunk has " +
-            std::to_string(t.network->num_paths()) + ", downlink " +
+            std::to_string(t->network->num_paths()) + ", downlink " +
             std::to_string(p) + " has " +
             std::to_string(down == nullptr ? 0 : down->num_paths()));
   }
-  // Like a downlink forwarder, the trunk engine starts optimistic — at the
-  // aggregate rate of the publishers homed at the near hub — and lets the
-  // trunk's own delay/loss feedback pull it down.
-  DataRate aggregate = DataRate::Zero();
-  const int n = static_cast<int>(config_.participants.size());
-  for (int from = 0; from < n; ++from) {
-    if (!present_[static_cast<size_t>(from)]) continue;
-    if (home_hub_[static_cast<size_t>(from)] != from_hub) continue;
-    const ParticipantSpec& spec =
-        config_.participants[static_cast<size_t>(from)];
-    if (!spec.sends) continue;
-    aggregate = aggregate + config_.max_rate_per_stream *
-                                static_cast<int64_t>(spec.num_streams);
-  }
+  // Starts at the aggregate rate of the publishers homed at the near hub.
+  DataRate aggregate = PublisherRate(/*exclude=*/-1, from_hub);
   if (aggregate.bps() == 0) aggregate = config_.max_rate_per_stream;
-  HubForwarder::Config tconf = config_.trunk;
-  tconf.cc.controller.algorithm = config_.cc_algorithm;
-  tconf.cc.controller.start_rate = aggregate;
-  tconf.cc.controller.max_rate = aggregate * 2;
-  tconf.cc.controller.trace_component = "hub_trunk";
+  HubForwarder::Config tconf = EgressConfig(
+      config_.trunk, config_.cc_algorithm, aggregate, "hub_trunk");
   tconf.trace_category = "hub_trunk";
   // A trunk must carry EVERY rung: the remote hub's per-receiver engines
   // make their own selections, so filtering here would starve them.
   tconf.layers.enabled = false;
-  t.engine = std::make_unique<HubForwarder>(
-      &loop_, tconf, t.network->path_ids(),
-      [this, t_ptr](int origin, PathId path, RtpPacket packet) {
-        if (!t_ptr->live) return;
-        TrunkTransmitRtp(t_ptr, origin, path, std::move(packet));
+  t->engine = std::make_unique<HubForwarder>(
+      &loop_, tconf, t->network->path_ids(),
+      [this, t](int origin, PathId path, RtpPacket packet) {
+        WireHop(t->network->path(path).forward(), t->live, origin,
+                std::move(packet),
+                [this, t, origin, path](RtpPacket p, Timestamp arrival) {
+                  if (!t->live) return;
+                  // Far-hub ingress. Nothing fans out when the origin left or
+                  // re-homed while this packet crossed: its fresh uplink
+                  // publishes under a new incarnation, and the remote
+                  // forwarders' state for the old one has been reset.
+                  Uplink* up = routes_[static_cast<size_t>(origin)].uplink;
+                  if (up != nullptr && up->hub != t->from_hub) up = nullptr;
+                  HubIngressRtp(up, t->to_hub,
+                                up == nullptr ? nullptr : TrunkAgent(*up, t),
+                                path, std::move(p), arrival);
+                });
       },
-      [this, t_ptr](int origin, uint32_t ssrc, PathId path) {
+      [this, t](int origin, uint32_t ssrc, PathId path) {
         // Trunk thinning broke a dependency chain: chase the keyframe all
         // the way to the origin publisher.
-        if (!t_ptr->live) return;
-        if (Uplink* u = LiveUplinkOf(origin)) StarRelayPli(u, ssrc, path);
+        if (!t->live) return;
+        if (Uplink* up = routes_[static_cast<size_t>(origin)].uplink) {
+          RtcpToPublisher(up, /*live=*/true, path,
+                          RtcpPacket{path, KeyframeRequest{ssrc}});
+        }
       });
   for (auto& up : uplinks_) {
     if (up->live && up->hub_feedback != nullptr && up->hub == from_hub) {
-      BuildTrunkAgent(t_ptr, up.get());
+      BuildTrunkAgent(t, up.get());
     }
   }
-  return t_ptr;
 }
 
 void Conference::BuildTrunkAgent(Trunk* t, Uplink* up) {
   const int origin = up->from;
-  auto it = t->agents.find(origin);
-  if (it != t->agents.end()) {
-    // Defensive replace (a re-homing retires the old uplink's agent via
-    // DetachParticipantPipelines first, so this should not trigger).
-    it->second->Stop();
-    retired_trunk_agents_.push_back(std::move(it->second));
-    t->agents.erase(it);
-  }
-  Trunk* t_ptr = t;
   TraceParticipantScope scope(origin);
-  auto agent = std::make_unique<ReceiverEndpoint>(
-      &loop_,
-      MakeReceiverConfig(config_, origin, up->incarnation,
-                         /*subscribe=*/false, &arena_),
-      /*metrics=*/nullptr,
-      [this, t_ptr, origin](PathId path, const RtcpPacket& packet) {
-        if (!t_ptr->live) return;
-        t_ptr->network->path(path).backward().Send(
-            packet.wire_size(), [t_ptr, origin, path, packet](Timestamp) {
-              // The trunk may have been retired while this feedback was in
-              // flight. Live or not, trunk feedback terminates HERE — it
-              // never reaches the publisher's uplink CC or the remote hub's
-              // downlink CC.
-              if (!t_ptr->live) return;
-              TraceParticipantScope scope(origin);
-              t_ptr->engine->OnReceiverRtcp(origin, path, packet);
-            });
+  auto agent = BuildFeedbackEndpoint(
+      origin, up->incarnation,
+      [t, origin](PathId path, const RtcpPacket& packet) {
+        WireHop(t->network->path(path).backward(), t->live, origin, packet,
+                [t, origin, path](const RtcpPacket& p, Timestamp) {
+                  // Live or not, trunk feedback terminates HERE — it never
+                  // reaches the publisher's uplink CC or the remote hub's
+                  // downlink CC.
+                  if (t->live) t->engine->OnReceiverRtcp(origin, path, p);
+                });
       });
   if (started_) agent->Start();
-  t->agents.emplace(origin, std::move(agent));
+  up->trunk_feedback.emplace_back(t, std::move(agent));
+}
+
+ReceiverEndpoint* Conference::TrunkAgent(const Uplink& up, const Trunk* t) {
+  for (const auto& [trunk, agent] : up.trunk_feedback) {
+    if (trunk == t) return agent.get();
+  }
+  return nullptr;
 }
 
 void Conference::RetireTrunk(Trunk* t) {
   if (!t->live) return;
   t->live = false;
   t->engine->Stop();
-  for (auto& [origin, agent] : t->agents) {
-    agent->Stop();
-    retired_trunk_agents_.push_back(std::move(agent));
+  for (auto& up : uplinks_) {
+    if (ReceiverEndpoint* agent = TrunkAgent(*up, t)) agent->Stop();
   }
-  t->agents.clear();
 }
 
-void Conference::TrunkTransmitRtp(Trunk* t, int origin, PathId path,
-                                  RtpPacket packet) {
-  const int64_t wire_bytes = packet.wire_size();
-  Link& link = t->network->path(path).forward();
-  // Duplication faults clone the payload here, like every other wire hop.
-  for (int copy = link.SendCopies(); copy > 1; --copy) {
-    link.Send(wire_bytes,
-              [this, t, origin, packet, path](Timestamp arrival) mutable {
-                TrunkDeliverRtp(t, origin, path, std::move(packet), arrival);
-              });
-  }
-  link.Send(wire_bytes,
-            [this, t, origin, packet = std::move(packet),
-             path](Timestamp arrival) mutable {
-              TrunkDeliverRtp(t, origin, path, std::move(packet), arrival);
-            });
+void Conference::RtpToReceiver(Leg* leg, PathId path, RtpPacket packet) {
+  // Retired legs keep their pipelines alive (in-flight continuations) but
+  // put nothing new on the wire.
+  WireHop(leg->inbound->path(path).forward(), leg->live, leg->to,
+          std::move(packet), [leg, path](RtpPacket p, Timestamp arrival) {
+            leg->receiver->OnRtpPacket(std::move(p), arrival, path);
+          });
 }
 
-void Conference::TrunkDeliverRtp(Trunk* t, int origin, PathId path,
-                                 RtpPacket packet, Timestamp arrival) {
-  if (!t->live) return;
-  // The far-end feedback agent sees every trunk arrival: it answers
-  // RR/transport feedback/NACK toward the trunk engine, so trunk losses are
-  // chased hub-to-hub instead of end-to-end.
-  auto agent = t->agents.find(origin);
-  if (agent != t->agents.end()) {
-    TraceParticipantScope scope(origin);
-    RtpPacket agent_copy = packet;
-    agent->second->OnRtpPacket(std::move(agent_copy), arrival, path);
-  }
-  // Skip the fan-out when the origin re-homed while this packet crossed:
-  // its fresh uplink publishes under a new incarnation through (possibly)
-  // another trunk, and the remote forwarders' state for the old incarnation
-  // has been reset.
-  Uplink* up = LiveUplinkOf(origin);
-  if (up == nullptr || up->hub != t->from_hub) return;
+void Conference::RtcpToReceiver(Leg* leg, PathId path,
+                                const RtcpPacket& packet) {
+  WireHop(leg->inbound->path(path).forward(), leg->live, leg->to, packet,
+          [leg, path](const RtcpPacket& p, Timestamp arrival) {
+            leg->receiver->OnRtcpPacket(p, arrival, path);
+          });
+}
+
+void Conference::RtcpToPublisher(Uplink* up, bool live, PathId path,
+                                 const RtcpPacket& packet) {
+  WireHop(up->network->path(path).backward(), live, up->from, packet,
+          [up](const RtcpPacket& p, Timestamp arrival) {
+            up->sender->HandleRtcp(p, arrival);
+          });
+}
+
+template <typename ToLeg, typename ToTrunk>
+void Conference::HubFanOut(Uplink* up, int hub, ToLeg to_leg,
+                           ToTrunk to_trunk) {
+  auto serves = [up](int h) {
+    return std::any_of(up->fanout.begin(), up->fanout.end(),
+                       [h](Leg* leg) { return leg->live && leg->hub == h; });
+  };
   for (Leg* leg : up->fanout) {
-    if (!leg->live || leg->hub != t->to_hub) continue;
-    HubForwarder* fwd = forwarders_[static_cast<size_t>(leg->to)].get();
-    if (fwd == nullptr) continue;
-    TraceParticipantScope scope(leg->to);
-    fwd->OnMediaFromUplink(origin, path, RtpPacket(packet));
+    if (leg->live && leg->hub == hub) to_leg(leg);
   }
-}
-
-void Conference::CascadeFanOut(Uplink* uplink, PathId path,
-                               RtpPacket packet) {
-  // Legs homed at the origin's own hub fan out locally, exactly like the
-  // single-star path.
-  for (Leg* leg : uplink->fanout) {
-    if (!leg->live || leg->hub != uplink->hub) continue;
-    HubForwarder* fwd = forwarders_[static_cast<size_t>(leg->to)].get();
-    if (fwd == nullptr) continue;
-    TraceParticipantScope scope(leg->to);
-    fwd->OnMediaFromUplink(leg->from, path, RtpPacket(packet));
-  }
-  // Media crosses each trunk at most ONCE per remote hub — the defining
-  // economy of a cascaded SFU — and only when that hub currently serves a
-  // live subscribed leg.
+  if (hub != up->hub) return;
+  // A live trunk implies both of its hubs are alive.
   for (auto& t : trunks_) {
-    if (!t->live || t->from_hub != uplink->hub) continue;
-    if (!hub_alive_[static_cast<size_t>(t->to_hub)]) continue;
-    bool wanted = false;
-    for (Leg* leg : uplink->fanout) {
-      if (leg->live && leg->hub == t->to_hub) {
-        wanted = true;
-        break;
-      }
-    }
-    if (!wanted) continue;
-    TraceParticipantScope scope(uplink->from);
-    t->engine->OnMediaFromUplink(uplink->from, path, RtpPacket(packet));
+    if (t->live && t->from_hub == hub && serves(t->to_hub)) to_trunk(t.get());
   }
 }
 
-int Conference::NextAliveHub(int hub) const {
-  for (int step = 1; step < config_.num_hubs; ++step) {
-    const int h = (hub + step) % config_.num_hubs;
-    if (hub_alive_[static_cast<size_t>(h)]) return h;
+void Conference::HubIngressRtp(Uplink* up, int hub,
+                               ReceiverEndpoint* feedback, PathId path,
+                               RtpPacket packet, Timestamp arrival) {
+  // Like a real SFU's per-publisher transport context.
+  if (feedback != nullptr) feedback->OnRtpPacket(packet, arrival, path);
+  if (up == nullptr) return;
+  // Uplink path p -> downlink path p (equal path counts, checked at build).
+  // The forwarder owns the downlink pacing/drop decisions.
+  HubFanOut(
+      up, hub,
+      [&](Leg* leg) {
+        TraceParticipantScope scope(leg->to);
+        routes_[static_cast<size_t>(leg->to)].forwarder->OnMediaFromUplink(
+            up->from, path, RtpPacket(packet));
+      },
+      [&](Trunk* t) {
+        t->engine->OnMediaFromUplink(up->from, path, RtpPacket(packet));
+      });
+}
+
+void Conference::HubIngressRtcp(Uplink* up, int hub, PathId path,
+                                const RtcpPacket& packet) {
+  HubFanOut(
+      up, hub, [&](Leg* leg) { RtcpToReceiver(leg, path, packet); },
+      [&](Trunk* t) {
+        WireHop(t->network->path(path).forward(), /*live=*/true, up->from,
+                packet, [this, t, up, path](const RtcpPacket& p, Timestamp) {
+                  if (t->live && up->live) {
+                    HubIngressRtcp(up, t->to_hub, path, p);
+                  }
+                });
+      });
+}
+
+void Conference::RelayToPublisher(Uplink* up, int hub, PathId path,
+                                  const RtcpPacket& packet) {
+  if (hub == up->hub) {
+    RtcpToPublisher(up, /*live=*/true, path, packet);
+    return;
   }
-  return -1;
+  Trunk* t = LiveTrunk(up->hub, hub);
+  if (t == nullptr) return;
+  WireHop(t->network->path(path).backward(), /*live=*/true, up->from, packet,
+          [this, t, up, path](const RtcpPacket& p, Timestamp) {
+            if (t->live && up->live) RtcpToPublisher(up, true, path, p);
+          });
 }
 
 void Conference::FailHub(int hub) {
-  if (!multi_hub() || !hub_alive_[static_cast<size_t>(hub)]) return;
-  hub_alive_[static_cast<size_t>(hub)] = 0;
-  ++hub_failures_[static_cast<size_t>(hub)];
-  if (TraceRecorder* trace = TraceRecorder::Current()) {
-    trace->Instant("conference", "hub_fail", loop_.now(),
-                   static_cast<double>(hub));
-  }
+  ConferenceStats::Hub& state = hubs_[static_cast<size_t>(hub)];
+  if (!state.alive) return;
+  state.alive = false;
+  ++state.failures;
+  TraceConferenceEvent("hub_fail", loop_.now(), hub);
   for (auto& t : trunks_) {
     if (t->live && (t->from_hub == hub || t->to_hub == hub)) {
       RetireTrunk(t.get());
     }
   }
-  const int fallback = NextAliveHub(hub);
+  // Re-home onto the next alive hub in ring order.
+  int fallback = -1;
+  for (int step = 1; step < config_.num_hubs && fallback < 0; ++step) {
+    const int h = (hub + step) % config_.num_hubs;
+    if (hubs_[static_cast<size_t>(h)].alive) fallback = h;
+  }
   CONVERGE_INVARIANT("Conference", loop_.now(), fallback >= 0,
                      "hub " + std::to_string(hub) +
                          " failed with no alive hub to re-home onto");
   if (fallback < 0) return;
-  const int n = static_cast<int>(config_.participants.size());
   std::vector<int> affected;
-  for (int p = 0; p < n; ++p) {
-    if (present_[static_cast<size_t>(p)] &&
-        home_hub_[static_cast<size_t>(p)] == hub) {
-      affected.push_back(p);
+  for (size_t p = 0; p < routes_.size(); ++p) {
+    if (routes_[p].present && routes_[p].home_hub == hub) {
+      affected.push_back(static_cast<int>(p));
     }
   }
   // Teardown-all first, then rebuild-all: a rebuilt participant's legs must
@@ -902,350 +912,88 @@ void Conference::FailHub(int hub) {
   // a torn-down peer would capture its null downlink slot.
   for (int p : affected) {
     TraceParticipantScope scope(p);
-    present_[static_cast<size_t>(p)] = 0;
     DetachParticipantPipelines(p, /*rehomed=*/true);
   }
   for (int p : affected) {
-    home_hub_[static_cast<size_t>(p)] = fallback;
-    ++extra_incarnations_[static_cast<size_t>(p)];
-    ++rehomed_away_[static_cast<size_t>(hub)];
-    ++rehomed_onto_[static_cast<size_t>(fallback)];
+    routes_[static_cast<size_t>(p)].home_hub = fallback;
+    ++routes_[static_cast<size_t>(p)].rehomings;
+    ++state.rehomed_away;
+    ++hubs_[static_cast<size_t>(fallback)].rehomed_onto;
   }
   for (int p : affected) {
     TraceParticipantScope scope(p);
     JoinParticipant(p);
-    if (TraceRecorder* trace = TraceRecorder::Current()) {
-      trace->Instant("conference", "rehome", loop_.now(),
-                     static_cast<double>(p));
-    }
+    TraceConferenceEvent("rehome", loop_.now(), p);
   }
 }
 
 void Conference::RecoverHub(int hub) {
-  if (!multi_hub() || hub_alive_[static_cast<size_t>(hub)]) return;
-  hub_alive_[static_cast<size_t>(hub)] = 1;
-  if (TraceRecorder* trace = TraceRecorder::Current()) {
-    trace->Instant("conference", "hub_recover", loop_.now(),
-                   static_cast<double>(hub));
-  }
+  if (hubs_[static_cast<size_t>(hub)].alive) return;
+  hubs_[static_cast<size_t>(hub)].alive = true;
+  TraceConferenceEvent("hub_recover", loop_.now(), hub);
   // Rebuild the trunks so the hub can serve future re-homings; participants
   // re-homed away do not move back.
   for (int other = 0; other < config_.num_hubs; ++other) {
-    if (other == hub || !hub_alive_[static_cast<size_t>(other)]) continue;
+    if (other == hub || !hubs_[static_cast<size_t>(other)].alive) continue;
     if (LiveTrunk(hub, other) == nullptr) BuildTrunk(hub, other, churn_rng_);
     if (LiveTrunk(other, hub) == nullptr) BuildTrunk(other, hub, churn_rng_);
   }
 }
 
-void Conference::MeshTransmitRtp(Leg* leg, PathId path, RtpPacket packet) {
-  // Retired legs keep their pipelines alive (in-flight continuations) but
-  // put nothing new on the wire.
-  if (!leg->live) return;
-  const int64_t wire_bytes = packet.wire_size();
-  Link& link = leg->uplink->network->path(path).forward();
-  // Duplication faults clone the payload here: the link only sees bytes and
-  // an opaque move-only continuation, so it cannot copy a packet itself.
-  for (int copy = link.SendCopies(); copy > 1; --copy) {
-    link.Send(wire_bytes, [leg, packet, path](Timestamp arrival) mutable {
-      TraceParticipantScope scope(leg->to);
-      leg->receiver->OnRtpPacket(std::move(packet), arrival, path);
-    });
-  }
-  // The in-flight packet rides inside the link's inline delivery callback —
-  // no heap allocation per transmitted packet.
-  link.Send(
-      wire_bytes,
-      [leg, packet = std::move(packet), path](Timestamp arrival) mutable {
-        TraceParticipantScope scope(leg->to);
-        leg->receiver->OnRtpPacket(std::move(packet), arrival, path);
-      });
-}
-
-void Conference::MeshTransmitRtcpForward(Leg* leg, PathId path,
-                                         const RtcpPacket& packet) {
-  if (!leg->live) return;
-  leg->uplink->network->path(path).forward().Send(
-      packet.wire_size(), [leg, packet, path](Timestamp arrival) {
-        TraceParticipantScope scope(leg->to);
-        leg->receiver->OnRtcpPacket(packet, arrival, path);
-      });
-}
-
-void Conference::MeshTransmitRtcpBackward(Leg* leg, PathId path,
-                                          const RtcpPacket& packet) {
-  if (!leg->live) return;
-  leg->uplink->network->path(path).backward().Send(
-      packet.wire_size(), [leg, packet](Timestamp arrival) {
-        TraceParticipantScope scope(leg->from);
-        leg->uplink->sender->HandleRtcp(packet, arrival);
-      });
-}
-
-void Conference::StarTransmitRtp(Uplink* uplink, PathId path,
-                                 RtpPacket packet) {
-  if (!uplink->live) return;
-  const int64_t wire_bytes = packet.wire_size();
-  Link& link = uplink->network->path(path).forward();
-  for (int copy = link.SendCopies(); copy > 1; --copy) {
-    link.Send(wire_bytes,
-              [this, uplink, packet, path](Timestamp arrival) mutable {
-                StarHubDeliverRtp(uplink, path, std::move(packet), arrival);
-              });
-  }
-  link.Send(wire_bytes,
-            [this, uplink, packet = std::move(packet),
-             path](Timestamp arrival) mutable {
-              StarHubDeliverRtp(uplink, path, std::move(packet), arrival);
-            });
-}
-
-void Conference::StarHubDeliverRtp(Uplink* uplink, PathId path,
-                                   RtpPacket packet, Timestamp arrival) {
-  {
-    // The hub's feedback endpoint sees every uplink arrival: it is what
-    // answers RR/transport feedback/NACK toward the sender. Attributed to
-    // the uplink owner, like a real SFU's per-publisher transport context.
-    TraceParticipantScope scope(uplink->from);
-    RtpPacket hub_copy = packet;
-    uplink->hub_feedback->OnRtpPacket(std::move(hub_copy), arrival, path);
-  }
-  if (multi_hub()) {
-    CascadeFanOut(uplink, path, std::move(packet));
-    return;
-  }
-  // Fan out to every subscribed receiver through its forwarding engine,
-  // uplink path p -> downlink path p (equal path counts, checked at
-  // build). The forwarder owns the downlink pacing/drop decisions; packets
-  // reach the wire via StarDeliverDownlink.
-  for (size_t k = 0; k < uplink->fanout.size(); ++k) {
-    Leg* leg = uplink->fanout[k];
-    // Retired legs stay in the fan-out list (in-flight deliveries walk it)
-    // but their receiver — and possibly their forwarder slot — is gone.
-    if (!leg->live) continue;
-    // Last fan-out leg takes ownership; earlier ones copy.
-    RtpPacket fwd = (k + 1 == uplink->fanout.size()) ? std::move(packet)
-                                                     : RtpPacket(packet);
-    TraceParticipantScope scope(leg->to);
-    forwarders_[static_cast<size_t>(leg->to)]->OnMediaFromUplink(
-        leg->from, path, std::move(fwd));
-  }
-}
-
-void Conference::StarDeliverDownlink(Leg* leg, PathId path,
-                                     RtpPacket packet) {
-  const int64_t wire_bytes = packet.wire_size();
-  Link& down = leg->downlink->path(path).forward();
-  // Duplication faults clone the payload here, like every other wire hop.
-  for (int copy = down.SendCopies(); copy > 1; --copy) {
-    down.Send(wire_bytes, [leg, packet, path](Timestamp at) mutable {
-      TraceParticipantScope scope(leg->to);
-      leg->receiver->OnRtpPacket(std::move(packet), at, path);
-    });
-  }
-  down.Send(wire_bytes,
-            [leg, packet = std::move(packet), path](Timestamp at) mutable {
-              TraceParticipantScope scope(leg->to);
-              leg->receiver->OnRtpPacket(std::move(packet), at, path);
-            });
-}
-
-void Conference::StarRelayPli(Uplink* uplink, uint32_t ssrc, PathId path) {
-  RtcpPacket pli;
-  pli.path_id = path;
-  pli.payload = KeyframeRequest{ssrc};
-  uplink->network->path(path).backward().Send(
-      pli.wire_size(), [uplink, pli](Timestamp arrival) {
-        TraceParticipantScope scope(uplink->from);
-        uplink->sender->HandleRtcp(pli, arrival);
-      });
-}
-
-void Conference::StarTransmitRtcpForward(Uplink* uplink, PathId path,
-                                         const RtcpPacket& packet) {
-  if (!uplink->live) return;
-  uplink->network->path(path).forward().Send(
-      packet.wire_size(), [this, uplink, packet, path](Timestamp arrival) {
-        {
-          TraceParticipantScope scope(uplink->from);
-          uplink->hub_feedback->OnRtcpPacket(packet, arrival, path);
-        }
-        for (Leg* leg : uplink->fanout) {
-          if (!leg->live) continue;
-          // Legs served by a remote hub get the SR via their trunk below.
-          if (multi_hub() && leg->hub != uplink->hub) continue;
-          leg->downlink->path(path).forward().Send(
-              packet.wire_size(), [leg, packet, path](Timestamp at) {
-                TraceParticipantScope scope(leg->to);
-                leg->receiver->OnRtcpPacket(packet, at, path);
-              });
-        }
-        if (!multi_hub()) return;
-        // One trunk copy per remote hub with a live subscribed leg; on
-        // arrival the SR fans onto that hub's downlinks.
-        for (auto& t : trunks_) {
-          Trunk* t_ptr = t.get();
-          if (!t_ptr->live || t_ptr->from_hub != uplink->hub) continue;
-          bool wanted = false;
-          for (Leg* leg : uplink->fanout) {
-            if (leg->live && leg->hub == t_ptr->to_hub) {
-              wanted = true;
-              break;
-            }
-          }
-          if (!wanted) continue;
-          t_ptr->network->path(path).forward().Send(
-              packet.wire_size(),
-              [t_ptr, uplink, packet, path](Timestamp) {
-                if (!t_ptr->live || !uplink->live) return;
-                for (Leg* leg : uplink->fanout) {
-                  if (!leg->live || leg->hub != t_ptr->to_hub) continue;
-                  leg->downlink->path(path).forward().Send(
-                      packet.wire_size(),
-                      [leg, packet, path](Timestamp at) {
-                        TraceParticipantScope scope(leg->to);
-                        leg->receiver->OnRtcpPacket(packet, at, path);
-                      });
-                }
-              });
-        }
-      });
-}
-
-void Conference::StarTransmitRtcpBackward(Leg* leg, PathId path,
-                                          const RtcpPacket& packet) {
-  // Receiver -> hub on the downlink's feedback direction.
-  if (!leg->live) return;
-  leg->downlink->path(path).backward().Send(
-      packet.wire_size(), [this, leg, path, packet](Timestamp) {
-        // The leg may have been retired while this feedback was in flight;
-        // its forwarder slot may already belong to a rejoin.
-        if (!leg->live) return;
-        // At the hub: the receiver's forwarding engine consumes transport
-        // feedback and receiver reports (per-downlink congestion loop) and
-        // answers NACKs from hub history; only end-to-end signals —
-        // keyframe requests and QoE feedback — travel on to the origin.
-        {
-          TraceParticipantScope scope(leg->to);
-          if (forwarders_[static_cast<size_t>(leg->to)]->OnReceiverRtcp(
-                  leg->from, path, packet)) {
-            return;
-          }
-        }
-        if (!ForwardsUpstream(packet)) return;
-        Uplink* up = leg->uplink;
-        if (multi_hub() && leg->hub != up->hub) {
-          // The receiver is served by a remote hub: the end-to-end signal
-          // first crosses the trunk that carried the media (its feedback
-          // direction) back to the origin's hub, then rides the uplink.
-          Trunk* t = LiveTrunk(up->hub, leg->hub);
-          if (t == nullptr) return;
-          t->network->path(path).backward().Send(
-              packet.wire_size(), [t, up, packet, path](Timestamp) {
-                if (!t->live || !up->live) return;
-                up->network->path(path).backward().Send(
-                    packet.wire_size(), [up, packet](Timestamp arrival) {
-                      TraceParticipantScope scope(up->from);
-                      up->sender->HandleRtcp(packet, arrival);
-                    });
-              });
-          return;
-        }
-        up->network->path(path).backward().Send(
-            packet.wire_size(), [up, packet](Timestamp arrival) {
-              TraceParticipantScope scope(up->from);
-              up->sender->HandleRtcp(packet, arrival);
-            });
-      });
-}
-
-Conference::Uplink* Conference::LiveUplinkOf(int p) {
-  for (auto& up : uplinks_) {
-    if (up->live && up->from == p) return up.get();
-  }
-  return nullptr;
-}
-
-void Conference::RetireLeg(Leg* leg, Timestamp now) {
-  if (!leg->live) return;
-  leg->live = false;
-  leg->left = now;
-  leg->receiver->Stop();
-  leg->metrics->Stop();
-}
-
-void Conference::RetireUplink(Uplink* up) {
-  if (!up->live) return;
-  up->live = false;
-  up->sender->Stop();
-  if (up->hub_feedback != nullptr) up->hub_feedback->Stop();
-}
-
-void Conference::LeaveParticipant(int p) {
-  present_[static_cast<size_t>(p)] = 0;
-  DetachParticipantPipelines(p, /*rehomed=*/false);
-}
-
 void Conference::DetachParticipantPipelines(int p, bool rehomed) {
-  const Timestamp now = loop_.now();
   for (auto& leg : legs_) {
-    if (leg->live && (leg->from == p || leg->to == p)) {
-      RetireLeg(leg.get(), now);
-    }
+    if (!leg->live || (leg->from != p && leg->to != p)) continue;
+    leg->live = false;
+    leg->left = loop_.now();
+    leg->receiver->Stop();
+    leg->metrics->Stop();
   }
   for (auto& up : uplinks_) {
-    if (up->live && up->from == p) RetireUplink(up.get());
+    if (!up->live || up->from != p) continue;
+    up->live = false;
+    up->sender->Stop();
+    if (up->hub_feedback != nullptr) up->hub_feedback->Stop();
+    for (auto& [trunk, agent] : up->trunk_feedback) agent->Stop();
   }
-  if (config_.topology != Topology::kStar) return;
+  Route& route = routes_[static_cast<size_t>(p)];
+  route.present = false;
+  route.uplink = nullptr;
 
   // Hub-side teardown. The forwarder and downlink network of the leaver are
   // moved to the retired lists (in-flight continuations may still reference
   // them) and their slots cleared so a rejoin rebuilds fresh ones; the
-  // remaining receivers' forwarders drop the leaver's queued media and
-  // forget its egress/gate/RTX state so a rejoin (fresh incarnation, new
-  // SSRCs) never inherits stamp counters from the previous life.
-  if (forwarders_[static_cast<size_t>(p)] != nullptr) {
-    forwarders_[static_cast<size_t>(p)]->Stop();
-    retired_forwarders_.push_back(
-        RetiredForwarder{forwarder_hub_[static_cast<size_t>(p)], p, rehomed,
-                         std::move(forwarders_[static_cast<size_t>(p)])});
+  // remaining receivers' forwarders and the trunk engines drop the leaver's
+  // queued media and forget its egress/gate/RTX state so a rejoin (fresh
+  // incarnation, new SSRCs) never inherits stamp counters from the previous
+  // life.
+  if (route.forwarder != nullptr) {
+    route.forwarder->Stop();
+    retired_forwarders_.push_back(RetiredForwarder{
+        route.home_hub, p, rehomed, std::move(route.forwarder)});
   }
-  if (downlinks_[static_cast<size_t>(p)] != nullptr) {
-    retired_downlinks_.emplace_back(
-        p, std::move(downlinks_[static_cast<size_t>(p)]));
+  if (route.downlink != nullptr) {
+    retired_downlinks_.emplace_back(p, std::move(route.downlink));
   }
-  const int n = static_cast<int>(config_.participants.size());
-  for (int q = 0; q < n; ++q) {
-    if (forwarders_[static_cast<size_t>(q)] != nullptr) {
-      forwarders_[static_cast<size_t>(q)]->ResetOrigin(p);
-    }
-    star_leg_lookup_[static_cast<size_t>(p)][static_cast<size_t>(q)] =
-        nullptr;
-    star_leg_lookup_[static_cast<size_t>(q)][static_cast<size_t>(p)] =
-        nullptr;
+  for (size_t q = 0; q < routes_.size(); ++q) {
+    if (routes_[q].forwarder != nullptr) routes_[q].forwarder->ResetOrigin(p);
+    route.legs_by_origin[q] = nullptr;
+    routes_[q].legs_by_origin[static_cast<size_t>(p)] = nullptr;
   }
-  // Trunk state: p's far-end feedback agents die with its uplink, and the
-  // trunk engines drop p's queued media / egress spaces exactly like the
-  // per-receiver forwarders above.
-  for (auto& t : trunks_) {
-    t->engine->ResetOrigin(p);
-    auto it = t->agents.find(p);
-    if (it == t->agents.end()) continue;
-    it->second->Stop();
-    retired_trunk_agents_.push_back(std::move(it->second));
-    t->agents.erase(it);
-  }
+  for (auto& t : trunks_) t->engine->ResetOrigin(p);
 }
 
 void Conference::JoinParticipant(int p) {
   const Timestamp now = loop_.now();
-  present_[static_cast<size_t>(p)] = 1;
+  routes_[static_cast<size_t>(p)].present = true;
   const int n = static_cast<int>(config_.participants.size());
   const ParticipantSpec& spec = config_.participants[static_cast<size_t>(p)];
   // Incarnation = membership-timeline leave count + re-homing bumps, so
   // every rebuild (rejoin OR re-home) publishes under a fresh, never-reused
   // SSRC bank.
-  const int inc = MembershipIncarnationAt(p, now, config_.membership) +
-                  extra_incarnations_[static_cast<size_t>(p)];
+  auto incarnation = [&](int q) {
+    return MembershipIncarnationAt(q, now, config_.membership) +
+           routes_[static_cast<size_t>(q)].rehomings;
+  };
   std::vector<Leg*> fresh_legs;
   std::vector<Uplink*> fresh_ups;
 
@@ -1255,44 +1003,36 @@ void Conference::JoinParticipant(int p) {
     // receiver, and every present sender toward p (under the *sender's*
     // current incarnation; its other legs keep their own networks, so SSRC
     // spaces never mix).
-    if (spec.sends) {
-      for (int q = 0; q < n; ++q) {
-        if (q == p || !present_[static_cast<size_t>(q)]) continue;
-        if (!config_.participants[static_cast<size_t>(q)].receives) continue;
-        Leg* leg = BuildMeshLeg(p, q, inc, churn_rng_);
-        fresh_legs.push_back(leg);
-        fresh_ups.push_back(leg->uplink);
+    for (int q = 0; q < n; ++q) {
+      if (spec.sends && q != p && InCall(q, &ParticipantSpec::receives)) {
+        fresh_legs.push_back(BuildMeshLeg(p, q, incarnation(p), churn_rng_));
       }
     }
-    if (spec.receives) {
-      for (int q = 0; q < n; ++q) {
-        if (q == p || !present_[static_cast<size_t>(q)]) continue;
-        if (!config_.participants[static_cast<size_t>(q)].sends) continue;
-        const int qinc = MembershipIncarnationAt(q, now, config_.membership) +
-                         extra_incarnations_[static_cast<size_t>(q)];
-        Leg* leg = BuildMeshLeg(q, p, qinc, churn_rng_);
-        fresh_legs.push_back(leg);
-        fresh_ups.push_back(leg->uplink);
+    for (int q = 0; q < n; ++q) {
+      if (spec.receives && q != p && InCall(q, &ParticipantSpec::sends)) {
+        fresh_legs.push_back(BuildMeshLeg(q, p, incarnation(q), churn_rng_));
       }
     }
+    for (Leg* leg : fresh_legs) fresh_ups.push_back(leg->uplink);
   } else {
     // Star: mirror the constructor's phase order for this one participant —
     // downlink, uplink (path counts re-checked), legs, forwarder.
     if (spec.receives) BuildStarDownlink(p, churn_rng_);
     if (spec.sends) {
-      Uplink* up = BuildStarUplink(p, inc, churn_rng_);
+      Uplink* up = BuildStarUplink(p, incarnation(p), churn_rng_);
       fresh_ups.push_back(up);
       for (int q = 0; q < n; ++q) {
-        if (q == p || !present_[static_cast<size_t>(q)]) continue;
-        if (!config_.participants[static_cast<size_t>(q)].receives) continue;
-        fresh_legs.push_back(BuildStarLeg(up, q));
+        if (q != p && InCall(q, &ParticipantSpec::receives)) {
+          fresh_legs.push_back(BuildStarLeg(up, q));
+        }
       }
     }
     if (spec.receives) {
       // One inbound leg per live publisher, in uplink construction order.
       for (auto& up : uplinks_) {
-        if (!up->live || up->from == p) continue;
-        fresh_legs.push_back(BuildStarLeg(up.get(), p));
+        if (up->live && up->from != p) {
+          fresh_legs.push_back(BuildStarLeg(up.get(), p));
+        }
       }
       BuildStarForwarder(p);
     }
@@ -1318,35 +1058,34 @@ void Conference::JoinParticipant(int p) {
 
 void Conference::ApplyMembershipEvent(const MembershipEvent& ev) {
   TraceParticipantScope scope(ev.participant);
-  if (ev.kind == MembershipEvent::Kind::kJoin) {
+  const bool join = ev.kind == MembershipEvent::Kind::kJoin;
+  if (join) {
     JoinParticipant(ev.participant);
   } else {
-    LeaveParticipant(ev.participant);
+    DetachParticipantPipelines(ev.participant, /*rehomed=*/false);
   }
-  if (TraceRecorder* trace = TraceRecorder::Current()) {
-    if (ev.kind == MembershipEvent::Kind::kJoin) {
-      trace->Instant("conference", "join", loop_.now(),
-                     static_cast<double>(ev.participant));
-    } else {
-      trace->Instant("conference", "leave", loop_.now(),
-                     static_cast<double>(ev.participant));
-    }
-  }
+  TraceConferenceEvent(join ? "join" : "leave", loop_.now(), ev.participant);
 }
 
 namespace {
 
-CallStats CollectLegStats(const ConferenceConfig& config, int num_streams,
-                          MetricsCollector* metrics, const Sender& sender,
+CallStats CollectLegStats(int num_streams, MetricsCollector* metrics,
+                          const Sender& sender,
                           const ReceiverEndpoint& receiver,
                           Timestamp window_start, Timestamp window_end) {
   CallStats out;
+  int64_t fec_received = 0;
+  int64_t fec_used = 0;
   for (int i = 0; i < num_streams; ++i) {
     const auto rx_stats = receiver.stream(i).GetStats();
     metrics->SetReceiverCounters(i, rx_stats.FrameDrops(),
                                  rx_stats.keyframe_requests);
     out.total_frame_drops += rx_stats.FrameDrops();
     out.total_keyframe_requests += rx_stats.keyframe_requests;
+    const auto& fec = receiver.stream(i).fec().stats();
+    fec_received += fec.fec_received;
+    fec_used += fec.fec_used;
+    out.fec_recovered_packets += fec.packets_recovered;
   }
   out.streams = metrics->AllStreams(window_start, window_end);
   out.time_series = metrics->time_series();
@@ -1361,15 +1100,6 @@ CallStats CollectLegStats(const ConferenceConfig& config, int num_streams,
           ? static_cast<double>(tx.fec_packets_sent) /
                 static_cast<double>(tx.media_packets_sent)
           : 0.0;
-
-  int64_t fec_received = 0;
-  int64_t fec_used = 0;
-  for (int i = 0; i < num_streams; ++i) {
-    fec_received += receiver.stream(i).fec().stats().fec_received;
-    fec_used += receiver.stream(i).fec().stats().fec_used;
-    out.fec_recovered_packets +=
-        receiver.stream(i).fec().stats().packets_recovered;
-  }
   out.fec_utilization =
       fec_received > 0
           ? static_cast<double>(fec_used) / static_cast<double>(fec_received)
@@ -1438,10 +1168,12 @@ void Conference::Start() {
     up->hub_feedback->Start();
   }
   for (auto& t : trunks_) {
-    if (!t->live) continue;
-    for (auto& [origin, agent] : t->agents) {
-      TraceParticipantScope scope(origin);
-      agent->Start();
+    for (const Route& route : routes_) {
+      if (route.uplink == nullptr) continue;
+      TraceParticipantScope scope(route.uplink->from);
+      if (ReceiverEndpoint* agent = TrunkAgent(*route.uplink, t.get())) {
+        agent->Start();
+      }
     }
   }
   for (auto& up : uplinks_) {
@@ -1458,15 +1190,14 @@ void Conference::Start() {
       loop_.ScheduleAt(ev.at, [this, ev] { ApplyMembershipEvent(ev); });
     }
     // Hub outages are scheduled the same way: every kOutage window of hub
-    // h's fault plan kills the hub at its start and recovers it at its end.
-    if (multi_hub()) {
-      for (size_t h = 0; h < config_.hub_fault_plans.size(); ++h) {
-        const int hub = static_cast<int>(h);
-        for (const auto& [fail_at, recover_at] :
-             config_.hub_fault_plans[h].OutageWindows()) {
-          loop_.ScheduleAt(fail_at, [this, hub] { FailHub(hub); });
-          loop_.ScheduleAt(recover_at, [this, hub] { RecoverHub(hub); });
-        }
+    // h's fault plan kills the hub at its start and recovers it at its end
+    // (only a cascade keeps hub fault plans; see the constructor).
+    for (size_t h = 0; h < config_.hub_fault_plans.size(); ++h) {
+      const int hub = static_cast<int>(h);
+      for (const auto& [fail_at, recover_at] :
+           config_.hub_fault_plans[h].OutageWindows()) {
+        loop_.ScheduleAt(fail_at, [this, hub] { FailHub(hub); });
+        loop_.ScheduleAt(recover_at, [this, hub] { RecoverHub(hub); });
       }
     }
   }
@@ -1499,7 +1230,6 @@ ConferenceStats Conference::Collect() {
     // from the shared uplink, so they repeat across the uplink's legs; the
     // receive-side QoE is per leg.
     ls.stats = CollectLegStats(
-        config_,
         config_.participants[static_cast<size_t>(leg->from)].num_streams,
         leg->metrics.get(), *leg->uplink->sender, *leg->receiver,
         window_start, window_end);
@@ -1540,40 +1270,33 @@ ConferenceStats Conference::Collect() {
   out.num_hubs = config_.num_hubs;
   out.simulcast_rungs = config_.simulcast_rungs;
   out.temporal_layers = config_.temporal_layers;
-  for (int p = 0; p < n; ++p) {
-    const HubForwarder* fwd = hub_forwarder(p);
-    if (fwd == nullptr) continue;
-    const Network* down = downlinks_[static_cast<size_t>(p)].get();
-    for (PathId path : down->path_ids()) {
+  // Per-path egress-engine state shared by downlink and trunk rows.
+  auto fill = [](auto& row, const HubForwarder& fwd, PathId path) {
+    row.path = path;
+    row.target_kbps =
+        static_cast<double>(fwd.downlink_target(path).bps()) / 1000.0;
+    row.srtt_ms = fwd.downlink_srtt(path).seconds() * 1000.0;
+    row.loss = fwd.downlink_loss(path);
+    row.forwarder = fwd.stats(path);
+  };
+  auto add_downlinks = [&](int hub, int receiver, const HubForwarder& fwd) {
+    for (PathId path : fwd.path_ids()) {
       ConferenceStats::Downlink d;
-      d.hub = forwarder_hub_[static_cast<size_t>(p)];
-      d.receiver = p;
-      d.path = path;
-      d.selected_rung = fwd->max_selected_rung();
-      d.target_kbps =
-          static_cast<double>(fwd->downlink_target(path).bps()) / 1000.0;
-      d.srtt_ms = fwd->downlink_srtt(path).seconds() * 1000.0;
-      d.loss = fwd->downlink_loss(path);
-      d.forwarder = fwd->stats(path);
+      d.hub = hub;
+      d.receiver = receiver;
+      d.selected_rung = fwd.max_selected_rung();
+      fill(d, fwd, path);
       out.downlinks.push_back(d);
+    }
+  };
+  for (int p = 0; p < n; ++p) {
+    const Route& route = routes_[static_cast<size_t>(p)];
+    if (route.forwarder != nullptr) {
+      add_downlinks(route.home_hub, p, *route.forwarder);
     }
   }
   for (const RetiredForwarder& rf : retired_forwarders_) {
-    if (!rf.rehomed) continue;
-    for (PathId path : rf.forwarder->path_ids()) {
-      ConferenceStats::Downlink d;
-      d.hub = rf.hub;
-      d.receiver = rf.receiver;
-      d.path = path;
-      d.selected_rung = rf.forwarder->max_selected_rung();
-      d.target_kbps =
-          static_cast<double>(rf.forwarder->downlink_target(path).bps()) /
-          1000.0;
-      d.srtt_ms = rf.forwarder->downlink_srtt(path).seconds() * 1000.0;
-      d.loss = rf.forwarder->downlink_loss(path);
-      d.forwarder = rf.forwarder->stats(path);
-      out.downlinks.push_back(d);
-    }
+    if (rf.rehomed) add_downlinks(rf.hub, rf.receiver, *rf.forwarder);
   }
 
   // Multi-hub only: trunk and hub state (both stay empty for single-hub
@@ -1584,33 +1307,18 @@ ConferenceStats Conference::Collect() {
         ConferenceStats::Trunk ts;
         ts.from_hub = t->from_hub;
         ts.to_hub = t->to_hub;
-        ts.path = path;
         ts.live = t->live;
-        ts.target_kbps =
-            static_cast<double>(t->engine->downlink_target(path).bps()) /
-            1000.0;
-        ts.srtt_ms = t->engine->downlink_srtt(path).seconds() * 1000.0;
-        ts.loss = t->engine->downlink_loss(path);
+        fill(ts, *t->engine, path);
         ts.feedback_batches = t->engine->cc(path).feedback_batches();
         ts.packets_registered = t->engine->cc(path).packets_registered();
-        ts.forwarder = t->engine->stats(path);
         out.trunks.push_back(ts);
       }
     }
-    for (int h = 0; h < config_.num_hubs; ++h) {
-      ConferenceStats::Hub hs;
-      hs.hub = h;
-      hs.alive = hub_alive_[static_cast<size_t>(h)] != 0;
-      hs.failures = hub_failures_[static_cast<size_t>(h)];
-      hs.rehomed_away = rehomed_away_[static_cast<size_t>(h)];
-      hs.rehomed_onto = rehomed_onto_[static_cast<size_t>(h)];
-      for (int p = 0; p < n; ++p) {
-        if (present_[static_cast<size_t>(p)] &&
-            home_hub_[static_cast<size_t>(p)] == h) {
-          ++hs.home_participants;
-        }
+    out.hubs = hubs_;
+    for (const Route& route : routes_) {
+      if (route.present) {
+        ++out.hubs[static_cast<size_t>(route.home_hub)].home_participants;
       }
-      out.hubs.push_back(hs);
     }
   }
 
@@ -1635,9 +1343,9 @@ ConferenceStats Conference::Collect() {
     }
   };
   for (auto& up : uplinks_) collect_flows(up->from, up->to, *up->network);
-  for (size_t p = 0; p < downlinks_.size(); ++p) {
-    if (downlinks_[p] != nullptr) {
-      collect_flows(kHubId, static_cast<int>(p), *downlinks_[p]);
+  for (size_t p = 0; p < routes_.size(); ++p) {
+    if (routes_[p].downlink != nullptr) {
+      collect_flows(kHubId, static_cast<int>(p), *routes_[p].downlink);
     }
   }
   for (const auto& retired : retired_downlinks_) {
@@ -1648,29 +1356,21 @@ ConferenceStats Conference::Collect() {
 }
 
 const HubForwarder* Conference::hub_forwarder(int participant) const {
-  if (participant < 0 ||
-      static_cast<size_t>(participant) >= forwarders_.size()) {
-    return nullptr;
-  }
-  return forwarders_[static_cast<size_t>(participant)].get();
+  return participant < 0 || static_cast<size_t>(participant) >= routes_.size()
+             ? nullptr
+             : routes_[static_cast<size_t>(participant)].forwarder.get();
 }
 
 int Conference::home_hub(int participant) const {
-  if (participant < 0 ||
-      static_cast<size_t>(participant) >= home_hub_.size()) {
-    return 0;
-  }
-  return home_hub_[static_cast<size_t>(participant)];
+  return participant < 0 || static_cast<size_t>(participant) >= routes_.size()
+             ? 0
+             : routes_[static_cast<size_t>(participant)].home_hub;
 }
 
 const HubForwarder* Conference::trunk_engine(int from_hub,
                                              int to_hub) const {
-  for (const auto& t : trunks_) {
-    if (t->live && t->from_hub == from_hub && t->to_hub == to_hub) {
-      return t->engine.get();
-    }
-  }
-  return nullptr;
+  const Trunk* t = LiveTrunk(from_hub, to_hub);
+  return t == nullptr ? nullptr : t->engine.get();
 }
 
 int Conference::leg_from(size_t leg) const { return legs_.at(leg)->from; }

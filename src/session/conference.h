@@ -397,18 +397,40 @@ class Conference {
   const HubForwarder* trunk_engine(int from_hub, int to_hub) const;
 
  private:
+  // Routing graph. Nodes are endpoints (a publisher's Sender, a leg's
+  // ReceiverEndpoint, a feedback-only endpoint), hub ingress (a publisher's
+  // media arriving at a hub over its uplink or a trunk) and hub egress (a
+  // receiver's forwarder or a trunk engine). Edges are one direction of a
+  // Network: media and sender reports on forward links, feedback on
+  // backward links. Every edge crossing is one WireHop (conference.cc); a
+  // single-hub star is the 1-hub cascade, whose trunk set is empty.
   struct Leg;
+
+  // One directed inter-hub trunk (from_hub -> to_hub). The near hub runs a
+  // full HubForwarder as the trunk engine (congestion loop traced as
+  // "hub_trunk", paced queues, thinning, NACK answering from trunk history)
+  // with one egress sequence space per origin crossing it. The far hub
+  // terminates the trunk's congestion loop with one feedback-only endpoint
+  // per origin (Uplink::trunk_feedback), so trunk feedback never reaches
+  // publisher uplink CC or the remote hub's downlink CC.
+  struct Trunk {
+    int from_hub = 0;
+    int to_hub = 0;
+    bool live = true;
+    std::unique_ptr<Network> network{};
+    std::unique_ptr<HubForwarder> engine{};
+  };
 
   // One sending pipeline. Mesh: paired 1:1 with a leg. Star: one per
   // sending participant, fanned out to every receiving leg by the hub.
   //
   // Churn lifetime rule — detach, don't destroy: in-flight link delivery
-  // continuations capture raw Uplink*/Leg* pointers and the EventLoop has
-  // no event cancellation, so an object built for a participant that later
-  // leaves is never destroyed mid-run. It is *retired*: its timers stop,
-  // `live` flips false, and every routing hop checks the flag before
-  // touching hub state that may have been replaced by a rejoin. Retired
-  // objects die with the Conference.
+  // continuations capture raw Uplink*/Leg*/Trunk* pointers and the
+  // EventLoop has no event cancellation, so an object built for a
+  // participant that later leaves is never destroyed mid-run. It is
+  // *retired*: its timers stop, `live` flips false, and every routing hop
+  // checks the flag before touching hub state that may have been replaced
+  // by a rejoin. Retired objects die with the Conference.
   struct Uplink {
     int from = 0;
     // Mesh: the receiving peer. Star: kHubId.
@@ -420,17 +442,21 @@ class Conference {
     // the uplink was built; a re-homing retires it and builds a fresh one).
     int hub = 0;
     bool live = true;
-    std::unique_ptr<Network> network;
-    std::unique_ptr<Scheduler> scheduler;
-    std::unique_ptr<FecController> fec;
-    std::unique_ptr<Sender> sender;
-    // Star only: the hub-side endpoint that terminates the uplink
-    // congestion-control loop (RR + transport feedback + NACK).
-    std::unique_ptr<ReceiverEndpoint> hub_feedback;
+    std::unique_ptr<Network> network{};
+    std::unique_ptr<Scheduler> scheduler{};
+    std::unique_ptr<FecController> fec{};
+    std::unique_ptr<Sender> sender{};
+    // Star only: the feedback-only endpoints terminating the congestion
+    // loops this uplink's media crosses — the uplink's own at the home hub,
+    // and each trunk's at its far end (in build order). They retire with
+    // the uplink; a retired trunk's stay listed, stopped.
+    std::unique_ptr<ReceiverEndpoint> hub_feedback{};
+    std::vector<std::pair<const Trunk*, std::unique_ptr<ReceiverEndpoint>>>
+        trunk_feedback{};
     // Star only: receiving legs fed by this uplink. Retired legs stay
     // listed (in-flight hub deliveries still walk the list) and are
     // skipped via leg->live.
-    std::vector<Leg*> fanout;
+    std::vector<Leg*> fanout{};
   };
 
   // One directed media flow into a receiving participant.
@@ -447,58 +473,86 @@ class Conference {
     Timestamp joined = Timestamp::Zero();
     Timestamp left = Timestamp::PlusInfinity();
     Uplink* uplink = nullptr;
-    // Star only: the hub->receiver network this leg's media rides on.
-    Network* downlink = nullptr;
-    std::unique_ptr<MetricsCollector> metrics;
-    std::unique_ptr<ReceiverEndpoint> receiver;
+    // The last edge into the receiver: the pair network (mesh) or the
+    // receiver's hub downlink (star).
+    Network* inbound = nullptr;
+    std::unique_ptr<MetricsCollector> metrics{};
+    std::unique_ptr<ReceiverEndpoint> receiver{};
   };
 
-  // One directed inter-hub trunk (from_hub -> to_hub). The near hub runs a
-  // full HubForwarder as the trunk engine — per-path congestion loop
-  // (DownlinkCc under trace component "hub_trunk"), paced queues,
-  // whole-frame thinning, NACK answering from trunk history — with one
-  // egress sequence space per origin participant crossing it. The far hub
-  // terminates the trunk's congestion loop with one feedback-only
-  // ReceiverEndpoint per origin (mirroring the uplink's hub_feedback
-  // endpoint), so trunk losses are chased hub-to-hub and trunk feedback
-  // never reaches publisher uplink CC or the remote hub's downlink CC.
-  // Media arriving at the far hub re-enters the per-receiver forwarders,
-  // which stamp their own hub-owned downlink sequence spaces.
-  struct Trunk {
-    int from_hub = 0;
-    int to_hub = 0;
-    bool live = true;
-    std::unique_ptr<Network> network;
-    std::unique_ptr<HubForwarder> engine;
-    // Far-end feedback agents keyed by origin participant. Retired with
-    // the origin's uplink (into retired_trunk_agents_) or with the trunk.
-    std::map<int, std::unique_ptr<ReceiverEndpoint>> agents;
+  // Per-participant membership and routing table (a mesh routes by leg and
+  // keeps home_hub at 0).
+  struct Route {
+    bool present = false;
+    int home_hub = 0;
+    // Re-homing incarnation bumps, added on top of the membership
+    // timeline's leave count so every rebuild gets a fresh, never-reused
+    // SSRC bank.
+    int rehomings = 0;
+    // The live uplink publishing as this participant (null while absent).
+    Uplink* uplink = nullptr;
+    // Hub -> participant downlink and its forwarder, which runs at
+    // home_hub (null while absent or non-receiving).
+    std::unique_ptr<Network> downlink;
+    std::unique_ptr<HubForwarder> forwarder;
+    // Inbound legs indexed by origin, for the forwarder's egress (null
+    // where none; a rejoin overwrites the slot).
+    std::vector<Leg*> legs_by_origin;
   };
 
   std::vector<PathSpec> EdgePaths(int from, int to) const;
+  // Whether participant p is currently in the call in the given role.
+  bool InCall(int p, bool ParticipantSpec::*role) const;
   void BuildMesh(Random& rng);
   void BuildStar(Random& rng);
   void SetInvariantContext();
 
+  // Builders. The initial build calls them with the construction RNG;
+  // mid-call joins and re-homings with churn_rng_, in the same phase order.
+  Leg* BuildMeshLeg(int from, int to, int incarnation, Random& rng);
+  void BuildStarDownlink(int to, Random& rng);
+  Uplink* BuildStarUplink(int from, int incarnation, Random& rng);
+  Leg* BuildStarLeg(Uplink* up, int to);
+  void BuildStarForwarder(int to);
+  void BuildTrunk(int from_hub, int to_hub, Random& rng);
+  // Far-end feedback endpoint for `up`'s media on trunk `t` (t->from_hub
+  // is up->hub), started at once when the call is already running.
+  void BuildTrunkAgent(Trunk* t, Uplink* up);
+  static ReceiverEndpoint* TrunkAgent(const Uplink& up, const Trunk* t);
+  // Feedback-only endpoint terminating one hop's congestion loop for
+  // `origin`'s media: answers RR/transport feedback/NACK, never decodes.
+  std::unique_ptr<ReceiverEndpoint> BuildFeedbackEndpoint(
+      int origin, int incarnation, ReceiverEndpoint::TransmitRtcpFn transmit);
+  // Aggregate publisher rate over present senders other than `exclude`,
+  // homed at `hub` when hub >= 0: the optimistic start of an egress engine.
+  DataRate PublisherRate(int exclude, int hub) const;
+
+  // Routing-graph nodes.
+  void RtpToReceiver(Leg* leg, PathId path, RtpPacket packet);
+  void RtcpToReceiver(Leg* leg, PathId path, const RtcpPacket& packet);
+  void RtcpToPublisher(Uplink* up, bool live, PathId path,
+                       const RtcpPacket& packet);
+  // Hub ingress: `up`'s media (or sender report) arriving at `hub` over
+  // its uplink or a trunk. The feedback endpoint terminating that hop sees
+  // media first; then HubFanOut hands it to every live leg served at `hub`
+  // and — at the publisher's home hub only — to each trunk toward a hub
+  // serving a live leg: at most once per hub, a cascaded SFU's economy.
+  void HubIngressRtp(Uplink* up, int hub, ReceiverEndpoint* feedback,
+                     PathId path, RtpPacket packet, Timestamp arrival);
+  void HubIngressRtcp(Uplink* up, int hub, PathId path,
+                      const RtcpPacket& packet);
+  template <typename ToLeg, typename ToTrunk>
+  void HubFanOut(Uplink* up, int hub, ToLeg to_leg, ToTrunk to_trunk);
+  // End-to-end feedback emitted at `hub` for `up`'s publisher: back across
+  // the trunk that carried the media when `hub` is remote, then up the
+  // uplink's feedback direction.
+  void RelayToPublisher(Uplink* up, int hub, PathId path,
+                        const RtcpPacket& packet);
+
   // --- cascaded hub fabric ---
   bool multi_hub() const { return config_.num_hubs > 1; }
-  std::vector<PathSpec> TrunkPaths(int from_hub, int to_hub) const;
-  Trunk* LiveTrunk(int from_hub, int to_hub);
-  Trunk* BuildTrunk(int from_hub, int to_hub, Random& rng);
-  // Far-end feedback agent for `up`'s media on trunk `t` (t->from_hub must
-  // be up->hub). Started immediately when the call is already running.
-  void BuildTrunkAgent(Trunk* t, Uplink* up);
+  Trunk* LiveTrunk(int from_hub, int to_hub) const;
   void RetireTrunk(Trunk* t);
-  // Puts one trunk-stamped packet from the trunk engine onto the wire.
-  void TrunkTransmitRtp(Trunk* t, int origin, PathId path, RtpPacket packet);
-  // Far-hub arrival: feeds the origin's trunk feedback agent, then fans
-  // out to the origin's live legs homed at the far hub.
-  void TrunkDeliverRtp(Trunk* t, int origin, PathId path, RtpPacket packet,
-                       Timestamp arrival);
-  // Multi-hub fan-out for one uplink arrival: local legs directly, one
-  // trunk copy per remote hub with a live subscribed leg.
-  void CascadeFanOut(Uplink* uplink, PathId path, RtpPacket packet);
-  int NextAliveHub(int hub) const;
   // Hub outage handling, scheduled from hub_fault_plans: FailHub retires
   // the hub's trunks and re-homes every participant homed there to the
   // next alive hub (teardown-all then rebuild-all, so rebuilt legs never
@@ -510,63 +564,22 @@ class Conference {
   // --- membership churn ---
   void ApplyMembershipEvent(const MembershipEvent& ev);
   void JoinParticipant(int p);
-  void LeaveParticipant(int p);
-  // Shared teardown for leaves and re-homings: retires p's legs, uplink,
-  // forwarder/downlink slot, trunk feedback agents, and clears the other
-  // forwarders' per-origin state. `rehomed` tags the retired forwarder so
-  // stats still report its (hub, receiver, path) rows.
+  // Shared teardown for leaves and re-homings: marks p absent, retires its
+  // legs, uplink (with its feedback endpoints) and forwarder/downlink slot,
+  // and clears the other egress engines' per-origin state. `rehomed` tags
+  // the retired forwarder so stats still report its (hub, receiver, path)
+  // rows.
   void DetachParticipantPipelines(int p, bool rehomed);
-  // Builds one mesh pipeline (from -> to) in exactly the constructor's
-  // component order; used by both the initial build and mid-call joins.
-  Leg* BuildMeshLeg(int from, int to, int incarnation, Random& rng);
-  // Star builders, mirroring the constructor's phases for one participant.
-  void BuildStarDownlink(int to, Random& rng);
-  Uplink* BuildStarUplink(int from, int incarnation, Random& rng);
-  Leg* BuildStarLeg(Uplink* up, int to);
-  void BuildStarForwarder(int to);
-  // The (unique) live uplink publishing as participant p, if any.
-  Uplink* LiveUplinkOf(int p);
-  void RetireLeg(Leg* leg, Timestamp now);
-  void RetireUplink(Uplink* up);
-
-  // Mesh routing: the three historical Call transmit hops, per leg.
-  void MeshTransmitRtp(Leg* leg, PathId path, RtpPacket packet);
-  void MeshTransmitRtcpForward(Leg* leg, PathId path,
-                               const RtcpPacket& packet);
-  void MeshTransmitRtcpBackward(Leg* leg, PathId path,
-                                const RtcpPacket& packet);
-
-  // Star routing: uplink into the hub, per-receiver forwarding engines,
-  // then fan-out; feedback either terminates at the hub or is forwarded
-  // upstream.
-  void StarTransmitRtp(Uplink* uplink, PathId path, RtpPacket packet);
-  void StarHubDeliverRtp(Uplink* uplink, PathId path, RtpPacket packet,
-                         Timestamp arrival);
-  // Puts one hub-stamped packet onto the leg's downlink wire.
-  void StarDeliverDownlink(Leg* leg, PathId path, RtpPacket packet);
-  // Sends a hub-originated keyframe request up `uplink` describing `path`.
-  void StarRelayPli(Uplink* uplink, uint32_t ssrc, PathId path);
-  void StarTransmitRtcpForward(Uplink* uplink, PathId path,
-                               const RtcpPacket& packet);
-  void StarTransmitRtcpBackward(Leg* leg, PathId path,
-                                const RtcpPacket& packet);
 
   ConferenceConfig config_;
   EventLoop loop_;
   std::unique_ptr<TraceRecorder> trace_;
   // Per-conference node arena shared by every receive pipeline below (all on
-  // this one loop/thread). Declared before uplinks_/legs_ so it outlives the
-  // containers handing nodes back on destruction.
+  // this one loop/thread). Declared before routes_/uplinks_/legs_ so it
+  // outlives the containers handing nodes back on destruction.
   PoolArena arena_;
-  // Star only: downlink networks indexed by receiving participant (null for
-  // non-receiving or currently-absent entries); empty for mesh.
-  std::vector<std::unique_ptr<Network>> downlinks_;
-  // Star only: per-receiver forwarding engines, indexed like downlinks_.
-  std::vector<std::unique_ptr<HubForwarder>> forwarders_;
-  // Star only: legs indexed [receiver][origin] for the forwarders'
-  // transmit callbacks (null where no such leg exists; rejoin overwrites
-  // the slot with the fresh leg).
-  std::vector<std::vector<Leg*>> star_leg_lookup_;
+  // Indexed by participant; sized once at construction.
+  std::vector<Route> routes_;
   // Owned behind unique_ptr so routing callbacks capture pointers that stay
   // stable while churn appends new entries mid-call. Retired entries are
   // kept (never erased): in-flight deliveries may still reference them.
@@ -585,30 +598,15 @@ class Conference {
     std::unique_ptr<HubForwarder> forwarder;
   };
   std::vector<RetiredForwarder> retired_forwarders_;
-  // --- cascaded hub fabric state (empty / degenerate when num_hubs == 1;
-  // trunks_ only ever populated for multi-hub stars) ---
+  // Inter-hub trunks; empty for single-hub stars and meshes.
   std::vector<std::unique_ptr<Trunk>> trunks_;
-  // Trunk feedback agents detached by an uplink retirement or a trunk
-  // retirement; kept alive for in-flight continuations.
-  std::vector<std::unique_ptr<ReceiverEndpoint>> retired_trunk_agents_;
-  // Current home hub per participant (all-zero for single-hub).
-  std::vector<int> home_hub_;
-  // Serving hub of forwarders_[p] (tracked separately so retired-slot
-  // stats and PLI routing survive the forwarder slot being rebuilt).
-  std::vector<int> forwarder_hub_;
-  std::vector<char> hub_alive_;
-  std::vector<int64_t> hub_failures_;
-  std::vector<int64_t> rehomed_away_;
-  std::vector<int64_t> rehomed_onto_;
-  // Re-homing incarnation bumps per participant, added on top of the
-  // membership timeline's leave count so every rebuild gets a fresh,
-  // never-reused SSRC bank.
-  std::vector<int> extra_incarnations_;
+  // Per-hub liveness and failover accounting (home_participants is filled
+  // in at Collect).
+  std::vector<ConferenceStats::Hub> hubs_;
   // Churn-time construction draws from a dedicated stream forked after the
   // initial build, so configs without membership events keep the historical
   // RNG sequence bit-for-bit.
   Random churn_rng_{0};
-  std::vector<char> present_;
   bool started_ = false;
 };
 
