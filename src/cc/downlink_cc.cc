@@ -1,5 +1,6 @@
 #include "cc/downlink_cc.h"
 
+#include <bit>
 #include <vector>
 
 namespace converge {
@@ -7,16 +8,50 @@ namespace converge {
 DownlinkCc::DownlinkCc(Config config)
     : config_(config), cc_(MakeCcController(config.controller)) {}
 
+DownlinkCc::SentRecord* DownlinkCc::FindSent(int leg, int64_t seq) {
+  if (static_cast<size_t>(leg) >= sent_.size()) return nullptr;
+  for (SeqWindow<SentRecord>& window : sent_[static_cast<size_t>(leg)]) {
+    if (SentRecord* record = window.Find(seq)) return record;
+  }
+  return nullptr;
+}
+
+void DownlinkCc::EraseSent(int leg, int64_t seq) {
+  LegHistory& history = sent_[static_cast<size_t>(leg)];
+  for (auto it = history.begin(); it != history.end(); ++it) {
+    if (!it->Erase(seq)) continue;
+    if (it->empty() && history.size() > 1) history.erase(it);
+    return;
+  }
+}
+
 void DownlinkCc::OnPacketSent(int leg, int64_t transport_seq,
                               Timestamp send_time, int64_t bytes) {
-  const auto key = std::make_pair(leg, transport_seq);
-  sent_[key] = {send_time, bytes};
-  sent_order_.push_back(key);
   ++packets_registered_;
-  while (sent_order_.size() > config_.max_history) {
-    sent_.erase(sent_order_.front());
-    sent_order_.pop_front();
+  if (config_.max_history == 0) return;  // nothing is kept
+  const SentRecord record{send_time, bytes};
+  if (SentRecord* existing = FindSent(leg, transport_seq)) {
+    *existing = record;
+  } else {
+    if (static_cast<size_t>(leg) >= sent_.size()) {
+      sent_.resize(static_cast<size_t>(leg) + 1);
+    }
+    LegHistory& history = sent_[static_cast<size_t>(leg)];
+    // Within one life a leg's live seqs span fewer than max_history
+    // values, so a window that large never collides with itself.
+    if (history.empty() || history.back().Collides(transport_seq)) {
+      history.emplace_back(std::bit_ceil(config_.max_history));
+    }
+    history.back().Insert(transport_seq, record);
   }
+  // A key goes when any of its registrations is evicted, rewrites
+  // included, so the eviction runs after the write.
+  if (sent_order_.size() == config_.max_history) {
+    const auto [old_leg, old_seq] = sent_order_.front();
+    sent_order_.pop_front();
+    EraseSent(old_leg, old_seq);
+  }
+  sent_order_.push_back(std::make_pair(leg, transport_seq));
 }
 
 void DownlinkCc::OnTransportFeedback(int leg, const TransportFeedback& fb,
@@ -27,19 +62,17 @@ void DownlinkCc::OnTransportFeedback(int leg, const TransportFeedback& fb,
   int lost = 0;
   Timestamp newest_send = Timestamp::MinusInfinity();
   for (const auto& a : fb.arrivals) {
-    auto it = sent_.find({leg, a.mp_transport_seq});
-    if (it == sent_.end()) continue;
+    const SentRecord* sent = FindSent(leg, a.mp_transport_seq);
+    if (sent == nullptr) continue;
     PacketResult r;
     r.transport_seq = a.mp_transport_seq;
-    r.bytes = it->second.bytes;
-    r.send_time = it->second.send_time;
+    r.bytes = sent->bytes;
+    r.send_time = sent->send_time;
     r.received = a.recv_time.IsFinite();
     if (r.received) {
       r.recv_time = a.recv_time;
       ++received;
-      if (it->second.send_time > newest_send) {
-        newest_send = it->second.send_time;
-      }
+      if (sent->send_time > newest_send) newest_send = sent->send_time;
     } else {
       ++lost;
     }

@@ -13,13 +13,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "cc/cc_controller.h"
 #include "rtp/rtcp.h"
+#include "util/ring_buffer.h"
+#include "util/seq_window.h"
 #include "util/time.h"
 
 namespace converge {
@@ -34,9 +35,10 @@ class DownlinkCc {
 
   explicit DownlinkCc(Config config);
 
-  // Registers a packet stamped onto this downlink. `transport_seq` is the
-  // hub's unwrapped per-(leg, path) egress counter — the same value the
-  // receiver's unwrapper reconstructs and echoes in transport feedback.
+  // Registers a packet stamped onto this downlink. `leg` is the origin
+  // participant index (>= 0); `transport_seq` is the hub's unwrapped
+  // per-(leg, path) egress counter — the same value the receiver's
+  // unwrapper reconstructs and echoes in transport feedback.
   void OnPacketSent(int leg, int64_t transport_seq, Timestamp send_time,
                     int64_t bytes);
 
@@ -62,12 +64,21 @@ class DownlinkCc {
     int64_t bytes = 0;
   };
 
+  // One leg's sent history over its unwrapped transport seqs. Normally a
+  // single window; a seq that collides with a still-live entry of the
+  // leg's previous life (the hub restarts a leg's counter at 0 after
+  // ResetOrigin) opens another, so every (leg, seq) key stays distinct.
+  using LegHistory = std::vector<SeqWindow<SentRecord>>;
+
+  SentRecord* FindSent(int leg, int64_t seq);
+  void EraseSent(int leg, int64_t seq);
+
   Config config_;
   std::unique_ptr<CcController> cc_;
-  // Keyed (leg, unwrapped transport seq); each leg's sequence space is
-  // independent, so the pair key keeps them disjoint.
-  std::map<std::pair<int, int64_t>, SentRecord> sent_;
-  std::deque<std::pair<int, int64_t>> sent_order_;
+  std::vector<LegHistory> sent_;  // indexed by leg
+  // Every registration's (leg, seq) key in registration order; the oldest
+  // is erased once more than max_history are held, across all legs.
+  RingQueue<std::pair<int, int64_t>> sent_order_;
   int64_t feedback_batches_ = 0;
   int64_t packets_registered_ = 0;
   int64_t packets_acked_ = 0;

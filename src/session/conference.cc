@@ -309,6 +309,7 @@ Sender::Config MakeSenderConfig(const ConferenceConfig& config,
   sconf.cc.max_rate = sconf.max_total_rate * 2;
   sconf.cc_coupling = config.cc_coupling;
   sconf.enable_fec = config.enable_fec;
+  sconf.per_path_nack = HasMultipathRtpExtension(config.variant);
   return sconf;
 }
 
@@ -349,11 +350,14 @@ MetricsCollector::Config MakeMetricsConfig(const ConferenceConfig& config,
 
 // An egress engine (receiver forwarder or trunk) starts optimistic — at the
 // aggregate publisher rate it would have to carry — and lets its own
-// delay/loss feedback pull a constrained link down.
+// delay/loss feedback pull a constrained link down. It answers the NACK
+// flavour the call's receivers send.
 HubForwarder::Config EgressConfig(HubForwarder::Config conf,
-                                  CcAlgorithm algorithm, DataRate start,
+                                  const ConferenceConfig& config,
+                                  DataRate start,
                                   const char* trace_component) {
-  conf.cc.controller.algorithm = algorithm;
+  conf.per_path_nack = HasMultipathRtpExtension(config.variant);
+  conf.cc.controller.algorithm = config.cc_algorithm;
   conf.cc.controller.start_rate = start;
   conf.cc.controller.max_rate = start * 2;
   conf.cc.controller.trace_component = trace_component;
@@ -622,7 +626,7 @@ void Conference::BuildStarForwarder(int to) {
   // Aggregated over currently-present senders (= all senders when
   // membership is static).
   HubForwarder::Config hconf =
-      EgressConfig(config_.hub, config_.cc_algorithm,
+      EgressConfig(config_.hub, config_,
                    PublisherRate(/*exclude=*/to, /*hub=*/-1),
                    HubTraceComponent(config_.cc_algorithm));
   // Receiver-facing engines run rung selection whenever the conference is
@@ -713,8 +717,8 @@ void Conference::BuildTrunk(int from_hub, int to_hub, Random& rng) {
   // Starts at the aggregate rate of the publishers homed at the near hub.
   DataRate aggregate = PublisherRate(/*exclude=*/-1, from_hub);
   if (aggregate.bps() == 0) aggregate = config_.max_rate_per_stream;
-  HubForwarder::Config tconf = EgressConfig(
-      config_.trunk, config_.cc_algorithm, aggregate, "hub_trunk");
+  HubForwarder::Config tconf =
+      EgressConfig(config_.trunk, config_, aggregate, "hub_trunk");
   tconf.trace_category = "hub_trunk";
   // A trunk must carry EVERY rung: the remote hub's per-receiver engines
   // make their own selections, so filtering here would starve them.

@@ -145,6 +145,7 @@ struct ConferenceConfig {
   // overridden at build time: the algorithm follows cc_algorithm and the
   // rates derive from the aggregate publisher rate (an SFU starts
   // optimistic and lets delay/loss signals pull a slow downlink back).
+  // per_path_nack follows the variant, like the receivers' NACK flavour.
   HubForwarder::Config hub;
 
   // --- Layered media (simulcast + temporal SVC metadata) -----------------
@@ -195,8 +196,8 @@ struct ConferenceConfig {
   // future re-homings — but participants do not move back.
   std::vector<FaultPlan> hub_fault_plans;
   // Trunk forwarding-engine knobs. Like `hub`, the congestion controller's
-  // algorithm and rates are overridden at build time; trunk CC and queue
-  // probes trace under "hub_trunk".
+  // algorithm and rates and the NACK flavour are overridden at build time;
+  // trunk CC and queue probes trace under "hub_trunk".
   HubForwarder::Config trunk;
 
   // Flight-recorder capacity in events; 0 (the default) disables tracing.

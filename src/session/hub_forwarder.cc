@@ -559,21 +559,24 @@ void HubForwarder::Emit(PathId path, PathState& ps, Queued q,
   ++el.transport_count;
   ps.pad_budget_bytes -= static_cast<double>(packet.wire_size());
 
-  if (MediaLike(packet)) {
-    el.mp_sent[packet.mp_seq] = packet;
-    if (!packet.via_rtx) {
-      legacy_sent_[{{q.leg, packet.ssrc}, packet.seq}] = {path, packet};
-      while (legacy_sent_.size() > config_.legacy_rtx_history) {
-        legacy_sent_.erase(legacy_sent_.begin());
-      }
+  // Retransmission history for the negotiated NACK flavour.
+  const bool media_like = MediaLike(packet);
+  if (config_.per_path_nack) {
+    if (media_like) {
+      el.mp_sent.Insert(packet.mp_seq, packet);
+    } else {
+      el.mp_sent.Erase(packet.mp_seq);  // stale wrap-around entry
     }
-    if (config_.layers.enabled && !packet.via_rtx) {
-      ps.last_media = q;
-      if (!ps.has_last_media) ps.first_media_at = now;
-      ps.has_last_media = true;
+  } else if (media_like && !packet.via_rtx) {
+    legacy_sent_[{{q.leg, packet.ssrc}, packet.seq}] = {path, packet};
+    while (legacy_sent_.size() > config_.legacy_rtx_history) {
+      legacy_sent_.erase(legacy_sent_.begin());
     }
-  } else {
-    el.mp_sent.erase(packet.mp_seq);  // stale wrap-around entry
+  }
+  if (media_like && config_.layers.enabled && !packet.via_rtx) {
+    ps.last_media = q;
+    if (!ps.has_last_media) ps.first_media_at = now;
+    ps.has_last_media = true;
   }
 
   if (padding) {
@@ -753,7 +756,10 @@ void HubForwarder::HandleNack(int leg, PathId report_path, const Nack& nack,
     tp.rtx_queue.push_back({std::move(rtx), now, leg});
   };
 
-  if (nack.ssrc != 0) {
+  // Only the negotiated flavour has a history to answer from.
+  const bool legacy = nack.ssrc != 0;
+  if (legacy == config_.per_path_nack) return;
+  if (legacy) {
     // Legacy NACK: (ssrc, media seq), answered on the path the packet
     // originally left on.
     for (uint16_t seq : nack.seqs) {
@@ -769,9 +775,9 @@ void HubForwarder::HandleNack(int leg, PathId report_path, const Nack& nack,
     auto lit = pit->second->egress.find(leg);
     if (lit == pit->second->egress.end()) return;
     for (uint16_t seq : nack.seqs) {
-      auto it = lit->second.mp_sent.find(seq);
-      if (it == lit->second.mp_sent.end()) continue;  // hub drop or evicted
-      answer(it->second, report_path, MpFlow(leg, report_path), seq,
+      const RtpPacket* original = lit->second.mp_sent.Find(seq);
+      if (original == nullptr) continue;  // not media, or never stamped
+      answer(*original, report_path, MpFlow(leg, report_path), seq,
              /*tag_mp_hole=*/true);
     }
   }

@@ -31,6 +31,7 @@
 #include "rtp/rtcp.h"
 #include "rtp/rtp_packet.h"
 #include "sim/event_loop.h"
+#include "util/seq_window.h"
 #include "util/time.h"
 
 namespace converge {
@@ -58,6 +59,11 @@ class HubForwarder {
     // De-duplicates NACK answers (receivers duplicate critical feedback
     // on every live path).
     Duration rtx_dedup_window = Duration::Millis(40);
+    // The NACK flavour the call negotiated (a conference derives it from
+    // the variant, like the receivers' per_path_nack): true keeps the
+    // per-path (hub-stamped mp_seq) retransmission history, false the
+    // legacy (ssrc, seq) one. NACKs of the other flavour are ignored.
+    bool per_path_nack = true;
     size_t legacy_rtx_history = 4096;
     // Template for each path's congestion loop; trace_path is overridden
     // per path.
@@ -240,9 +246,9 @@ class HubForwarder {
   struct EgressLeg {
     uint16_t next_mp_seq = 0;
     int64_t transport_count = 0;  // unwrapped; low 16 bits go on the wire
-    // Retransmission history keyed by the hub-stamped per-path sequence
-    // the receiver's NACKs reference; 16-bit key bounds the map.
-    std::map<uint16_t, RtpPacket> mp_sent;
+    // Per-path NACK retransmission history: one slot per hub-stamped
+    // 16-bit mp_seq, overwritten on wrap.
+    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
   };
   struct PathState {
     explicit PathState(const DownlinkCc::Config& cc_config)
@@ -340,7 +346,8 @@ class HubForwarder {
   PliFn relay_pli_;
   std::map<PathId, std::unique_ptr<PathState>> paths_;
   std::map<std::pair<int, int>, StreamGate> gates_;  // (leg, stream_id)
-  // Legacy-NACK retransmission history: (leg, ssrc, seq) -> (path, packet).
+  // Legacy-NACK retransmission history (legacy flavour only):
+  // (leg, ssrc, seq) -> (path, packet).
   std::map<std::pair<std::pair<int, uint32_t>, uint16_t>,
            std::pair<PathId, RtpPacket>>
       legacy_sent_;

@@ -265,24 +265,25 @@ void Sender::DispatchPacket(PathId path, RtpPacket packet) {
                            packet.mp_transport_seq -
                            static_cast<uint16_t>(last & 0xFFFF)));
   }
-  st.RecordSent(unwrapped, packet.send_time, packet.wire_size());
+  st.sent.Insert(unwrapped, SentRecord{packet.send_time, packet.wire_size()});
+  st.last_sent_seq = unwrapped;
 
-  // Retransmission history, keyed by the per-path sequence NACKs reference.
-  // Only media-like packets are retransmittable (FEC and probes are not
-  // worth recovering); the 16-bit key bounds the map, wrap overwrites.
+  // Retransmission history for the negotiated NACK flavour. Only media-like
+  // packets are retransmittable (FEC and probes are not worth recovering).
   const bool media_like = packet.kind == PayloadKind::kMedia ||
                           packet.kind == PayloadKind::kPps ||
                           packet.kind == PayloadKind::kSps;
-  if (media_like) {
-    st.mp_sent[packet.mp_seq] = packet;
-    if (!packet.via_rtx) {
-      ssrc_sent_[{packet.ssrc, packet.seq}] = {packet, path};
-      while (ssrc_sent_.size() > config_.rtx_history) {
-        ssrc_sent_.erase(ssrc_sent_.begin());
-      }
+  if (config_.per_path_nack) {
+    if (media_like) {
+      st.mp_sent.Insert(packet.mp_seq, packet);
+    } else {
+      st.mp_sent.Erase(packet.mp_seq);  // stale wrap-around entry
     }
-  } else {
-    st.mp_sent.erase(packet.mp_seq);  // stale wrap-around entry
+  } else if (media_like && !packet.via_rtx) {
+    ssrc_sent_[{packet.ssrc, packet.seq}] = {packet, path};
+    while (ssrc_sent_.size() > config_.rtx_history) {
+      ssrc_sent_.erase(ssrc_sent_.begin());
+    }
   }
 
   if (media_like) {
@@ -434,7 +435,7 @@ void Sender::HandleTransportFeedback(const TransportFeedback& feedback,
   std::vector<PacketResult> results;
   results.reserve(feedback.arrivals.size());
   for (const TransportFeedback::Arrival& a : feedback.arrivals) {
-    const SentRecord* rec = st.FindSent(a.mp_transport_seq);
+    const SentRecord* rec = st.sent.Find(a.mp_transport_seq);
     if (rec == nullptr) continue;
     PacketResult r;
     r.transport_seq = a.mp_transport_seq;
@@ -448,6 +449,9 @@ void Sender::HandleTransportFeedback(const TransportFeedback& feedback,
 }
 
 void Sender::HandleNack(const Nack& nack, PathId report_path) {
+  // Only the negotiated flavour has a history to answer from.
+  const bool legacy = nack.ssrc != 0;
+  if (legacy == config_.per_path_nack) return;
   const std::vector<PathInfo> infos = BuildPathInfos();
   std::map<PathId, int> losses_per_path;
 
@@ -477,7 +481,7 @@ void Sender::HandleNack(const Nack& nack, PathId report_path) {
     DispatchToPacer(target, rtx);
   };
 
-  if (nack.ssrc != 0) {
+  if (legacy) {
     // Legacy NACK: (ssrc, media seq). Reordering across paths produces
     // spurious entries here — the retransmissions are simply wasted.
     for (uint16_t seq : nack.seqs) {
@@ -493,9 +497,9 @@ void Sender::HandleNack(const Nack& nack, PathId report_path) {
     if (pit == paths_.end()) return;
     PathState& st = pit->second;
     for (uint16_t mp_seq : nack.seqs) {
-      auto it = st.mp_sent.find(mp_seq);
-      if (it == st.mp_sent.end()) continue;  // FEC/probe or history evicted
-      retransmit(it->second, report_path, report_path, mp_seq,
+      const RtpPacket* original = st.mp_sent.Find(mp_seq);
+      if (original == nullptr) continue;  // FEC/probe or never sent
+      retransmit(*original, report_path, report_path, mp_seq,
                  /*tag_mp_hole=*/true);
     }
   }

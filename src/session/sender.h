@@ -22,6 +22,7 @@
 #include "rtp/rtcp.h"
 #include "schedulers/scheduler.h"
 #include "sim/event_loop.h"
+#include "util/seq_window.h"
 #include "video/camera.h"
 #include "video/encoder.h"
 #include "video/packetizer.h"
@@ -49,7 +50,12 @@ class Sender {
     Duration sr_interval = Duration::Millis(100);
     Duration sdes_interval = Duration::Seconds(1.0);
     bool enable_fec = true;
-    size_t rtx_history = 4096;  // packets kept for retransmission
+    // The NACK flavour the call negotiated, mirroring the receivers'
+    // ReceiverEndpoint::Config::per_path_nack: true keeps the (path,
+    // mp_seq) retransmission history, false the legacy (ssrc, seq) one.
+    // NACKs of the other flavour are ignored.
+    bool per_path_nack = true;
+    size_t rtx_history = 4096;  // legacy packets kept for retransmission
   };
 
   struct Stats {
@@ -94,7 +100,6 @@ class Sender {
  private:
   // One sent-packet record for transport feedback matching.
   struct SentRecord {
-    int64_t seq = -1;  // unwrapped transport seq; -1 = empty slot
     Timestamp send_time;
     int64_t bytes = 0;
   };
@@ -104,46 +109,15 @@ class Sender {
     std::unique_ptr<Pacer> pacer;
     uint16_t next_mp_seq = 0;
     uint16_t next_mp_transport_seq = 0;
-    // Sent history for transport feedback matching. Transport seqs are
-    // assigned monotonically (+1 per packet) by DispatchPacket, so the
-    // history is always the contiguous window of the last kSentWindow seqs
-    // — a power-of-two ring indexed by `seq & (capacity - 1)` holds exactly
-    // the same membership as the capped ordered map it replaces, without a
-    // red-black-tree insert + evict on every dispatched packet. The ring
-    // starts small and doubles up to kSentWindow only when a path has that
-    // many packets genuinely outstanding, so short calls stay compact.
+    // Sent history for transport feedback matching, keyed by unwrapped
+    // transport seq. DispatchPacket assigns transport seqs monotonically
+    // (+1 per packet), so the window holds exactly the last kSentWindow.
     static constexpr size_t kSentWindow = 8192;
-    std::vector<SentRecord> sent;
+    SeqWindow<SentRecord> sent{kSentWindow};
     int64_t last_sent_seq = -1;  // newest unwrapped seq (unwrap anchor)
-
-    void RecordSent(int64_t seq, Timestamp at, int64_t bytes) {
-      if (sent.empty()) sent.resize(256);
-      // Grow while the slot still holds a record inside the retention
-      // window (only possible when capacity < kSentWindow).
-      while (sent.size() < kSentWindow) {
-        const SentRecord& victim = sent[seq & (sent.size() - 1)];
-        if (victim.seq < 0 ||
-            victim.seq <= seq - static_cast<int64_t>(kSentWindow)) {
-          break;
-        }
-        std::vector<SentRecord> grown(sent.size() * 2);
-        for (const SentRecord& r : sent) {
-          if (r.seq >= 0) grown[r.seq & (grown.size() - 1)] = r;
-        }
-        sent = std::move(grown);
-      }
-      sent[seq & (sent.size() - 1)] = SentRecord{seq, at, bytes};
-      last_sent_seq = seq;
-    }
-
-    const SentRecord* FindSent(int64_t seq) const {
-      if (sent.empty()) return nullptr;
-      const SentRecord& r = sent[seq & (sent.size() - 1)];
-      return r.seq == seq ? &r : nullptr;
-    }
-    // Retransmission history: per-path mp_seq (wire 16-bit) -> sent packet.
-    // NACKs name (path, mp_seq); the entry is overwritten on wrap.
-    std::map<uint16_t, RtpPacket> mp_sent;
+    // Per-path NACK retransmission history: one slot per 16-bit mp_seq,
+    // overwritten on wrap.
+    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
     int64_t last_fed_back_seq = -1;
     Timestamp last_sr_sent = Timestamp::MinusInfinity();
   };
@@ -192,7 +166,8 @@ class Sender {
   // across paths, so the sender de-duplicates. flow = path id for per-path
   // NACKs, ssrc for legacy NACKs (disjoint value ranges).
   std::map<std::pair<int64_t, uint16_t>, Timestamp> recent_rtx_;
-  // Legacy NACK lookup: (ssrc, media seq) -> (packet, original path).
+  // Legacy NACK lookup (legacy flavour only): (ssrc, media seq) ->
+  // (packet, original path).
   std::map<std::pair<uint32_t, uint16_t>, std::pair<RtpPacket, PathId>>
       ssrc_sent_;
   // Sliding FEC windows: media of (path, stream, rung) awaiting parity

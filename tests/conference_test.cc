@@ -426,6 +426,35 @@ TEST(ConferenceStarTest, UplinkGccNeverSeesDownlinkFeedback) {
       << "hub controllers never registered the downlink loss";
 }
 
+// WebRTC variants negotiate legacy (ssrc, seq) NACK on every hop: the hub
+// answers its receivers' NACKs from its legacy history, and the receivers
+// recover losses through those answers.
+TEST(ConferenceStarTest, WebRtcStarAnswersLegacyNacksAtTheHub) {
+  ConferenceConfig config = StarConfig(3, Duration::Seconds(8), 13);
+  config.variant = Variant::kWebRtcPath0;
+  config.paths_for_edge = [](int from, int) {
+    if (from == kHubId) {
+      return std::vector<PathSpec>{StablePath("d0", 16.0, 15, 0.03),
+                                   StablePath("d1", 12.0, 25, 0.03)};
+    }
+    return std::vector<PathSpec>{StablePath("u0", 6.0, 20, 0.01),
+                                 StablePath("u1", 4.0, 35, 0.005)};
+  };
+  Conference conference(config);
+  const ConferenceStats stats = conference.Run();
+
+  int64_t answered = 0;
+  for (const ConferenceStats::Downlink& d : stats.downlinks) {
+    answered += d.forwarder.rtx_answered;
+  }
+  EXPECT_GT(answered, 0);
+  int64_t recovered = 0;
+  for (size_t leg = 0; leg < conference.num_legs(); ++leg) {
+    recovered += conference.leg_receiver(leg).nack().stats().recovered;
+  }
+  EXPECT_GT(recovered, 0);
+}
+
 TEST(ConferenceStarTest, DeterministicAcrossJobs) {
   std::vector<ConferenceConfig> configs;
   for (uint64_t seed = 7; seed <= 9; ++seed) {

@@ -386,6 +386,63 @@ TEST(HubForwarderTest, AnswersNackFromHubHistoryWithFreshStamps) {
   EXPECT_EQ(h.forwarder.stats(0).rtx_answered, 1);
 }
 
+// An engine keeps only the history of the NACK flavour its call
+// negotiated, so a NACK of the other flavour is consumed unanswered.
+TEST(HubForwarderTest, PerPathEngineIgnoresSsrcNack) {
+  Harness h(FastConfig(10.0));
+  for (int64_t frame = 0; frame < 3; ++frame) {
+    const FrameKind kind = frame == 0 ? FrameKind::kKey : FrameKind::kDelta;
+    h.forwarder.OnMediaFromUplink(
+        0, 0, MediaPacket(0x10, static_cast<uint16_t>(frame), frame, kind));
+  }
+  h.loop.RunUntil(Timestamp::Zero() + Duration::Millis(50));
+  ASSERT_EQ(h.delivered.size(), 3u);
+
+  EXPECT_TRUE(h.forwarder.OnReceiverRtcp(
+      0, 0, RtcpPacket{kInvalidPathId, Nack{0x10, {1}}}));
+  h.loop.RunUntil(h.loop.now() + Duration::Millis(50));
+  EXPECT_EQ(h.delivered.size(), 3u);
+  EXPECT_EQ(h.forwarder.stats(0).rtx_answered, 0);
+}
+
+TEST(HubForwarderTest, LegacyEngineAnswersSsrcNackOnTheOriginalPath) {
+  HubForwarder::Config config = FastConfig(10.0);
+  config.per_path_nack = false;
+  Harness h(config, {0, 1});
+  // Media seqs 0..3, alternating paths.
+  for (int64_t frame = 0; frame < 4; ++frame) {
+    const FrameKind kind = frame == 0 ? FrameKind::kKey : FrameKind::kDelta;
+    h.forwarder.OnMediaFromUplink(
+        0, static_cast<PathId>(frame % 2),
+        MediaPacket(0x10, static_cast<uint16_t>(frame), frame, kind));
+  }
+  h.loop.RunUntil(Timestamp::Zero() + Duration::Millis(50));
+  ASSERT_EQ(h.delivered.size(), 4u);
+
+  // A per-path NACK finds no history on a legacy engine.
+  EXPECT_TRUE(h.forwarder.OnReceiverRtcp(0, 1, RtcpPacket{1, Nack{0, {0}}}));
+  h.loop.RunUntil(h.loop.now() + Duration::Millis(50));
+  EXPECT_EQ(h.delivered.size(), 4u);
+
+  // Legacy NACKs name (ssrc, media seq) and carry no path; media seq 1
+  // left on path 1, so the answer goes there whatever path reported it.
+  const RtcpPacket nack{kInvalidPathId, Nack{0x10, {1}}};
+  EXPECT_TRUE(h.forwarder.OnReceiverRtcp(0, 0, nack));
+  EXPECT_TRUE(h.forwarder.OnReceiverRtcp(0, 0, nack));  // de-duplicated
+  h.loop.RunUntil(h.loop.now() + Duration::Millis(50));
+
+  ASSERT_EQ(h.delivered.size(), 5u);
+  const Delivered& rtx = h.delivered.back();
+  EXPECT_EQ(rtx.path, 1);
+  EXPECT_TRUE(rtx.packet.via_rtx);
+  EXPECT_EQ(rtx.packet.ssrc, 0x10u);
+  EXPECT_EQ(rtx.packet.seq, 1);
+  EXPECT_EQ(rtx.packet.rtx_for_path, kInvalidPathId);
+  EXPECT_EQ(rtx.packet.mp_seq, 2);  // fresh stamp in path 1's space
+  EXPECT_EQ(h.forwarder.stats(1).rtx_answered, 1);
+  EXPECT_EQ(h.forwarder.stats(0).rtx_answered, 0);
+}
+
 TEST(HubForwarderTest, ConsumesDownlinkFeedbackKinds) {
   Harness h(FastConfig(10.0));
   RtcpPacket fb;

@@ -9,8 +9,9 @@ namespace {
 
 class SenderTest : public testing::Test {
  protected:
-  void Build(int num_streams = 1) {
+  void Build(int num_streams = 1, bool per_path_nack = true) {
     Sender::Config config;
+    config.per_path_nack = per_path_nack;
     for (int i = 0; i < num_streams; ++i) {
       Sender::StreamConfig sc;
       sc.ssrc = 0x1000 + static_cast<uint32_t>(i);
@@ -61,6 +62,14 @@ class SenderTest : public testing::Test {
         sender_->HandleRtcp(rtcp2, loop_.now());
       }
     }
+  }
+
+  // The first media packet sent, by value (sent_ keeps growing).
+  std::optional<RtpPacket> FirstMedia() const {
+    for (const auto& [path, p] : sent_) {
+      if (p.kind == PayloadKind::kMedia) return p;
+    }
+    return std::nullopt;
   }
 
   int CountKind(PayloadKind kind) const {
@@ -160,7 +169,7 @@ TEST_F(SenderTest, KeyframeRequestForcesKeyframe) {
 }
 
 TEST_F(SenderTest, LegacySsrcNackRetransmits) {
-  Build();
+  Build(/*num_streams=*/1, /*per_path_nack=*/false);
   FeedHealthyFeedback(Duration::Seconds(1.0));
   std::optional<RtpPacket> victim;
   for (const auto& [path, p] : sent_) {
@@ -190,6 +199,32 @@ TEST_F(SenderTest, LegacySsrcNackRetransmits) {
       EXPECT_EQ(p.rtx_for_path, kInvalidPathId);
     }
   }
+}
+
+// A sender keeps only the history of the NACK flavour its call negotiated,
+// so a NACK of the other flavour finds nothing to retransmit.
+TEST_F(SenderTest, PerPathSenderIgnoresSsrcNack) {
+  Build(/*num_streams=*/1, /*per_path_nack=*/true);
+  FeedHealthyFeedback(Duration::Seconds(1.0));
+  std::optional<RtpPacket> victim = FirstMedia();
+  ASSERT_TRUE(victim.has_value());
+  Nack nack;
+  nack.ssrc = victim->ssrc;
+  nack.seqs = {victim->seq};
+  sender_->HandleRtcp(RtcpPacket{kInvalidPathId, nack}, loop_.now());
+  loop_.RunUntil(loop_.now() + Duration::Millis(50));
+  EXPECT_EQ(sender_->stats().rtx_packets_sent, 0);
+}
+
+TEST_F(SenderTest, LegacySenderIgnoresPerPathNack) {
+  Build(/*num_streams=*/1, /*per_path_nack=*/false);
+  FeedHealthyFeedback(Duration::Seconds(1.0));
+  std::optional<RtpPacket> victim = FirstMedia();
+  ASSERT_TRUE(victim.has_value());
+  sender_->HandleRtcp(RtcpPacket{victim->path_id, Nack{0, {victim->mp_seq}}},
+                      loop_.now());
+  loop_.RunUntil(loop_.now() + Duration::Millis(50));
+  EXPECT_EQ(sender_->stats().rtx_packets_sent, 0);
 }
 
 TEST_F(SenderTest, QoeFeedbackReachesScheduler) {
