@@ -29,12 +29,16 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "net/fault_plan.h"
 #include "sim/fleet.h"
 #include "util/parallel.h"
 
 namespace converge {
 namespace {
+
+using bench::FlagInt;
+using bench::FlagStr;
 
 ConferenceConfig FleetCallConfig(int parties, int hubs, Duration duration,
                                  uint64_t seed) {
@@ -77,23 +81,6 @@ ConferenceConfig FleetCallConfig(int parties, int hubs, Duration duration,
     config.hub_fault_plans[static_cast<size_t>(hubs - 1)] = outage;
   }
   return config;
-}
-
-int64_t FlagInt(const char* arg, const char* name, int64_t fallback) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::atoll(arg + len + 1);
-  }
-  return fallback;
-}
-
-bool FlagStr(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
 }
 
 void WriteEnvelope(const std::string& path, const FleetResult& result,

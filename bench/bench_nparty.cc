@@ -44,8 +44,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -514,22 +515,25 @@ int HubSweepCell(int max_hubs, int participants, Duration duration,
   return 0;
 }
 
+// Command-line flags (see the file comment), parsed once in Main.
+struct Options {
+  bool smoke = false;
+  bool churn = false;   // --churn: only the churn cell (or trace subject)
+  bool cross = false;   // --cross-traffic
+  bool layers = false;  // --layers: only the layered cell (or trace subject)
+  int hubs = 0;         // --hubs=<k>; 0 = not given
+  std::string trace;    // --trace=<prefix>
+};
+
 // --trace=<prefix> / CONVERGE_TRACE=<prefix>: one traced constrained-star
 // conference; the export carries the hub's per-downlink queue counters
 // ("hub" component) and the downlink controllers ("hub_gcc") alongside the
 // usual sender-side probes.
-bool MaybeCaptureHubTrace(int argc, char** argv) {
-  std::string prefix;
-  bool churn = false;
-  bool layers = false;
-  int hubs = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) prefix = arg.substr(8);
-    if (arg == "--churn") churn = true;
-    if (arg == "--layers") layers = true;
-    if (arg.rfind("--hubs=", 0) == 0) hubs = std::atoi(arg.c_str() + 7);
-  }
+bool MaybeCaptureHubTrace(const Options& options) {
+  std::string prefix = options.trace;
+  const bool churn = options.churn;
+  const bool layers = options.layers;
+  const int hubs = options.hubs;
   if (prefix.empty()) {
     if (const char* env = std::getenv("CONVERGE_TRACE")) prefix = env;
   }
@@ -634,56 +638,54 @@ void SweepTopology(Topology topology, const std::vector<int>& sizes,
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  bool churn_only = false;
-  bool cross_only = false;
-  bool layers_only = false;
-  int hubs = 0;
+  Options options;
   // CC flags are parsed before the trace short-circuit so a traced run
   // (`--trace=... --cc=nada`) exercises the requested controller too.
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--churn") churn_only = true;
-    if (arg == "--cross-traffic") cross_only = true;
-    if (arg == "--layers") layers_only = true;
-    if (arg.rfind("--hubs=", 0) == 0) {
-      hubs = std::atoi(arg.c_str() + 7);
-      if (hubs < 1) {
-        std::fprintf(stderr, "bad --hubs value: %s\n", arg.c_str() + 7);
+    const char* arg = argv[i];
+    const std::string_view flag = arg;
+    if (flag == "--smoke") options.smoke = true;
+    if (flag == "--churn") options.churn = true;
+    if (flag == "--cross-traffic") options.cross = true;
+    if (flag == "--layers") options.layers = true;
+    bench::FlagStr(arg, "--trace", &options.trace);
+    std::string value;
+    if (bench::FlagStr(arg, "--hubs", &value)) {
+      options.hubs = std::atoi(value.c_str());
+      if (options.hubs < 1) {
+        std::fprintf(stderr, "bad --hubs value: %s\n", value.c_str());
         return 2;
       }
     }
-    if (arg.rfind("--cc=", 0) == 0) {
-      if (!ParseCcAlgorithm(arg.substr(5), &g_cc_algorithm)) {
-        std::fprintf(stderr, "unknown --cc value: %s\n", arg.c_str() + 5);
-        return 2;
-      }
+    if (bench::FlagStr(arg, "--cc", &value) &&
+        !ParseCcAlgorithm(value, &g_cc_algorithm)) {
+      std::fprintf(stderr, "unknown --cc value: %s\n", value.c_str());
+      return 2;
     }
-    if (arg.rfind("--coupling=", 0) == 0) {
-      if (!ParseCcCoupling(arg.substr(11), &g_cc_coupling)) {
-        std::fprintf(stderr, "unknown --coupling value: %s\n",
-                     arg.c_str() + 11);
-        return 2;
-      }
+    if (bench::FlagStr(arg, "--coupling", &value) &&
+        !ParseCcCoupling(value, &g_cc_coupling)) {
+      std::fprintf(stderr, "unknown --coupling value: %s\n", value.c_str());
+      return 2;
     }
   }
+  const bool smoke = options.smoke;
+  const int hubs = options.hubs;
 
-  if (MaybeCaptureHubTrace(argc, argv)) return 0;
+  if (MaybeCaptureHubTrace(options)) return 0;
   if (g_cc_algorithm != CcAlgorithm::kGcc ||
       g_cc_coupling != CcCoupling::kUncoupled) {
     std::printf("congestion control: %s, coupling: %s\n",
                 ToString(g_cc_algorithm).c_str(),
                 ToString(g_cc_coupling).c_str());
   }
-  if (churn_only || cross_only || layers_only) {
+  if (options.churn || options.cross || options.layers) {
     const Duration cell_duration =
         smoke || bench::FastMode() ? Duration::Seconds(10)
                                    : Duration::Seconds(30);
     int rc = 0;
-    if (churn_only) rc = ChurnCell(cell_duration);
-    if (rc == 0 && cross_only) rc = CrossTrafficCell(cell_duration);
-    if (rc == 0 && layers_only) rc = LayeredStarCell(cell_duration);
+    if (options.churn) rc = ChurnCell(cell_duration);
+    if (rc == 0 && options.cross) rc = CrossTrafficCell(cell_duration);
+    if (rc == 0 && options.layers) rc = LayeredStarCell(cell_duration);
     return rc;
   }
   if (hubs > 0) {

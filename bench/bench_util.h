@@ -3,8 +3,10 @@
 // (§6: throughput / 10 Mbps per stream, FPS / 24, QP / 60).
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -21,6 +23,26 @@ namespace converge::bench {
 inline bool FastMode() {
   const char* env = std::getenv("CONVERGE_BENCH_FAST");
   return env != nullptr && env[0] == '1';
+}
+
+// `--name=value` flag parsing: FlagInt returns the value of `arg` when it
+// is `name=<int>`, else `fallback`; FlagStr stores the value in `out` and
+// returns true when `arg` is `name=<value>`.
+inline int64_t FlagInt(const char* arg, const char* name, int64_t fallback) {
+  const size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
+    return std::atoll(arg + len + 1);
+  }
+  return fallback;
+}
+
+inline bool FlagStr(const char* arg, const char* name, std::string* out) {
+  const size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
+    *out = arg + len + 1;
+    return true;
+  }
+  return false;
 }
 
 inline Duration CallLength() {
@@ -115,10 +137,7 @@ inline std::vector<PathSpec> ScenarioPaths(Scenario scenario, uint64_t seed) {
 // and return early when it handled the run.
 inline bool MaybeCaptureTrace(int argc, char** argv) {
   std::string prefix;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) prefix = arg.substr(8);
-  }
+  for (int i = 1; i < argc; ++i) FlagStr(argv[i], "--trace", &prefix);
   if (prefix.empty()) {
     if (const char* env = std::getenv("CONVERGE_TRACE")) prefix = env;
   }

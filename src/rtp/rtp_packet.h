@@ -135,6 +135,12 @@ struct RtpPacket {
   bool IsDecodingCritical() const {
     return priority != Priority::kNone && priority != Priority::kFec;
   }
+  // Frame content (slice data or a parameter set), as opposed to FEC
+  // parity, probes and padding.
+  bool IsMediaLike() const {
+    return kind == PayloadKind::kMedia || kind == PayloadKind::kPps ||
+           kind == PayloadKind::kSps;
+  }
 };
 
 // Fixed RTP header size plus the Converge extension block (Figure 18):

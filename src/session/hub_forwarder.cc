@@ -10,17 +10,11 @@ namespace converge {
 namespace {
 
 constexpr size_t kDecisionWindow = 64;
-constexpr size_t kRtxDedupCap = 4096;
 
 // Flight-recorder category for the rung-selection engine: switches,
 // selection counters, and the keyframe requests that commit them live
 // apart from the queue probes in `config.trace_category`.
 constexpr char kLayerTraceCategory[] = "hub_layer";
-
-bool MediaLike(const RtpPacket& p) {
-  return p.kind == PayloadKind::kMedia || p.kind == PayloadKind::kPps ||
-         p.kind == PayloadKind::kSps;
-}
 
 // Rebuilds the scheduler priority of a packet whose RTX provenance the hub
 // strips (the origin tagged the retransmitted copy kRetransmit).
@@ -38,16 +32,6 @@ Priority RestorePriority(const RtpPacket& p) {
   }
 }
 
-// De-duplication flow ids: per-path NACKs and legacy NACKs live in
-// disjoint key spaces (bit 32 is the mode flag, the leg sits above it).
-int64_t MpFlow(int leg, PathId path) {
-  return (static_cast<int64_t>(leg) << 33) | (int64_t{1} << 32) |
-         static_cast<int64_t>(static_cast<uint32_t>(path));
-}
-int64_t LegacyFlow(int leg, uint32_t ssrc) {
-  return (static_cast<int64_t>(leg) << 33) | static_cast<int64_t>(ssrc);
-}
-
 }  // namespace
 
 HubForwarder::HubForwarder(EventLoop* loop, Config config,
@@ -57,6 +41,7 @@ HubForwarder::HubForwarder(EventLoop* loop, Config config,
       config_(config),
       transmit_(std::move(transmit)),
       relay_pli_(std::move(relay_pli)),
+      rtx_(config_.per_path_nack),
       last_process_(loop->now()),
       last_layer_eval_(loop->now()) {
   for (PathId path : paths) {
@@ -91,10 +76,7 @@ void HubForwarder::ResetOrigin(int leg) {
   for (auto it = gates_.begin(); it != gates_.end();) {
     it = it->first.first == leg ? gates_.erase(it) : std::next(it);
   }
-  for (auto it = legacy_sent_.begin(); it != legacy_sent_.end();) {
-    it = it->first.first.first == leg ? legacy_sent_.erase(it)
-                                     : std::next(it);
-  }
+  rtx_.ForgetLeg(leg);
 }
 
 HubForwarder::PathState& HubForwarder::Path(PathId path) {
@@ -447,7 +429,7 @@ void HubForwarder::OnMediaFromUplink(int leg, PathId path,
     packet.priority = RestorePriority(packet);
   }
 
-  if (MediaLike(packet)) {
+  if (packet.IsMediaLike()) {
     if (!AdmitMedia(leg, path, packet, now)) return;
   } else if (packet.kind == PayloadKind::kFec) {
     // Parity covering a gated stream is dead weight on a congested link.
@@ -487,7 +469,7 @@ void HubForwarder::EvictFrame(PathId path, PathState& ps, int leg,
   for (Queued& q : ps.queue) {
     const RtpPacket& p = q.packet;
     const bool same_stream =
-        q.leg == leg && p.stream_id == stream_id && MediaLike(p);
+        q.leg == leg && p.stream_id == stream_id && p.IsMediaLike();
     const bool doomed =
         same_stream && (p.frame_id == frame_id ||
                         (p.frame_id > frame_id &&
@@ -523,7 +505,7 @@ void HubForwarder::EvictForSpace(PathId path, PathState& ps,
     auto victim = ps.queue.end();
     for (auto it = ps.queue.begin(); it != ps.queue.end(); ++it) {
       const RtpPacket& p = it->packet;
-      if (MediaLike(p) && p.frame_kind == FrameKind::kKey) continue;
+      if (p.IsMediaLike() && p.frame_kind == FrameKind::kKey) continue;
       victim = it;
       break;
     }
@@ -533,7 +515,7 @@ void HubForwarder::EvictForSpace(PathId path, PathState& ps,
       victim = ps.queue.begin();
     }
     const RtpPacket& p = victim->packet;
-    if (MediaLike(p)) {
+    if (p.IsMediaLike()) {
       EvictFrame(path, ps, victim->leg, p.stream_id, p.frame_id, now);
     } else {
       ps.queued_bytes -= p.wire_size();
@@ -559,21 +541,8 @@ void HubForwarder::Emit(PathId path, PathState& ps, Queued q,
   ++el.transport_count;
   ps.pad_budget_bytes -= static_cast<double>(packet.wire_size());
 
-  // Retransmission history for the negotiated NACK flavour.
-  const bool media_like = MediaLike(packet);
-  if (config_.per_path_nack) {
-    if (media_like) {
-      el.mp_sent.Insert(packet.mp_seq, packet);
-    } else {
-      el.mp_sent.Erase(packet.mp_seq);  // stale wrap-around entry
-    }
-  } else if (media_like && !packet.via_rtx) {
-    legacy_sent_[{{q.leg, packet.ssrc}, packet.seq}] = {path, packet};
-    while (legacy_sent_.size() > config_.legacy_rtx_history) {
-      legacy_sent_.erase(legacy_sent_.begin());
-    }
-  }
-  if (media_like && config_.layers.enabled && !packet.via_rtx) {
+  rtx_.OnSent(q.leg, path, packet);
+  if (packet.IsMediaLike() && config_.layers.enabled && !packet.via_rtx) {
     ps.last_media = q;
     if (!ps.has_last_media) ps.first_media_at = now;
     ps.has_last_media = true;
@@ -720,69 +689,6 @@ void HubForwarder::Process() {
   last_process_ = now;
 }
 
-void HubForwarder::HandleNack(int leg, PathId report_path, const Nack& nack,
-                              Timestamp now) {
-  auto answer = [&](const RtpPacket& original, PathId target, int64_t flow,
-                    uint16_t seq, bool tag_mp_hole) {
-    const auto key = std::make_pair(flow, seq);
-    auto rit = recent_rtx_.find(key);
-    if (rit != recent_rtx_.end() &&
-        now - rit->second < config_.rtx_dedup_window) {
-      return;
-    }
-    auto tit = paths_.find(target);
-    if (tit == paths_.end()) return;
-    recent_rtx_[key] = now;
-    while (recent_rtx_.size() > kRtxDedupCap) {
-      recent_rtx_.erase(recent_rtx_.begin());
-    }
-    RtpPacket rtx = original;
-    rtx.via_rtx = true;
-    rtx.priority = Priority::kRetransmit;
-    if (tag_mp_hole) {
-      rtx.rtx_for_path = target;
-      rtx.rtx_for_mp_seq = seq;
-    } else {
-      rtx.rtx_for_path = kInvalidPathId;
-      rtx.rtx_for_mp_seq = 0;
-    }
-    PathState& tp = *tit->second;
-    tp.queued_bytes += rtx.wire_size();
-    ++tp.stats.rtx_answered;
-    if (TraceRecorder* trace = TraceRecorder::Current()) {
-      trace->Instant(config_.trace_category, "rtx_answered", now, static_cast<double>(seq),
-                     static_cast<int32_t>(target), rtx.stream_id);
-    }
-    tp.rtx_queue.push_back({std::move(rtx), now, leg});
-  };
-
-  // Only the negotiated flavour has a history to answer from.
-  const bool legacy = nack.ssrc != 0;
-  if (legacy == config_.per_path_nack) return;
-  if (legacy) {
-    // Legacy NACK: (ssrc, media seq), answered on the path the packet
-    // originally left on.
-    for (uint16_t seq : nack.seqs) {
-      auto it = legacy_sent_.find({{leg, nack.ssrc}, seq});
-      if (it == legacy_sent_.end()) continue;
-      answer(it->second.second, it->second.first,
-             LegacyFlow(leg, nack.ssrc), seq, /*tag_mp_hole=*/false);
-    }
-  } else {
-    // Converge NACK: (path, hub-stamped mp_seq) within this leg's space.
-    auto pit = paths_.find(report_path);
-    if (pit == paths_.end()) return;
-    auto lit = pit->second->egress.find(leg);
-    if (lit == pit->second->egress.end()) return;
-    for (uint16_t seq : nack.seqs) {
-      const RtpPacket* original = lit->second.mp_sent.Find(seq);
-      if (original == nullptr) continue;  // not media, or never stamped
-      answer(*original, report_path, MpFlow(leg, report_path), seq,
-             /*tag_mp_hole=*/true);
-    }
-  }
-}
-
 bool HubForwarder::OnReceiverRtcp(int leg, PathId path,
                                   const RtcpPacket& packet) {
   const Timestamp now = loop_->now();
@@ -803,7 +709,24 @@ bool HubForwarder::OnReceiverRtcp(int leg, PathId path,
   if (const auto* nack = std::get_if<Nack>(&packet.payload)) {
     const PathId report_path =
         packet.path_id != kInvalidPathId ? packet.path_id : path;
-    HandleNack(leg, report_path, *nack, now);
+    // Answered on the path the packet was lost on: the report path for
+    // per-path NACKs, the path it originally left on for legacy ones.
+    rtx_.AnswerNack(
+        leg, report_path, *nack, now,
+        [&](RtpPacket rtx, PathId target, uint16_t seq) {
+          auto tit = paths_.find(target);
+          if (tit == paths_.end()) return false;
+          PathState& tp = *tit->second;
+          tp.queued_bytes += rtx.wire_size();
+          ++tp.stats.rtx_answered;
+          if (TraceRecorder* trace = TraceRecorder::Current()) {
+            trace->Instant(config_.trace_category, "rtx_answered", now,
+                           static_cast<double>(seq),
+                           static_cast<int32_t>(target), rtx.stream_id);
+          }
+          tp.rtx_queue.push_back({std::move(rtx), now, leg});
+          return true;
+        });
     return true;
   }
   return false;

@@ -30,8 +30,8 @@
 #include "cc/downlink_cc.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp_packet.h"
+#include "session/rtx_history.h"
 #include "sim/event_loop.h"
-#include "util/seq_window.h"
 #include "util/time.h"
 
 namespace converge {
@@ -56,15 +56,11 @@ class HubForwarder {
     Duration drop_queue_delay = Duration::Millis(600);
     // Debounce for upstream PLI relays, per (leg, stream).
     Duration pli_min_interval = Duration::Millis(500);
-    // De-duplicates NACK answers (receivers duplicate critical feedback
-    // on every live path).
-    Duration rtx_dedup_window = Duration::Millis(40);
     // The NACK flavour the call negotiated (a conference derives it from
-    // the variant, like the receivers' per_path_nack): true keeps the
-    // per-path (hub-stamped mp_seq) retransmission history, false the
-    // legacy (ssrc, seq) one. NACKs of the other flavour are ignored.
+    // the variant, like the receivers' per_path_nack): true answers
+    // per-path (hub-stamped mp_seq) NACKs, false legacy (ssrc, seq) ones
+    // (see RtxHistory).
     bool per_path_nack = true;
-    size_t legacy_rtx_history = 4096;
     // Template for each path's congestion loop; trace_path is overridden
     // per path.
     DownlinkCc::Config cc;
@@ -246,9 +242,6 @@ class HubForwarder {
   struct EgressLeg {
     uint16_t next_mp_seq = 0;
     int64_t transport_count = 0;  // unwrapped; low 16 bits go on the wire
-    // Per-path NACK retransmission history: one slot per hub-stamped
-    // 16-bit mp_seq, overwritten on wrap.
-    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
   };
   struct PathState {
     explicit PathState(const DownlinkCc::Config& cc_config)
@@ -331,8 +324,6 @@ class HubForwarder {
                              Timestamp now);
   void CloseGate(StreamGate& gate, int leg, int stream_id, PathId culprit,
                  Timestamp now);
-  void HandleNack(int leg, PathId report_path, const Nack& nack,
-                  Timestamp now);
   Duration ProjectedDelay(const PathState& ps) const;
   Duration WorstQueueDelay() const;
   // Worst smoothed (EWMA) queue delay across paths, in milliseconds.
@@ -346,12 +337,7 @@ class HubForwarder {
   PliFn relay_pli_;
   std::map<PathId, std::unique_ptr<PathState>> paths_;
   std::map<std::pair<int, int>, StreamGate> gates_;  // (leg, stream_id)
-  // Legacy-NACK retransmission history (legacy flavour only):
-  // (leg, ssrc, seq) -> (path, packet).
-  std::map<std::pair<std::pair<int, uint32_t>, uint16_t>,
-           std::pair<PathId, RtpPacket>>
-      legacy_sent_;
-  std::map<std::pair<int64_t, uint16_t>, Timestamp> recent_rtx_;
+  RtxHistory rtx_;
   Timestamp last_process_;
   Timestamp last_layer_eval_;
   // Capacity belief the selection budget runs on: tracks the aggregate CC

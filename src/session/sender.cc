@@ -20,7 +20,8 @@ Sender::Sender(EventLoop* loop, Config config, Scheduler* scheduler,
       rng_(rng),
       transmit_rtp_(std::move(transmit_rtp)),
       transmit_rtcp_(std::move(transmit_rtcp)),
-      path_ids_(std::move(path_ids)) {
+      path_ids_(std::move(path_ids)),
+      rtx_(config_.per_path_nack) {
   for (PathId id : path_ids_) {
     PathState& st = paths_[id];
     CcConfig cc_config = config_.cc;
@@ -254,39 +255,12 @@ void Sender::DispatchPacket(PathId path, RtpPacket packet) {
   // order per path is strictly sequential even when retransmissions jump
   // the pacer queue (otherwise the receiver would read reordering as loss).
   packet.mp_seq = st.next_mp_seq++;
-  packet.mp_transport_seq = st.next_mp_transport_seq++;
+  packet.mp_transport_seq = static_cast<uint16_t>(st.transport_count & 0xFFFF);
+  st.sent.Insert(st.transport_count++,
+                 SentRecord{packet.send_time, packet.wire_size()});
+  rtx_.OnSent(/*leg=*/0, path, packet);
 
-  // Transport feedback bookkeeping. Transport seqs are assigned
-  // monotonically per path, so unwrapping against the newest entry is exact.
-  int64_t unwrapped = packet.mp_transport_seq;
-  if (st.last_sent_seq >= 0) {
-    const int64_t last = st.last_sent_seq;
-    unwrapped = last + static_cast<int16_t>(static_cast<uint16_t>(
-                           packet.mp_transport_seq -
-                           static_cast<uint16_t>(last & 0xFFFF)));
-  }
-  st.sent.Insert(unwrapped, SentRecord{packet.send_time, packet.wire_size()});
-  st.last_sent_seq = unwrapped;
-
-  // Retransmission history for the negotiated NACK flavour. Only media-like
-  // packets are retransmittable (FEC and probes are not worth recovering).
-  const bool media_like = packet.kind == PayloadKind::kMedia ||
-                          packet.kind == PayloadKind::kPps ||
-                          packet.kind == PayloadKind::kSps;
-  if (config_.per_path_nack) {
-    if (media_like) {
-      st.mp_sent.Insert(packet.mp_seq, packet);
-    } else {
-      st.mp_sent.Erase(packet.mp_seq);  // stale wrap-around entry
-    }
-  } else if (media_like && !packet.via_rtx) {
-    ssrc_sent_[{packet.ssrc, packet.seq}] = {packet, path};
-    while (ssrc_sent_.size() > config_.rtx_history) {
-      ssrc_sent_.erase(ssrc_sent_.begin());
-    }
-  }
-
-  if (media_like) {
+  if (packet.IsMediaLike()) {
     // Min-srtt path computed directly (strict less, first wins, in
     // path_ids_ order — exactly MinSrttPath over BuildPathInfos()) so the
     // per-packet hot path does not materialize a PathInfo vector just for
@@ -362,8 +336,6 @@ void Sender::Tick() {
 
 void Sender::SendSenderReports() {
   for (PathId id : path_ids_) {
-    PathState& st = paths_.at(id);
-    st.last_sr_sent = loop_->now();
     RtcpPacket rtcp;
     rtcp.path_id = id;
     SenderReport sr;
@@ -449,60 +421,18 @@ void Sender::HandleTransportFeedback(const TransportFeedback& feedback,
 }
 
 void Sender::HandleNack(const Nack& nack, PathId report_path) {
-  // Only the negotiated flavour has a history to answer from.
-  const bool legacy = nack.ssrc != 0;
-  if (legacy == config_.per_path_nack) return;
   const std::vector<PathInfo> infos = BuildPathInfos();
   std::map<PathId, int> losses_per_path;
-
-  auto retransmit = [&](const RtpPacket& original, PathId origin,
-                        int64_t dedup_flow, uint16_t dedup_seq,
-                        bool tag_mp_hole) {
-    const auto key = std::make_pair(dedup_flow, dedup_seq);
-    // De-duplicate: the receiver sends NACKs on every live path.
-    auto rit = recent_rtx_.find(key);
-    if (rit != recent_rtx_.end() &&
-        loop_->now() - rit->second < Duration::Millis(40)) {
-      return;
-    }
-    RtpPacket rtx = original;
-    rtx.via_rtx = true;
-    rtx.priority = Priority::kRetransmit;
-    if (tag_mp_hole) {
-      rtx.rtx_for_path = static_cast<PathId>(dedup_flow);
-      rtx.rtx_for_mp_seq = dedup_seq;
-    }
-    const PathId target = scheduler_->ChooseRtxPath(rtx, infos);
-    if (target == kInvalidPathId) return;
-    ++stats_.rtx_packets_sent;
-    recent_rtx_[key] = loop_->now();
-    if (recent_rtx_.size() > 4096) recent_rtx_.erase(recent_rtx_.begin());
-    ++losses_per_path[origin];
-    DispatchToPacer(target, rtx);
-  };
-
-  if (legacy) {
-    // Legacy NACK: (ssrc, media seq). Reordering across paths produces
-    // spurious entries here — the retransmissions are simply wasted.
-    for (uint16_t seq : nack.seqs) {
-      auto it = ssrc_sent_.find({nack.ssrc, seq});
-      if (it == ssrc_sent_.end()) continue;
-      retransmit(it->second.first, it->second.second,
-                 static_cast<int64_t>(nack.ssrc), seq, /*tag_mp_hole=*/false);
-    }
-  } else {
-    // Converge NACK: (path, mp_seq); the reported path is where the
-    // per-path FIFO sequence space had a gap.
-    auto pit = paths_.find(report_path);
-    if (pit == paths_.end()) return;
-    PathState& st = pit->second;
-    for (uint16_t mp_seq : nack.seqs) {
-      const RtpPacket* original = st.mp_sent.Find(mp_seq);
-      if (original == nullptr) continue;  // FEC/probe or never sent
-      retransmit(*original, report_path, report_path, mp_seq,
-                 /*tag_mp_hole=*/true);
-    }
-  }
+  rtx_.AnswerNack(
+      /*leg=*/0, report_path, nack, loop_->now(),
+      [&](RtpPacket rtx, PathId origin, uint16_t) {
+        const PathId target = scheduler_->ChooseRtxPath(rtx, infos);
+        if (target == kInvalidPathId) return false;
+        ++stats_.rtx_packets_sent;
+        ++losses_per_path[origin];
+        DispatchToPacer(target, rtx);
+        return true;
+      });
   if (fec_ != nullptr) {
     for (const auto& [path, count] : losses_per_path) {
       fec_->OnNack(path, count);

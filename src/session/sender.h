@@ -21,6 +21,7 @@
 #include "net/network.h"
 #include "rtp/rtcp.h"
 #include "schedulers/scheduler.h"
+#include "session/rtx_history.h"
 #include "sim/event_loop.h"
 #include "util/seq_window.h"
 #include "video/camera.h"
@@ -51,11 +52,9 @@ class Sender {
     Duration sdes_interval = Duration::Seconds(1.0);
     bool enable_fec = true;
     // The NACK flavour the call negotiated, mirroring the receivers'
-    // ReceiverEndpoint::Config::per_path_nack: true keeps the (path,
-    // mp_seq) retransmission history, false the legacy (ssrc, seq) one.
-    // NACKs of the other flavour are ignored.
+    // ReceiverEndpoint::Config::per_path_nack: true answers (path, mp_seq)
+    // NACKs, false legacy (ssrc, seq) ones (see RtxHistory).
     bool per_path_nack = true;
-    size_t rtx_history = 4096;  // legacy packets kept for retransmission
   };
 
   struct Stats {
@@ -108,18 +107,12 @@ class Sender {
     std::unique_ptr<CcController> cc;
     std::unique_ptr<Pacer> pacer;
     uint16_t next_mp_seq = 0;
-    uint16_t next_mp_transport_seq = 0;
+    int64_t transport_count = 0;  // unwrapped; low 16 bits go on the wire
     // Sent history for transport feedback matching, keyed by unwrapped
-    // transport seq. DispatchPacket assigns transport seqs monotonically
-    // (+1 per packet), so the window holds exactly the last kSentWindow.
+    // transport seq (+1 per packet), so the window holds exactly the last
+    // kSentWindow.
     static constexpr size_t kSentWindow = 8192;
     SeqWindow<SentRecord> sent{kSentWindow};
-    int64_t last_sent_seq = -1;  // newest unwrapped seq (unwrap anchor)
-    // Per-path NACK retransmission history: one slot per 16-bit mp_seq,
-    // overwritten on wrap.
-    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
-    int64_t last_fed_back_seq = -1;
-    Timestamp last_sr_sent = Timestamp::MinusInfinity();
   };
 
   struct StreamState {
@@ -162,14 +155,7 @@ class Sender {
   std::vector<PathId> path_ids_;
   std::map<PathId, PathState> paths_;
   std::vector<StreamState> streams_;
-  // Recently retransmitted (flow, seq): the receiver duplicates NACKs
-  // across paths, so the sender de-duplicates. flow = path id for per-path
-  // NACKs, ssrc for legacy NACKs (disjoint value ranges).
-  std::map<std::pair<int64_t, uint16_t>, Timestamp> recent_rtx_;
-  // Legacy NACK lookup (legacy flavour only): (ssrc, media seq) ->
-  // (packet, original path).
-  std::map<std::pair<uint32_t, uint16_t>, std::pair<RtpPacket, PathId>>
-      ssrc_sent_;
+  RtxHistory rtx_;  // the sender is leg 0
   // Sliding FEC windows: media of (path, stream, rung) awaiting parity
   // coverage. Windowing per rung keeps every parity packet's covered set
   // inside one rung, so a hub forwarding a single rung never strands

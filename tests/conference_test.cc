@@ -151,6 +151,12 @@ TEST(ConferenceAdapterTest, CascadeFailoverMatchesPinnedFixture) {
   ExpectMatchesConferenceFixture("conference_fixture_cascade3_failover.json");
 }
 
+// Legacy (ssrc, seq) NACKs answered at the hub under cross-path reordering,
+// past the legacy history cap, across a leave/rejoin.
+TEST(ConferenceAdapterTest, StarLegacyChurnMatchesPinnedFixture) {
+  ExpectMatchesConferenceFixture("conference_fixture_star3_legacy_churn.json");
+}
+
 TEST(ConferenceAdapterTest, CallIsExactlyAOneLegMeshConference) {
   const CallConfig call_config = FixtureCallConfig(Variant::kConverge);
   Call call(call_config);

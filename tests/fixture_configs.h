@@ -181,6 +181,34 @@ inline ConferenceConfig FixtureCascadeFailoverConfig() {
   return config;
 }
 
+// Lossy single-hub kSrtt star with a leave/rejoin
+// (conference_fixture_star3_legacy_churn.json): the only conference fixture
+// on legacy (ssrc, seq) NACKs. kSrtt spreads each stream over two paths of
+// different delay, so cross-path reordering makes receivers NACK packets
+// that are merely late, and the hub answers them from its legacy history.
+// The call runs long enough for each receiver-facing engine's history to
+// pass its 4,096-entry cap, and participant 1's leave drops its legacy
+// entries at the hub before it rejoins under a fresh incarnation.
+inline ConferenceConfig FixtureStarLegacyChurnConfig() {
+  ConferenceConfig config;
+  config.variant = Variant::kSrtt;
+  config.topology = Topology::kStar;
+  config.participants.assign(3, ParticipantSpec{});
+  config.max_rate_per_stream = DataRate::MegabitsPerSec(4);
+  config.duration = Duration::Seconds(12);
+  config.seed = 37;
+  config.membership = {Leave(4.0, 1), Join(6.0, 1)};
+  config.paths_for_edge = [](int from, int) {
+    if (from == kHubId) {
+      return std::vector<PathSpec>{FixturePath("lsd0", 16.0, 15, 0.02),
+                                   FixturePath("lsd1", 10.0, 40, 0.01)};
+    }
+    return std::vector<PathSpec>{FixturePath("lsu0", 6.0, 20, 0.01),
+                                 FixturePath("lsu1", 4.0, 45, 0.005)};
+  };
+  return config;
+}
+
 // Every pinned ConferenceStats fixture, by file name.
 struct ConferenceFixture {
   const char* file;
@@ -194,6 +222,8 @@ inline const ConferenceFixture kConferenceFixtures[] = {
      &FixtureStarLayersChurnConfig},
     {"conference_fixture_cascade3_failover.json",
      &FixtureCascadeFailoverConfig},
+    {"conference_fixture_star3_legacy_churn.json",
+     &FixtureStarLegacyChurnConfig},
 };
 
 }  // namespace converge::fixtures

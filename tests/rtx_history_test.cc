@@ -1,0 +1,661 @@
+// RtxHistory differential coverage: the shared retransmission module
+// against verbatim copies of the std::map bookkeeping the sender and the hub
+// forwarding engines each kept before it (per-path mp_sent windows, the
+// legacy ssrc_sent_/legacy_sent_ maps, the recent_rtx_ dedup maps and the
+// RTX stamping). Random send/NACK/leave workloads drive both sides in both
+// NACK flavours; every answer must match packet for packet. Directed tests
+// pin the dedup boundary, the stamping and the flavour filter.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "session/rtx_history.h"
+#include "util/seq_window.h"
+
+namespace converge {
+namespace {
+
+// One NACK answer as the engine sees it.
+struct Answer {
+  PathId target = kInvalidPathId;
+  PathId origin = kInvalidPathId;
+  uint16_t seq = 0;
+  RtpPacket rtx;
+};
+
+auto Fields(const Answer& a) {
+  const RtpPacket& p = a.rtx;
+  return std::make_tuple(
+      a.target, a.origin, a.seq, p.ssrc, p.seq, p.path_id, p.mp_seq,
+      p.mp_transport_seq, p.kind, p.priority, p.stream_id, p.frame_id,
+      p.via_rtx, p.rtx_for_path, p.rtx_for_mp_seq, p.send_time.us());
+}
+
+void ExpectSameAnswers(const std::vector<Answer>& want,
+                       const std::vector<Answer>& got, int64_t step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(Fields(got[i]) == Fields(want[i]))
+        << "step " << step << " answer " << i << " seq " << want[i].seq;
+  }
+}
+
+// Stand-in for Scheduler::ChooseRtxPath: deterministic in the stamped copy,
+// and declines some answers so the "not queued, not remembered" branch
+// runs.
+PathId ChooseRtxPath(const RtpPacket& rtx) {
+  if ((rtx.seq * 31u + rtx.mp_seq) % 7u == 0) return kInvalidPathId;
+  return static_cast<PathId>(rtx.seq % 2);
+}
+
+// ---- References: the pre-RtxHistory engine code, verbatim ----------------
+
+// Sender: DispatchPacket's history write and HandleNack's retransmit
+// lambda (ChooseRtxPath as above).
+class ReferenceSender {
+ public:
+  ReferenceSender(bool per_path_nack, const std::vector<PathId>& paths) {
+    config_.per_path_nack = per_path_nack;
+    for (PathId id : paths) paths_[id];
+  }
+
+  void OnSent(PathId path, const RtpPacket& packet) {
+    PathState& st = paths_.at(path);
+    const bool media_like = packet.kind == PayloadKind::kMedia ||
+                            packet.kind == PayloadKind::kPps ||
+                            packet.kind == PayloadKind::kSps;
+    if (config_.per_path_nack) {
+      if (media_like) {
+        st.mp_sent.Insert(packet.mp_seq, packet);
+      } else {
+        st.mp_sent.Erase(packet.mp_seq);  // stale wrap-around entry
+      }
+    } else if (media_like && !packet.via_rtx) {
+      ssrc_sent_[{packet.ssrc, packet.seq}] = {packet, path};
+      while (ssrc_sent_.size() > config_.rtx_history) {
+        ssrc_sent_.erase(ssrc_sent_.begin());
+        ++legacy_evictions;
+      }
+    }
+  }
+
+  std::vector<Answer> HandleNack(const Nack& nack, PathId report_path,
+                                 Timestamp now) {
+    std::vector<Answer> out;
+    const bool legacy = nack.ssrc != 0;
+    if (legacy == config_.per_path_nack) return out;
+
+    auto retransmit = [&](const RtpPacket& original, PathId origin,
+                          int64_t dedup_flow, uint16_t dedup_seq,
+                          bool tag_mp_hole) {
+      const auto key = std::make_pair(dedup_flow, dedup_seq);
+      auto rit = recent_rtx_.find(key);
+      if (rit != recent_rtx_.end() &&
+          now - rit->second < Duration::Millis(40)) {
+        return;
+      }
+      RtpPacket rtx = original;
+      rtx.via_rtx = true;
+      rtx.priority = Priority::kRetransmit;
+      if (tag_mp_hole) {
+        rtx.rtx_for_path = static_cast<PathId>(dedup_flow);
+        rtx.rtx_for_mp_seq = dedup_seq;
+      }
+      const PathId target = ChooseRtxPath(rtx);
+      if (target == kInvalidPathId) return;
+      recent_rtx_[key] = now;
+      if (recent_rtx_.size() > 4096) {
+        recent_rtx_.erase(recent_rtx_.begin());
+        ++dedup_evictions;
+      }
+      out.push_back({target, origin, dedup_seq, rtx});
+    };
+
+    if (legacy) {
+      for (uint16_t seq : nack.seqs) {
+        auto it = ssrc_sent_.find({nack.ssrc, seq});
+        if (it == ssrc_sent_.end()) continue;
+        retransmit(it->second.first, it->second.second,
+                   static_cast<int64_t>(nack.ssrc), seq,
+                   /*tag_mp_hole=*/false);
+      }
+    } else {
+      auto pit = paths_.find(report_path);
+      if (pit == paths_.end()) return out;
+      PathState& st = pit->second;
+      for (uint16_t mp_seq : nack.seqs) {
+        const RtpPacket* original = st.mp_sent.Find(mp_seq);
+        if (original == nullptr) continue;
+        retransmit(*original, report_path, report_path, mp_seq,
+                   /*tag_mp_hole=*/true);
+      }
+    }
+    return out;
+  }
+
+  int64_t legacy_evictions = 0;
+  int64_t dedup_evictions = 0;
+
+ private:
+  struct Config {
+    bool per_path_nack = true;
+    size_t rtx_history = 4096;
+  } config_;
+  struct PathState {
+    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
+  };
+  std::map<PathId, PathState> paths_;
+  std::map<std::pair<int64_t, uint16_t>, Timestamp> recent_rtx_;
+  std::map<std::pair<uint32_t, uint16_t>, std::pair<RtpPacket, PathId>>
+      ssrc_sent_;
+};
+
+// HubForwarder: Emit's history write, HandleNack's answer lambda (the
+// target path must be one of the engine's paths) and ResetOrigin's erases.
+class ReferenceHub {
+ public:
+  ReferenceHub(bool per_path_nack, const std::vector<PathId>& paths) {
+    config_.per_path_nack = per_path_nack;
+    for (PathId id : paths) paths_[id];
+  }
+
+  void OnSent(int leg, PathId path, const RtpPacket& packet) {
+    EgressLeg& el = paths_.at(path).egress[leg];
+    const bool media_like = MediaLike(packet);
+    if (config_.per_path_nack) {
+      if (media_like) {
+        el.mp_sent.Insert(packet.mp_seq, packet);
+      } else {
+        el.mp_sent.Erase(packet.mp_seq);  // stale wrap-around entry
+      }
+    } else if (media_like && !packet.via_rtx) {
+      legacy_sent_[{{leg, packet.ssrc}, packet.seq}] = {path, packet};
+      while (legacy_sent_.size() > config_.legacy_rtx_history) {
+        legacy_sent_.erase(legacy_sent_.begin());
+        ++legacy_evictions;
+      }
+    }
+  }
+
+  void ResetOrigin(int leg) {
+    for (auto& [path, ps] : paths_) ps.egress.erase(leg);
+    for (auto it = legacy_sent_.begin(); it != legacy_sent_.end();) {
+      it = it->first.first.first == leg ? legacy_sent_.erase(it)
+                                       : std::next(it);
+    }
+  }
+
+  std::vector<Answer> HandleNack(int leg, PathId report_path,
+                                 const Nack& nack, Timestamp now) {
+    std::vector<Answer> out;
+    auto answer = [&](const RtpPacket& original, PathId target, int64_t flow,
+                      uint16_t seq, bool tag_mp_hole) {
+      const auto key = std::make_pair(flow, seq);
+      auto rit = recent_rtx_.find(key);
+      if (rit != recent_rtx_.end() &&
+          now - rit->second < config_.rtx_dedup_window) {
+        return;
+      }
+      auto tit = paths_.find(target);
+      if (tit == paths_.end()) return;
+      recent_rtx_[key] = now;
+      while (recent_rtx_.size() > kRtxDedupCap) {
+        recent_rtx_.erase(recent_rtx_.begin());
+        ++dedup_evictions;
+      }
+      RtpPacket rtx = original;
+      rtx.via_rtx = true;
+      rtx.priority = Priority::kRetransmit;
+      if (tag_mp_hole) {
+        rtx.rtx_for_path = target;
+        rtx.rtx_for_mp_seq = seq;
+      } else {
+        rtx.rtx_for_path = kInvalidPathId;
+        rtx.rtx_for_mp_seq = 0;
+      }
+      out.push_back({target, target, seq, rtx});
+    };
+
+    const bool legacy = nack.ssrc != 0;
+    if (legacy == config_.per_path_nack) return out;
+    if (legacy) {
+      for (uint16_t seq : nack.seqs) {
+        auto it = legacy_sent_.find({{leg, nack.ssrc}, seq});
+        if (it == legacy_sent_.end()) continue;
+        answer(it->second.second, it->second.first,
+               LegacyFlow(leg, nack.ssrc), seq, /*tag_mp_hole=*/false);
+      }
+    } else {
+      auto pit = paths_.find(report_path);
+      if (pit == paths_.end()) return out;
+      auto lit = pit->second.egress.find(leg);
+      if (lit == pit->second.egress.end()) return out;
+      for (uint16_t seq : nack.seqs) {
+        const RtpPacket* original = lit->second.mp_sent.Find(seq);
+        if (original == nullptr) continue;
+        answer(*original, report_path, MpFlow(leg, report_path), seq,
+               /*tag_mp_hole=*/true);
+      }
+    }
+    return out;
+  }
+
+  int64_t legacy_evictions = 0;
+  int64_t dedup_evictions = 0;
+
+ private:
+  static constexpr size_t kRtxDedupCap = 4096;
+  static bool MediaLike(const RtpPacket& p) {
+    return p.kind == PayloadKind::kMedia || p.kind == PayloadKind::kPps ||
+           p.kind == PayloadKind::kSps;
+  }
+  static int64_t MpFlow(int leg, PathId path) {
+    return (static_cast<int64_t>(leg) << 33) | (int64_t{1} << 32) |
+           static_cast<int64_t>(static_cast<uint32_t>(path));
+  }
+  static int64_t LegacyFlow(int leg, uint32_t ssrc) {
+    return (static_cast<int64_t>(leg) << 33) | static_cast<int64_t>(ssrc);
+  }
+
+  struct Config {
+    Duration rtx_dedup_window = Duration::Millis(40);
+    bool per_path_nack = true;
+    size_t legacy_rtx_history = 4096;
+  } config_;
+  struct EgressLeg {
+    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
+  };
+  struct PathState {
+    std::map<int, EgressLeg> egress;
+  };
+  std::map<PathId, PathState> paths_;
+  std::map<std::pair<std::pair<int, uint32_t>, uint16_t>,
+           std::pair<PathId, RtpPacket>>
+      legacy_sent_;
+  std::map<std::pair<int64_t, uint16_t>, Timestamp> recent_rtx_;
+};
+
+// ---- Random workload --------------------------------------------------------
+
+// Origin legs send media, parameter sets, FEC, probes and RTX copies over
+// three paths; receivers NACK both flavours (one of them the wrong one)
+// about recent, old and never-sent seqs on four report paths (path 3 is
+// unknown), repeating NACKs at random sub-40 ms and later gaps. Hub
+// workloads also reset origins other than the first, restarting their
+// mp_seq counters and SSRCs.
+class Workload {
+ public:
+  Workload(uint64_t seed, std::vector<int> legs)
+      : rng_(seed), legs_(std::move(legs)) {
+    for (int leg : legs_) NewIncarnation(leg);
+  }
+
+  // Runs `steps` events against `engine`, an adapter with
+  // OnSent(leg, path, packet), Nack(leg, report_path, nack, now) and
+  // Reset(leg) (no Reset events when `resets` is false).
+  template <typename Engine>
+  void Run(int64_t steps, bool resets, Engine& engine) {
+    for (int64_t step = 0; step < steps; ++step) {
+      now_ = now_ + Duration::Micros(static_cast<int64_t>(rng_() % 300));
+      const uint64_t roll = rng_() % 1000;
+      if (resets && legs_.size() > 1 && rng_() % 20'000 == 0) {
+        // The first leg never leaves, so its counters can wrap.
+        const int leg = legs_[1 + rng_() % (legs_.size() - 1)];
+        engine.Reset(leg);
+        NewIncarnation(leg);
+      } else if (roll < 850) {
+        const int leg = PickLeg();
+        const PathId path = PickPath();
+        engine.OnSent(leg, path, NextPacket(leg, path));
+      } else {
+        const int leg = PickLeg();
+        if (rng_() % 3 != 0 || last_nack_.seqs.empty()) {
+          last_nack_ = MakeNack(leg);
+          last_report_ = static_cast<PathId>(rng_() % 4);
+          last_leg_ = leg;
+        }
+        // Otherwise a repeat of the previous NACK (receivers send on every
+        // live path and re-request after a round trip).
+        engine.Nack(last_leg_, last_report_, last_nack_, now_, step);
+      }
+    }
+  }
+
+  // Most mp_seq wraps any (leg, path) counter made within one incarnation.
+  int max_wraps() const {
+    int best = 0;
+    for (const auto& [key, w] : wraps_) best = std::max(best, w);
+    return best;
+  }
+
+ private:
+  struct LegState {
+    uint32_t ssrcs[2] = {0, 0};
+    uint16_t seqs[2] = {0, 0};
+    std::map<PathId, uint16_t> next_mp_seq;
+  };
+
+  void NewIncarnation(int leg) {
+    LegState& ls = legs_state_[leg];
+    // Fresh SSRCs per incarnation, the lower one first.
+    ls.ssrcs[0] = 0x1000u + static_cast<uint32_t>(leg) * 64u +
+                  static_cast<uint32_t>(incarnation_) * 4u;
+    ls.ssrcs[1] = ls.ssrcs[0] + 2;
+    ls.seqs[0] = static_cast<uint16_t>(rng_());
+    ls.seqs[1] = static_cast<uint16_t>(rng_());
+    ls.next_mp_seq.clear();
+    for (auto it = wraps_.begin(); it != wraps_.end();) {
+      it = it->first.first == leg ? wraps_.erase(it) : std::next(it);
+    }
+    ++incarnation_;
+  }
+
+  // Skewed so one (leg, path) counter wraps several times.
+  int PickLeg() {
+    return rng_() % 10 < 6 ? legs_.front() : legs_[rng_() % legs_.size()];
+  }
+  PathId PickPath() {
+    return rng_() % 10 < 6 ? 0 : static_cast<PathId>(rng_() % 3);
+  }
+
+  RtpPacket NextPacket(int leg, PathId path) {
+    LegState& ls = legs_state_[leg];
+    RtpPacket p;
+    const int stream = static_cast<int>(rng_() % 2);
+    const uint64_t kind = rng_() % 20;
+    p.kind = kind < 14   ? PayloadKind::kMedia
+             : kind < 15 ? PayloadKind::kPps
+             : kind < 16 ? PayloadKind::kSps
+             : kind < 18 ? PayloadKind::kFec
+                         : PayloadKind::kProbe;
+    p.stream_id = stream;
+    p.ssrc = ls.ssrcs[stream];
+    p.frame_id = static_cast<int64_t>(rng_() % 100000);
+    p.priority = p.kind == PayloadKind::kFec ? Priority::kFec
+                                             : Priority::kNone;
+    if (p.IsMediaLike() && rng_() % 10 == 0) {
+      // An RTX copy of a recent packet: keeps its (ssrc, seq), carries the
+      // hole it plugged.
+      p.seq = static_cast<uint16_t>(ls.seqs[stream] - 1 - rng_() % 200);
+      p.via_rtx = true;
+      p.priority = Priority::kRetransmit;
+      p.rtx_for_path = static_cast<PathId>(rng_() % 3);
+      p.rtx_for_mp_seq = static_cast<uint16_t>(rng_());
+    } else {
+      p.seq = ls.seqs[stream]++;
+    }
+    uint16_t& next = ls.next_mp_seq[path];
+    p.path_id = path;
+    p.mp_seq = next++;
+    if (next == 0) ++wraps_[{leg, path}];
+    p.mp_transport_seq = p.mp_seq;
+    p.send_time = now_;
+    return p;
+  }
+
+  Nack MakeNack(int leg) {
+    LegState& ls = legs_state_[leg];
+    Nack nack;
+    const int stream = static_cast<int>(rng_() % 2);
+    const bool legacy = rng_() % 2 == 0;
+    nack.ssrc = !legacy              ? 0
+                : rng_() % 50 == 0   ? 0x7777u  // never sent
+                                     : ls.ssrcs[stream];
+    const uint16_t head =
+        legacy ? ls.seqs[stream]
+               : ls.next_mp_seq[static_cast<PathId>(rng_() % 3)];
+    const int count = 1 + static_cast<int>(rng_() % 5);
+    for (int i = 0; i < count; ++i) {
+      const uint64_t r = rng_() % 20;
+      uint16_t seq;
+      if (r < 14) {
+        seq = static_cast<uint16_t>(head - 1 - rng_() % 400);  // recent
+      } else if (r < 17) {
+        seq = static_cast<uint16_t>(head - 1 - rng_() % 9000);  // old
+      } else if (r < 19) {
+        seq = static_cast<uint16_t>(rng_());  // anywhere
+      } else {
+        seq = nack.seqs.empty() ? head : nack.seqs.back();  // repeated
+      }
+      nack.seqs.push_back(seq);
+    }
+    return nack;
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<int> legs_;
+  std::map<int, LegState> legs_state_;
+  std::map<std::pair<int, PathId>, int> wraps_;
+  int incarnation_ = 0;
+  Timestamp now_ = Timestamp::Zero();
+  Nack last_nack_;
+  PathId last_report_ = 0;
+  int last_leg_ = 0;
+};
+
+// The sender's use: leg 0, ChooseRtxPath picks the target.
+struct SenderPair {
+  SenderPair(bool per_path_nack)
+      : reference(per_path_nack, {0, 1, 2}), history(per_path_nack) {}
+
+  void OnSent(int leg, PathId path, const RtpPacket& packet) {
+    reference.OnSent(path, packet);
+    history.OnSent(leg, path, packet);
+  }
+  void Nack(int leg, PathId report_path, const converge::Nack& nack,
+            Timestamp now, int64_t step) {
+    const std::vector<Answer> want =
+        reference.HandleNack(nack, report_path, now);
+    std::vector<Answer> got;
+    history.AnswerNack(
+        leg, report_path, nack, now,
+        [&](RtpPacket rtx, PathId origin, uint16_t seq) {
+          const PathId target = ChooseRtxPath(rtx);
+          if (target == kInvalidPathId) return false;
+          got.push_back({target, origin, seq, std::move(rtx)});
+          return true;
+        });
+    ExpectSameAnswers(want, got, step);
+    answers += static_cast<int64_t>(want.size());
+  }
+  void Reset(int) {}
+
+  ReferenceSender reference;
+  RtxHistory history;
+  int64_t answers = 0;
+};
+
+// A hub engine's use: per-origin legs, answered on the origin path if the
+// engine has it, origins reset on leave.
+struct HubPair {
+  HubPair(bool per_path_nack)
+      : reference(per_path_nack, {0, 1, 2}), history(per_path_nack) {}
+
+  void OnSent(int leg, PathId path, const RtpPacket& packet) {
+    reference.OnSent(leg, path, packet);
+    history.OnSent(leg, path, packet);
+  }
+  void Nack(int leg, PathId report_path, const converge::Nack& nack,
+            Timestamp now, int64_t step) {
+    const std::vector<Answer> want =
+        reference.HandleNack(leg, report_path, nack, now);
+    std::vector<Answer> got;
+    history.AnswerNack(leg, report_path, nack, now,
+                       [&](RtpPacket rtx, PathId target, uint16_t seq) {
+                         if (target < 0 || target > 2) return false;
+                         got.push_back({target, target, seq, std::move(rtx)});
+                         return true;
+                       });
+    ExpectSameAnswers(want, got, step);
+    answers += static_cast<int64_t>(want.size());
+  }
+  void Reset(int leg) {
+    reference.ResetOrigin(leg);
+    history.ForgetLeg(leg);
+  }
+
+  ReferenceHub reference;
+  RtxHistory history;
+  int64_t answers = 0;
+};
+
+// Three mp_seq wraps on the busiest (leg, path) at 0.6 * 0.6 of all sends.
+constexpr int64_t kSenderSteps = 420'000;
+constexpr int64_t kHubSteps = 700'000;
+
+TEST(RtxHistoryTest, PerPathSenderMatchesReference) {
+  SenderPair pair(/*per_path_nack=*/true);
+  Workload workload(11, {0});
+  workload.Run(kSenderSteps, /*resets=*/false, pair);
+  EXPECT_GE(workload.max_wraps(), 3);
+  EXPECT_GT(pair.answers, 5'000);
+  EXPECT_GT(pair.reference.dedup_evictions, 0);
+}
+
+TEST(RtxHistoryTest, LegacySenderMatchesReference) {
+  SenderPair pair(/*per_path_nack=*/false);
+  Workload workload(12, {0});
+  workload.Run(kSenderSteps, /*resets=*/false, pair);
+  EXPECT_GE(workload.max_wraps(), 3);
+  EXPECT_GT(pair.answers, 5'000);
+  EXPECT_GT(pair.reference.legacy_evictions, 0);
+  EXPECT_GT(pair.reference.dedup_evictions, 0);
+}
+
+TEST(RtxHistoryTest, PerPathHubMatchesReferenceAcrossResets) {
+  HubPair pair(/*per_path_nack=*/true);
+  Workload workload(13, {1, 2, 3, 5});
+  workload.Run(kHubSteps, /*resets=*/true, pair);
+  EXPECT_GE(workload.max_wraps(), 3);
+  EXPECT_GT(pair.answers, 5'000);
+  EXPECT_GT(pair.reference.dedup_evictions, 0);
+}
+
+TEST(RtxHistoryTest, LegacyHubMatchesReferenceAcrossResets) {
+  HubPair pair(/*per_path_nack=*/false);
+  Workload workload(14, {1, 2, 3, 5});
+  workload.Run(kHubSteps, /*resets=*/true, pair);
+  EXPECT_GE(workload.max_wraps(), 3);
+  EXPECT_GT(pair.answers, 5'000);
+  EXPECT_GT(pair.reference.legacy_evictions, 0);
+  EXPECT_GT(pair.reference.dedup_evictions, 0);
+}
+
+// ---- Directed ---------------------------------------------------------------
+
+RtpPacket Media(uint32_t ssrc, uint16_t seq, PathId path, uint16_t mp_seq) {
+  RtpPacket p;
+  p.ssrc = ssrc;
+  p.seq = seq;
+  p.path_id = path;
+  p.mp_seq = mp_seq;
+  p.frame_id = 9;
+  return p;
+}
+
+Nack PerPathNack(uint16_t mp_seq) { return Nack{0, {mp_seq}}; }
+
+// Answers collected from one AnswerNack call; `accept` is the engine's
+// verdict on queuing them.
+std::vector<Answer> AnswerAll(RtxHistory& history, int leg, PathId report,
+                              const Nack& nack, Timestamp now,
+                              bool accept = true) {
+  std::vector<Answer> out;
+  history.AnswerNack(leg, report, nack, now,
+                     [&](RtpPacket rtx, PathId origin, uint16_t seq) {
+                       out.push_back({origin, origin, seq, std::move(rtx)});
+                       return accept;
+                     });
+  return out;
+}
+
+TEST(RtxHistoryTest, DedupWindowEndsAtFortyMilliseconds) {
+  for (const bool per_path : {true, false}) {
+    RtxHistory history(per_path);
+    history.OnSent(0, 1, Media(0x1000, 5, 1, 7));
+    const Nack nack = per_path ? PerPathNack(7) : Nack{0x1000, {5}};
+    const Timestamp t0 = Timestamp::Millis(100);
+    // A declined answer does not open the window.
+    EXPECT_EQ(AnswerAll(history, 0, 1, nack, t0, /*accept=*/false).size(),
+              1u);
+    EXPECT_EQ(AnswerAll(history, 0, 1, nack, t0).size(), 1u);
+    EXPECT_TRUE(
+        AnswerAll(history, 0, 1, nack, t0 + Duration::Micros(39'999))
+            .empty());
+    EXPECT_EQ(AnswerAll(history, 0, 1, nack, t0 + Duration::Millis(40))
+                  .size(),
+              1u);
+  }
+}
+
+TEST(RtxHistoryTest, StampsBothFlavours) {
+  RtxHistory per_path(true);
+  per_path.OnSent(3, 1, Media(0x1000, 5, 1, 7));
+  const std::vector<Answer> mp =
+      AnswerAll(per_path, 3, 1, PerPathNack(7), Timestamp::Zero());
+  ASSERT_EQ(mp.size(), 1u);
+  EXPECT_EQ(mp[0].origin, 1);
+  EXPECT_EQ(mp[0].seq, 7);
+  EXPECT_TRUE(mp[0].rtx.via_rtx);
+  EXPECT_EQ(mp[0].rtx.priority, Priority::kRetransmit);
+  EXPECT_EQ(mp[0].rtx.rtx_for_path, 1);
+  EXPECT_EQ(mp[0].rtx.rtx_for_mp_seq, 7);
+  EXPECT_EQ(mp[0].rtx.seq, 5);
+
+  RtxHistory legacy(false);
+  legacy.OnSent(3, 2, Media(0x1000, 5, 2, 7));
+  const std::vector<Answer> ls =
+      AnswerAll(legacy, 3, 0, Nack{0x1000, {5}}, Timestamp::Zero());
+  ASSERT_EQ(ls.size(), 1u);
+  EXPECT_EQ(ls[0].origin, 2);  // the original path, not the report path
+  EXPECT_EQ(ls[0].seq, 5);
+  EXPECT_TRUE(ls[0].rtx.via_rtx);
+  EXPECT_EQ(ls[0].rtx.priority, Priority::kRetransmit);
+  EXPECT_EQ(ls[0].rtx.rtx_for_path, kInvalidPathId);
+  EXPECT_EQ(ls[0].rtx.rtx_for_mp_seq, 0);
+  // Another leg's NACK for the same (ssrc, seq) names nothing.
+  EXPECT_TRUE(
+      AnswerAll(legacy, 4, 0, Nack{0x1000, {5}}, Timestamp::Zero()).empty());
+}
+
+TEST(RtxHistoryTest, IgnoresTheOtherFlavour) {
+  RtxHistory per_path(true);
+  RtxHistory legacy(false);
+  for (RtxHistory* h : {&per_path, &legacy}) {
+    h->OnSent(0, 0, Media(0x1000, 5, 0, 5));
+  }
+  EXPECT_TRUE(
+      AnswerAll(per_path, 0, 0, Nack{0x1000, {5}}, Timestamp::Zero()).empty());
+  EXPECT_TRUE(
+      AnswerAll(legacy, 0, 0, PerPathNack(5), Timestamp::Zero()).empty());
+}
+
+TEST(RtxHistoryTest, ForgetLegKeepsOtherLegsAndDedupRecords) {
+  RtxHistory history(true);
+  history.OnSent(1, 0, Media(0x1000, 5, 0, 0));
+  history.OnSent(2, 0, Media(0x2000, 5, 0, 0));
+  const Timestamp t0 = Timestamp::Millis(10);
+  ASSERT_EQ(AnswerAll(history, 1, 0, PerPathNack(0), t0).size(), 1u);
+  history.ForgetLeg(1);
+  EXPECT_TRUE(AnswerAll(history, 1, 0, PerPathNack(0), t0).empty());
+  EXPECT_EQ(AnswerAll(history, 2, 0, PerPathNack(0), t0).size(), 1u);
+  // The rejoined leg restarts at mp_seq 0; the dedup record of its previous
+  // life still suppresses a repeat inside the window.
+  history.OnSent(1, 0, Media(0x3000, 1, 0, 0));
+  EXPECT_TRUE(AnswerAll(history, 1, 0, PerPathNack(0),
+                        t0 + Duration::Millis(39))
+                  .empty());
+  const std::vector<Answer> after =
+      AnswerAll(history, 1, 0, PerPathNack(0), t0 + Duration::Millis(40));
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].rtx.ssrc, 0x3000u);
+}
+
+}  // namespace
+}  // namespace converge
