@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -47,24 +48,6 @@ std::string ToString(Variant v) {
       return "Converge-TblFEC";
   }
   return "?";
-}
-
-bool IsMultipath(Variant v) {
-  switch (v) {
-    case Variant::kWebRtcPath0:
-    case Variant::kWebRtcPath1:
-    case Variant::kWebRtcCm:
-      return false;
-    case Variant::kSrtt:
-    case Variant::kEcf:
-    case Variant::kMtput:
-    case Variant::kMrtp:
-    case Variant::kConverge:
-    case Variant::kConvergeNoFeedback:
-    case Variant::kConvergeWebRtcFec:
-      return true;
-  }
-  return true;
 }
 
 std::string ToString(Topology t) {
@@ -146,116 +129,126 @@ bool HasMultipathRtpExtension(Variant v) {
 
 }  // namespace
 
-Conference::Conference(const ConferenceConfig& config) : config_(config) {
-  if (config_.participants.empty()) {
-    config_.participants = {ParticipantSpec{}, ParticipantSpec{}};
+NormalizedConference NormalizeConferenceConfig(ConferenceConfig config) {
+  std::vector<InvariantViolation> violations;
+  // `condition` is the rule that must hold, spelled as CONVERGE_INVARIANT
+  // would stringify it.
+  auto reject = [&violations](const char* condition, std::string detail) {
+    violations.push_back({.component = "Conference",
+                          .condition = condition,
+                          .detail = std::move(detail),
+                          .context = {},
+                          .at = Timestamp::Zero()});
+  };
+  if (config.participants.empty()) {
+    config.participants = {ParticipantSpec{}, ParticipantSpec{}};
   }
-  const int n = static_cast<int>(config_.participants.size());
-  CONVERGE_INVARIANT("Conference", Timestamp::Zero(), n >= 2,
-                     "conference needs >= 2 participants, got " +
-                         std::to_string(n));
-  CONVERGE_INVARIANT(
-      "Conference", Timestamp::Zero(),
-      n <= SsrcAllocator::kMaxParticipantsPerIncarnation,
-      "too many participants for the SSRC layout: " + std::to_string(n));
-  for (const ParticipantSpec& p : config_.participants) {
-    CONVERGE_INVARIANT(
-        "Conference", Timestamp::Zero(),
-        p.num_streams >= 1 &&
-            p.num_streams <= SsrcAllocator::kMaxStreamsPerParticipant,
-        "num_streams out of range: " + std::to_string(p.num_streams));
+  const int n = static_cast<int>(config.participants.size());
+  if (n < 2) {
+    reject("n >= 2",
+           "conference needs >= 2 participants, got " + std::to_string(n));
   }
-  {
-    std::stable_sort(config_.membership.begin(), config_.membership.end(),
-                     [](const MembershipEvent& a, const MembershipEvent& b) {
-                       return a.at < b.at;
-                     });
-    const std::string error = ValidateMembership(n, config_.membership);
-    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), error.empty(), error);
-    if (!error.empty()) config_.membership.clear();
+  if (n > SsrcAllocator::kMaxParticipantsPerIncarnation) {
+    reject("n <= SsrcAllocator::kMaxParticipantsPerIncarnation",
+           "too many participants for the SSRC layout: " + std::to_string(n));
   }
-  // Hub-graph validation. The cascade is a star concept; a mesh with
-  // num_hubs > 1 is rejected and degraded to the plain mesh.
-  if (config_.num_hubs < 1) {
-    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
-                       "num_hubs must be >= 1, got " +
-                           std::to_string(config_.num_hubs));
-    config_.num_hubs = 1;
+  for (const ParticipantSpec& p : config.participants) {
+    if (p.num_streams < 1 ||
+        p.num_streams > SsrcAllocator::kMaxStreamsPerParticipant) {
+      reject("p.num_streams >= 1 && "
+             "p.num_streams <= SsrcAllocator::kMaxStreamsPerParticipant",
+             "num_streams out of range: " + std::to_string(p.num_streams));
+    }
   }
-  if (multi_hub() && config_.topology != Topology::kStar) {
-    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
-                       "multi-hub cascade requires the star topology");
-    config_.num_hubs = 1;
+  for (InvariantViolation& v :
+       NormalizeMembership("Conference", n, config.membership)) {
+    violations.push_back(std::move(v));
   }
-  CONVERGE_INVARIANT(
-      "Conference", Timestamp::Zero(),
-      config_.home_hub.empty() ||
-          config_.home_hub.size() == static_cast<size_t>(n),
-      "home_hub must be empty or have one entry per participant");
-  if (config_.hub_fault_plans.size() > static_cast<size_t>(config_.num_hubs)) {
-    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
-                       "more hub fault plans than hubs");
-    config_.hub_fault_plans.resize(static_cast<size_t>(config_.num_hubs));
+  // Hub graph. The cascade is a star concept; a mesh with num_hubs > 1 is
+  // degraded to the plain mesh.
+  if (config.num_hubs < 1) {
+    reject("false",
+           "num_hubs must be >= 1, got " + std::to_string(config.num_hubs));
+    config.num_hubs = 1;
+  }
+  if (config.num_hubs > 1 && config.topology != Topology::kStar) {
+    reject("false", "multi-hub cascade requires the star topology");
+    config.num_hubs = 1;
+  }
+  const bool pinned = config.home_hub.size() == static_cast<size_t>(n);
+  if (!pinned && !config.home_hub.empty()) {
+    reject("config_.home_hub.empty() || "
+           "config_.home_hub.size() == static_cast<size_t>(n)",
+           "home_hub must be empty or have one entry per participant");
+  }
+  if (config.hub_fault_plans.size() > static_cast<size_t>(config.num_hubs)) {
+    reject("false", "more hub fault plans than hubs");
+    config.hub_fault_plans.resize(static_cast<size_t>(config.num_hubs));
   }
   // A hub outage re-homes onto another hub; with one hub there is none, so
   // a single-hub plan could only be ignored.
-  if (!multi_hub() &&
-      std::any_of(config_.hub_fault_plans.begin(),
-                  config_.hub_fault_plans.end(),
+  if (config.num_hubs == 1 &&
+      std::any_of(config.hub_fault_plans.begin(),
+                  config.hub_fault_plans.end(),
                   [](const FaultPlan& plan) { return !plan.empty(); })) {
-    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
-                       "hub fault plans require num_hubs > 1");
-    config_.hub_fault_plans.clear();
+    reject("false", "hub fault plans require num_hubs > 1");
+    config.hub_fault_plans.clear();
   }
-  // Layered-media gating. Simulcast needs (a) the star topology — a mesh
-  // receiver would get every rung and the receiver's PacketBuffer keys
-  // frames by (stream, frame_id), so two rungs of one capture would collide
-  // — and (b) a Converge-family variant: rung filtering leaves per-SSRC
-  // `seq` gaps at the hub, which only the multipath extension's per-path
-  // (mp_seq-based) NACK machinery tolerates. Invalid combinations degrade
-  // to single-layer through the invariant registry, mirroring the hub-graph
-  // rules above.
-  if (config_.simulcast_rungs < 1) config_.simulcast_rungs = 1;
-  if (config_.temporal_layers < 1) config_.temporal_layers = 1;
-  if (config_.simulcast_rungs > HubForwarder::kMaxRungs) {
-    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
-                       "simulcast_rungs " +
-                           std::to_string(config_.simulcast_rungs) +
-                           " exceeds the wire/selection limit of " +
-                           std::to_string(HubForwarder::kMaxRungs));
-    config_.simulcast_rungs = HubForwarder::kMaxRungs;
+  // Layered media. Simulcast needs (a) the star topology — a mesh receiver
+  // would get every rung and the receiver's PacketBuffer keys frames by
+  // (stream, frame_id), so two rungs of one capture would collide — and (b)
+  // a Converge-family variant: rung filtering leaves per-SSRC `seq` gaps at
+  // the hub, which only the multipath extension's per-path (mp_seq-based)
+  // NACK machinery tolerates. Invalid combinations degrade to single-layer.
+  config.simulcast_rungs = std::max(config.simulcast_rungs, 1);
+  config.temporal_layers = std::clamp(config.temporal_layers, 1, 4);
+  if (config.simulcast_rungs > HubForwarder::kMaxRungs) {
+    reject("false", "simulcast_rungs " +
+                        std::to_string(config.simulcast_rungs) +
+                        " exceeds the wire/selection limit of " +
+                        std::to_string(HubForwarder::kMaxRungs));
+    config.simulcast_rungs = HubForwarder::kMaxRungs;
   }
-  if (config_.temporal_layers > 4) config_.temporal_layers = 4;
-  if (config_.simulcast_rungs > 1 && config_.topology != Topology::kStar) {
-    CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
-                       "simulcast requires the star topology");
-    config_.simulcast_rungs = 1;
+  if (config.simulcast_rungs > 1 && config.topology != Topology::kStar) {
+    reject("false", "simulcast requires the star topology");
+    config.simulcast_rungs = 1;
   }
-  if (config_.simulcast_rungs > 1 &&
-      !HasMultipathRtpExtension(config_.variant)) {
-    CONVERGE_INVARIANT(
-        "Conference", Timestamp::Zero(), false,
-        "simulcast requires a Converge-family variant (per-path NACK)");
-    config_.simulcast_rungs = 1;
+  if (config.simulcast_rungs > 1 &&
+      !HasMultipathRtpExtension(config.variant)) {
+    reject("false",
+           "simulcast requires a Converge-family variant (per-path NACK)");
+    config.simulcast_rungs = 1;
   }
-  routes_.resize(static_cast<size_t>(n));
+  // Home hubs: in-range pins stand, everyone else goes round-robin.
+  std::vector<int> home_hub(static_cast<size_t>(n));
   for (int p = 0; p < n; ++p) {
-    int hub = p % config_.num_hubs;
-    if (config_.home_hub.size() == static_cast<size_t>(n)) {
-      const int pinned = config_.home_hub[static_cast<size_t>(p)];
-      if (pinned >= 0 && pinned < config_.num_hubs) {
-        hub = pinned;
-      } else {
-        CONVERGE_INVARIANT("Conference", Timestamp::Zero(), false,
-                           "home_hub[" + std::to_string(p) + "]=" +
-                               std::to_string(pinned) + " outside [0, " +
-                               std::to_string(config_.num_hubs) + ")");
-      }
+    int& hub = home_hub[static_cast<size_t>(p)];
+    hub = p % config.num_hubs;
+    if (!pinned) continue;
+    const int pin = config.home_hub[static_cast<size_t>(p)];
+    if (pin >= 0 && pin < config.num_hubs) {
+      hub = pin;
+    } else {
+      reject("false", "home_hub[" + std::to_string(p) + "]=" +
+                          std::to_string(pin) + " outside [0, " +
+                          std::to_string(config.num_hubs) + ")");
     }
-    Route& route = routes_[static_cast<size_t>(p)];
-    route.home_hub = hub;
-    route.present = MembershipPresentAtStart(p, config_.membership);
-    route.legs_by_origin.resize(static_cast<size_t>(n));
+  }
+  config.home_hub = std::move(home_hub);
+  return {std::move(config), std::move(violations)};
+}
+
+Conference::Conference(const ConferenceConfig& config) {
+  NormalizedConference normalized = NormalizeConferenceConfig(config);
+  InvariantRegistry::ReportAll(normalized.violations);
+  config_ = std::move(normalized.config);
+  const size_t n = config_.participants.size();
+  routes_.resize(n);
+  for (size_t p = 0; p < n; ++p) {
+    routes_[p].home_hub = config_.home_hub[p];
+    routes_[p].present =
+        MembershipPresentAtStart(static_cast<int>(p), config_.membership);
+    routes_[p].legs_by_origin.resize(n);
   }
   for (int h = 0; h < config_.num_hubs; ++h) hubs_.push_back({.hub = h});
   if (config_.trace_capacity > 0) {
@@ -412,7 +405,47 @@ void WireHop(Link& link, bool live, int participant, Payload packet,
             Arrival{std::move(packet), std::move(next), participant});
 }
 
+// Appends to an owning list whose entries keep their address for life.
+template <typename T>
+T* Append(std::vector<std::unique_ptr<T>>& list, T value) {
+  return list.emplace_back(std::make_unique<T>(std::move(value))).get();
+}
+
 }  // namespace
+
+// The sending half of a pipeline, attributed to its publisher: network
+// fork, scheduler, FEC, then the Sender's fork. A mesh leg builds its
+// receiver's metrics in between, as the historical Call did.
+void Conference::BuildSendPipeline(Uplink* up, Leg* mesh_leg, Random& rng,
+                                   Sender::TransmitRtpFn rtp,
+                                   Sender::TransmitRtcpFn rtcp) {
+  TraceParticipantScope scope(up->from);
+  up->network = std::make_unique<Network>(
+      &loop_, EdgePaths(up->from, up->to), rng.Fork());
+  up->scheduler = MakeScheduler(config_);
+  up->fec = MakeFec(config_);
+  if (mesh_leg != nullptr) BuildLegMetrics(mesh_leg);
+  up->sender = std::make_unique<Sender>(
+      &loop_, MakeSenderConfig(config_, up->from, up->incarnation),
+      up->scheduler.get(), up->fec.get(), up->network->path_ids(), rng.Fork(),
+      std::move(rtp), std::move(rtcp));
+}
+
+void Conference::BuildLegMetrics(Leg* leg) {
+  TraceParticipantScope scope(leg->to);
+  leg->metrics = std::make_unique<MetricsCollector>(
+      &loop_, MakeMetricsConfig(config_, leg->from));
+}
+
+void Conference::BuildLegReceiver(Leg* leg,
+                                  ReceiverEndpoint::TransmitRtcpFn transmit) {
+  TraceParticipantScope scope(leg->to);
+  leg->receiver = std::make_unique<ReceiverEndpoint>(
+      &loop_,
+      MakeReceiverConfig(config_, leg->from, leg->incarnation,
+                         /*subscribe=*/true, &arena_),
+      leg->metrics.get(), std::move(transmit));
+}
 
 // One full pipeline for the ordered pair (from, to), built in exactly the
 // order the historical point-to-point Call used (network fork, scheduler,
@@ -421,49 +454,23 @@ void WireHop(Link& link, bool live, int participant, Payload packet,
 // schedule included, which is what keeps the 2-party adapter byte-identical.
 Conference::Leg* Conference::BuildMeshLeg(int from, int to, int incarnation,
                                           Random& rng) {
-  Uplink* up = uplinks_
-                   .emplace_back(std::make_unique<Uplink>(Uplink{
-                       .from = from, .to = to, .incarnation = incarnation}))
-                   .get();
-  Leg* leg = legs_
-                 .emplace_back(std::make_unique<Leg>(
-                     Leg{.from = from, .to = to, .incarnation = incarnation,
-                         .uplink = up}))
-                 .get();
-  {
-    TraceParticipantScope scope(from);
-    up->network =
-        std::make_unique<Network>(&loop_, EdgePaths(from, to), rng.Fork());
-    up->scheduler = MakeScheduler(config_);
-    up->fec = MakeFec(config_);
-  }
-  leg->inbound = up->network.get();
-  {
-    TraceParticipantScope scope(to);
-    leg->metrics = std::make_unique<MetricsCollector>(
-        &loop_, MakeMetricsConfig(config_, from));
-  }
-  {
-    TraceParticipantScope scope(from);
-    up->sender = std::make_unique<Sender>(
-        &loop_, MakeSenderConfig(config_, from, incarnation),
-        up->scheduler.get(), up->fec.get(), up->network->path_ids(),
-        rng.Fork(),
-        [this, leg](PathId path, RtpPacket packet) {
-          RtpToReceiver(leg, path, std::move(packet));
-        },
-        [this, leg](PathId path, const RtcpPacket& packet) {
-          RtcpToReceiver(leg, path, packet);
-        });
-  }
-  TraceParticipantScope scope(to);
-  leg->receiver = std::make_unique<ReceiverEndpoint>(
-      &loop_,
-      MakeReceiverConfig(config_, from, incarnation, /*subscribe=*/true,
-                         &arena_),
-      leg->metrics.get(), [this, leg](PathId path, const RtcpPacket& packet) {
-        RtcpToPublisher(leg->uplink, leg->live, path, packet);
+  Uplink* up = Append(uplinks_, Uplink{.from = from, .to = to,
+                                       .incarnation = incarnation});
+  Leg* leg = Append(legs_, Leg{.from = from, .to = to,
+                               .incarnation = incarnation,
+                               .joined = loop_.now(), .uplink = up});
+  BuildSendPipeline(
+      up, leg, rng,
+      [this, leg](PathId path, RtpPacket packet) {
+        RtpToReceiver(leg, path, std::move(packet));
+      },
+      [this, leg](PathId path, const RtcpPacket& packet) {
+        RtcpToReceiver(leg, path, packet);
       });
+  leg->inbound = up->network.get();
+  BuildLegReceiver(leg, [this, leg](PathId path, const RtcpPacket& packet) {
+    RtcpToPublisher(leg->uplink, leg->live, path, packet);
+  });
   return leg;
 }
 
@@ -506,21 +513,13 @@ std::unique_ptr<ReceiverEndpoint> Conference::BuildFeedbackEndpoint(
 Conference::Uplink* Conference::BuildStarUplink(int from, int incarnation,
                                                 Random& rng) {
   Route& route = routes_[static_cast<size_t>(from)];
-  Uplink* up = uplinks_
-                   .emplace_back(std::make_unique<Uplink>(
-                       Uplink{.from = from, .to = kHubId,
-                              .incarnation = incarnation,
-                              .hub = route.home_hub}))
-                   .get();
+  Uplink* up = Append(uplinks_, Uplink{.from = from, .to = kHubId,
+                                       .incarnation = incarnation,
+                                       .hub = route.home_hub});
   route.uplink = up;
   TraceParticipantScope scope(from);
-  up->network =
-      std::make_unique<Network>(&loop_, EdgePaths(from, kHubId), rng.Fork());
-  up->scheduler = MakeScheduler(config_);
-  up->fec = MakeFec(config_);
-  up->sender = std::make_unique<Sender>(
-      &loop_, MakeSenderConfig(config_, from, incarnation),
-      up->scheduler.get(), up->fec.get(), up->network->path_ids(), rng.Fork(),
+  BuildSendPipeline(
+      up, /*mesh_leg=*/nullptr, rng,
       [this, up](PathId path, RtpPacket packet) {
         WireHop(up->network->path(path).forward(), up->live, up->from,
                 std::move(packet),
@@ -540,19 +539,7 @@ Conference::Uplink* Conference::BuildStarUplink(int from, int incarnation,
       from, incarnation, [this, up](PathId path, const RtcpPacket& p) {
         RtcpToPublisher(up, /*live=*/true, path, p);
       });
-
-  // The hub forwards uplink path p onto downlink path p, so every edge of
-  // a star must expose the same number of paths.
-  for (size_t to = 0; to < routes_.size(); ++to) {
-    const Network* down = routes_[to].downlink.get();
-    CONVERGE_INVARIANT(
-        "Conference", Timestamp::Zero(),
-        down == nullptr || down->num_paths() == up->network->num_paths(),
-        "star edge path-count mismatch: uplink " + std::to_string(from) +
-            " has " + std::to_string(up->network->num_paths()) +
-            ", downlink " + std::to_string(to) + " has " +
-            std::to_string(down == nullptr ? 0 : down->num_paths()));
-  }
+  CheckPathCount(*up->network, from, kHubId);
   // Mid-call builds (joins, re-homings) register with the trunks already
   // leaving this hub; the initial build has no trunks yet — BuildTrunk
   // registers the existing uplinks itself.
@@ -562,45 +549,58 @@ Conference::Uplink* Conference::BuildStarUplink(int from, int incarnation,
   return up;
 }
 
+// The hub forwards path p across every hop, so an uplink (`to` == kHubId)
+// or an inter-hub trunk must expose as many paths as every downlink.
+// Stamped with the build time: joins and re-homings build mid-call.
+void Conference::CheckPathCount(const Network& net, int from, int to) const {
+  for (size_t p = 0; p < routes_.size(); ++p) {
+    const Network* down = routes_[p].downlink.get();
+    CONVERGE_INVARIANT(
+        "Conference", loop_.now(),
+        down == nullptr || down->num_paths() == net.num_paths(),
+        (to == kHubId ? "star edge path-count mismatch: uplink " +
+                            std::to_string(from) + " has "
+                      : "trunk " + std::to_string(from) + "->" +
+                            std::to_string(to) +
+                            " path-count mismatch: trunk has ") +
+            std::to_string(net.num_paths()) + ", downlink " +
+            std::to_string(p) + " has " +
+            std::to_string(down == nullptr ? 0 : down->num_paths()));
+  }
+}
+
 // Receiving leg: per (sender, receiver) metrics + receive pipeline,
 // registered with the sender's uplink for hub fan-out.
 Conference::Leg* Conference::BuildStarLeg(Uplink* up, int to) {
   Route& route = routes_[static_cast<size_t>(to)];
-  Leg* leg = legs_
-                 .emplace_back(std::make_unique<Leg>(Leg{
-                     .from = up->from, .to = to,
-                     .incarnation = up->incarnation, .hub = route.home_hub,
-                     .uplink = up, .inbound = route.downlink.get()}))
-                 .get();
-  TraceParticipantScope scope(to);
-  leg->metrics = std::make_unique<MetricsCollector>(
-      &loop_, MakeMetricsConfig(config_, up->from));
-  leg->receiver = std::make_unique<ReceiverEndpoint>(
-      &loop_,
-      MakeReceiverConfig(config_, up->from, up->incarnation,
-                         /*subscribe=*/true, &arena_),
-      leg->metrics.get(), [this, leg](PathId path, const RtcpPacket& packet) {
-        // Receiver -> hub on the downlink's feedback direction. The
-        // forwarder consumes transport feedback and receiver reports (its
-        // downlink congestion loop) and answers NACKs from hub history; the
-        // origin's CC never sees downlink feedback. Only keyframe requests
-        // (the origin owns the encoder) and Converge QoE feedback (it owns
-        // the scheduler split) travel on.
-        WireHop(leg->inbound->path(path).backward(), leg->live, leg->to,
-                packet, [this, leg, path](const RtcpPacket& p, Timestamp) {
-                  // The leg may have been retired while this feedback was
-                  // in flight; its forwarder slot may belong to a rejoin.
-                  if (!leg->live) return;
-                  if (routes_[static_cast<size_t>(leg->to)]
-                          .forwarder->OnReceiverRtcp(leg->from, path, p)) {
-                    return;
-                  }
-                  if (std::holds_alternative<KeyframeRequest>(p.payload) ||
-                      std::holds_alternative<QoeFeedback>(p.payload)) {
-                    RelayToPublisher(leg->uplink, leg->hub, path, p);
-                  }
-                });
-      });
+  Leg* leg = Append(legs_, Leg{.from = up->from, .to = to,
+                               .incarnation = up->incarnation,
+                               .hub = route.home_hub, .joined = loop_.now(),
+                               .uplink = up,
+                               .inbound = route.downlink.get()});
+  BuildLegMetrics(leg);
+  BuildLegReceiver(leg, [this, leg](PathId path, const RtcpPacket& packet) {
+    // Receiver -> hub on the downlink's feedback direction. The forwarder
+    // consumes transport feedback and receiver reports (its downlink
+    // congestion loop) and answers NACKs from hub history; the origin's CC
+    // never sees downlink feedback. Only keyframe requests (the origin owns
+    // the encoder) and Converge QoE feedback (it owns the scheduler split)
+    // travel on.
+    WireHop(leg->inbound->path(path).backward(), leg->live, leg->to, packet,
+            [this, leg, path](const RtcpPacket& p, Timestamp) {
+              // The leg may have been retired while this feedback was in
+              // flight; its forwarder slot may belong to a rejoin.
+              if (!leg->live) return;
+              if (routes_[static_cast<size_t>(leg->to)]
+                      .forwarder->OnReceiverRtcp(leg->from, path, p)) {
+                return;
+              }
+              if (std::holds_alternative<KeyframeRequest>(p.payload) ||
+                  std::holds_alternative<QoeFeedback>(p.payload)) {
+                RelayToPublisher(leg->uplink, leg->hub, path, p);
+              }
+            });
+  });
   up->fanout.push_back(leg);
   route.legs_by_origin[static_cast<size_t>(up->from)] = leg;
   return leg;
@@ -691,29 +691,14 @@ Conference::Trunk* Conference::LiveTrunk(int from_hub, int to_hub) const {
 }
 
 void Conference::BuildTrunk(int from_hub, int to_hub, Random& rng) {
-  Trunk* t = trunks_
-                 .emplace_back(std::make_unique<Trunk>(
-                     Trunk{.from_hub = from_hub, .to_hub = to_hub}))
-                 .get();
+  Trunk* t = Append(trunks_, Trunk{.from_hub = from_hub, .to_hub = to_hub});
   t->network = std::make_unique<Network>(
       &loop_,
       config_.paths_for_trunk ? config_.paths_for_trunk(from_hub, to_hub)
       : config_.trunk_paths.empty() ? config_.paths
                                     : config_.trunk_paths,
       rng.Fork());
-  // Uplink path p crosses trunk path p onto downlink path p, so the trunk
-  // must expose the same path count as the star's edges.
-  for (size_t p = 0; p < routes_.size(); ++p) {
-    const Network* down = routes_[p].downlink.get();
-    CONVERGE_INVARIANT(
-        "Conference", loop_.now(),
-        down == nullptr || down->num_paths() == t->network->num_paths(),
-        "trunk " + std::to_string(from_hub) + "->" + std::to_string(to_hub) +
-            " path-count mismatch: trunk has " +
-            std::to_string(t->network->num_paths()) + ", downlink " +
-            std::to_string(p) + " has " +
-            std::to_string(down == nullptr ? 0 : down->num_paths()));
-  }
+  CheckPathCount(*t->network, from_hub, to_hub);
   // Starts at the aggregate rate of the publishers homed at the near hub.
   DataRate aggregate = PublisherRate(/*exclude=*/-1, from_hub);
   if (aggregate.bps() == 0) aggregate = config_.max_rate_per_stream;
@@ -964,19 +949,17 @@ void Conference::DetachParticipantPipelines(int p, bool rehomed) {
   route.uplink = nullptr;
 
   // Hub-side teardown. The forwarder and downlink network of the leaver are
-  // moved to the retired lists (in-flight continuations may still reference
+  // moved to the retired list (in-flight continuations may still reference
   // them) and their slots cleared so a rejoin rebuilds fresh ones; the
   // remaining receivers' forwarders and the trunk engines drop the leaver's
   // queued media and forget its egress/gate/RTX state so a rejoin (fresh
   // incarnation, new SSRCs) never inherits stamp counters from the previous
   // life.
-  if (route.forwarder != nullptr) {
-    route.forwarder->Stop();
-    retired_forwarders_.push_back(RetiredForwarder{
-        route.home_hub, p, rehomed, std::move(route.forwarder)});
-  }
   if (route.downlink != nullptr) {
-    retired_downlinks_.emplace_back(p, std::move(route.downlink));
+    route.forwarder->Stop();
+    retired_downlinks_.push_back({route.home_hub, p, rehomed,
+                                  std::move(route.downlink),
+                                  std::move(route.forwarder)});
   }
   for (size_t q = 0; q < routes_.size(); ++q) {
     if (routes_[q].forwarder != nullptr) routes_[q].forwarder->ResetOrigin(p);
@@ -998,8 +981,8 @@ void Conference::JoinParticipant(int p) {
     return MembershipIncarnationAt(q, now, config_.membership) +
            routes_[static_cast<size_t>(q)].rehomings;
   };
-  std::vector<Leg*> fresh_legs;
-  std::vector<Uplink*> fresh_ups;
+  const size_t first_leg = legs_.size();
+  const size_t first_uplink = uplinks_.size();
 
   if (config_.topology == Topology::kMesh) {
     // Mesh semantics: every directed pair runs its own encode loop, so the
@@ -1009,55 +992,35 @@ void Conference::JoinParticipant(int p) {
     // spaces never mix).
     for (int q = 0; q < n; ++q) {
       if (spec.sends && q != p && InCall(q, &ParticipantSpec::receives)) {
-        fresh_legs.push_back(BuildMeshLeg(p, q, incarnation(p), churn_rng_));
+        BuildMeshLeg(p, q, incarnation(p), churn_rng_);
       }
     }
     for (int q = 0; q < n; ++q) {
       if (spec.receives && q != p && InCall(q, &ParticipantSpec::sends)) {
-        fresh_legs.push_back(BuildMeshLeg(q, p, incarnation(q), churn_rng_));
+        BuildMeshLeg(q, p, incarnation(q), churn_rng_);
       }
     }
-    for (Leg* leg : fresh_legs) fresh_ups.push_back(leg->uplink);
   } else {
     // Star: mirror the constructor's phase order for this one participant —
     // downlink, uplink (path counts re-checked), legs, forwarder.
     if (spec.receives) BuildStarDownlink(p, churn_rng_);
     if (spec.sends) {
       Uplink* up = BuildStarUplink(p, incarnation(p), churn_rng_);
-      fresh_ups.push_back(up);
       for (int q = 0; q < n; ++q) {
         if (q != p && InCall(q, &ParticipantSpec::receives)) {
-          fresh_legs.push_back(BuildStarLeg(up, q));
+          BuildStarLeg(up, q);
         }
       }
     }
     if (spec.receives) {
       // One inbound leg per live publisher, in uplink construction order.
       for (auto& up : uplinks_) {
-        if (up->live && up->from != p) {
-          fresh_legs.push_back(BuildStarLeg(up.get(), p));
-        }
+        if (up->live && up->from != p) BuildStarLeg(up.get(), p);
       }
       BuildStarForwarder(p);
     }
   }
-
-  // Arm the fresh pipelines in Start()'s order: receivers, hub feedback
-  // endpoints, then senders.
-  for (Leg* leg : fresh_legs) {
-    leg->joined = now;
-    TraceParticipantScope scope(leg->to);
-    leg->receiver->Start();
-  }
-  for (Uplink* up : fresh_ups) {
-    if (up->hub_feedback == nullptr) continue;
-    TraceParticipantScope scope(up->from);
-    up->hub_feedback->Start();
-  }
-  for (Uplink* up : fresh_ups) {
-    TraceParticipantScope scope(up->from);
-    up->sender->Start();
-  }
+  ArmPipelines(first_leg, first_uplink);
 }
 
 void Conference::ApplyMembershipEvent(const MembershipEvent& ev) {
@@ -1157,33 +1120,41 @@ void Conference::SetInvariantContext() {
   }
 }
 
+void Conference::ArmPipelines(size_t first_leg, size_t first_uplink) {
+  const auto legs = std::span(legs_).subspan(first_leg);
+  const auto ups = std::span(uplinks_).subspan(first_uplink);
+  for (const auto& leg : legs) {
+    TraceParticipantScope scope(leg->to);
+    leg->receiver->Start();
+  }
+  for (const auto& up : ups) {
+    if (up->hub_feedback == nullptr) continue;
+    TraceParticipantScope scope(up->from);
+    up->hub_feedback->Start();
+  }
+  if (!started_) {
+    // Once the call runs, trunk agents start as they are built.
+    for (const auto& t : trunks_) {
+      for (const auto& up : ups) {
+        if (ReceiverEndpoint* agent = TrunkAgent(*up, t.get())) {
+          TraceParticipantScope scope(up->from);
+          agent->Start();
+        }
+      }
+    }
+  }
+  for (const auto& up : ups) {
+    TraceParticipantScope scope(up->from);
+    up->sender->Start();
+  }
+}
+
 void Conference::Start() {
   SetInvariantContext();
   // Conferences run single-threaded (one per worker in parallel sweeps), so
   // the thread-local recorder covers exactly this conference's components.
   TraceScope trace_scope(trace_.get());
-  for (auto& leg : legs_) {
-    TraceParticipantScope scope(leg->to);
-    leg->receiver->Start();
-  }
-  for (auto& up : uplinks_) {
-    if (up->hub_feedback == nullptr) continue;
-    TraceParticipantScope scope(up->from);
-    up->hub_feedback->Start();
-  }
-  for (auto& t : trunks_) {
-    for (const Route& route : routes_) {
-      if (route.uplink == nullptr) continue;
-      TraceParticipantScope scope(route.uplink->from);
-      if (ReceiverEndpoint* agent = TrunkAgent(*route.uplink, t.get())) {
-        agent->Start();
-      }
-    }
-  }
-  for (auto& up : uplinks_) {
-    TraceParticipantScope scope(up->from);
-    up->sender->Start();
-  }
+  ArmPipelines(0, 0);
   // Arm the membership timeline once: events fire inside AdvanceTo (which
   // re-establishes the trace/invariant scopes per slice), and scheduling
   // them all up front keeps their (time, sequence) dispatch order identical
@@ -1195,7 +1166,7 @@ void Conference::Start() {
     }
     // Hub outages are scheduled the same way: every kOutage window of hub
     // h's fault plan kills the hub at its start and recovers it at its end
-    // (only a cascade keeps hub fault plans; see the constructor).
+    // (only a cascade keeps hub fault plans; see NormalizeConferenceConfig).
     for (size_t h = 0; h < config_.hub_fault_plans.size(); ++h) {
       const int hub = static_cast<int>(h);
       for (const auto& [fail_at, recover_at] :
@@ -1220,24 +1191,22 @@ ConferenceStats Conference::Collect() {
   const Timestamp call_end = Timestamp::Zero() + config_.duration;
   out.legs.reserve(legs_.size());
   for (auto& leg : legs_) {
-    ConferenceStats::Leg ls;
-    ls.from = leg->from;
-    ls.to = leg->to;
-    ls.incarnation = leg->incarnation;
     // QoE is normalized over the leg's own membership window, so a
-    // churn-created leg's rates are comparable to a whole-call leg's.
-    const Timestamp window_start = leg->joined;
-    const Timestamp window_end = std::min(leg->left, call_end);
-    ls.joined_s = (window_start - Timestamp::Zero()).seconds();
-    ls.left_s = (window_end - Timestamp::Zero()).seconds();
-    // Star note: the sender-side counters (packets sent, FEC overhead) come
-    // from the shared uplink, so they repeat across the uplink's legs; the
+    // churn-created leg's rates are comparable to a whole-call leg's. Star
+    // note: the sender-side counters (packets sent, FEC overhead) come from
+    // the shared uplink, so they repeat across the uplink's legs; the
     // receive-side QoE is per leg.
-    ls.stats = CollectLegStats(
-        config_.participants[static_cast<size_t>(leg->from)].num_streams,
-        leg->metrics.get(), *leg->uplink->sender, *leg->receiver,
-        window_start, window_end);
-    out.legs.push_back(std::move(ls));
+    const Timestamp window_end = std::min(leg->left, call_end);
+    out.legs.push_back(
+        {.from = leg->from,
+         .to = leg->to,
+         .incarnation = leg->incarnation,
+         .joined_s = (leg->joined - Timestamp::Zero()).seconds(),
+         .left_s = (window_end - Timestamp::Zero()).seconds(),
+         .stats = CollectLegStats(
+             config_.participants[static_cast<size_t>(leg->from)].num_streams,
+             leg->metrics.get(), *leg->uplink->sender, *leg->receiver,
+             leg->joined, window_end)});
   }
 
   const int n = static_cast<int>(config_.participants.size());
@@ -1299,13 +1268,13 @@ ConferenceStats Conference::Collect() {
       add_downlinks(route.home_hub, p, *route.forwarder);
     }
   }
-  for (const RetiredForwarder& rf : retired_forwarders_) {
-    if (rf.rehomed) add_downlinks(rf.hub, rf.receiver, *rf.forwarder);
+  for (const RetiredDownlink& rd : retired_downlinks_) {
+    if (rd.rehomed) add_downlinks(rd.hub, rd.receiver, *rd.forwarder);
   }
 
   // Multi-hub only: trunk and hub state (both stay empty for single-hub
   // conferences, keeping their stats JSON byte-identical).
-  if (multi_hub()) {
+  if (config_.num_hubs > 1) {
     for (const auto& t : trunks_) {
       for (PathId path : t->engine->path_ids()) {
         ConferenceStats::Trunk ts;
@@ -1352,8 +1321,8 @@ ConferenceStats Conference::Collect() {
       collect_flows(kHubId, static_cast<int>(p), *routes_[p].downlink);
     }
   }
-  for (const auto& retired : retired_downlinks_) {
-    collect_flows(kHubId, retired.first, *retired.second);
+  for (const RetiredDownlink& rd : retired_downlinks_) {
+    collect_flows(kHubId, rd.receiver, *rd.network);
   }
   for (const auto& t : trunks_) collect_flows(kHubId, kHubId, *t->network);
   return out;

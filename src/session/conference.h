@@ -56,6 +56,7 @@
 #include "session/sender.h"
 #include "signaling/negotiation.h"
 #include "util/arena.h"
+#include "util/invariants.h"
 #include "util/trace_recorder.h"
 
 namespace converge {
@@ -75,7 +76,6 @@ enum class Variant {
 };
 
 std::string ToString(Variant v);
-bool IsMultipath(Variant v);
 
 enum class Topology {
   kMesh,  // full-mesh P2P: one directed leg per ordered participant pair
@@ -203,6 +203,23 @@ struct ConferenceConfig {
   // Flight-recorder capacity in events; 0 (the default) disables tracing.
   size_t trace_capacity = 0;
 };
+
+// What NormalizeConferenceConfig makes of a config.
+struct NormalizedConference {
+  // The config a Conference builds: defaulted, clamped, rejected fields
+  // degraded, the membership timeline sorted (or cleared when invalid) and
+  // home_hub resolved to one in-range entry per participant.
+  ConferenceConfig config;
+  // Every rule the input broke, in check order, as the "Conference"
+  // component's violations at t = 0 — exactly what the constructor records
+  // through the invariant registry.
+  std::vector<InvariantViolation> violations;
+};
+
+// The ConferenceConfig contract in one pure function: every check, clamp and
+// fallback, run without an EventLoop or the invariant registry. Its output
+// config normalizes to itself.
+NormalizedConference NormalizeConferenceConfig(ConferenceConfig config);
 
 // Aggregated results of one directed media flow: a whole point-to-point
 // Call, or one leg of a Conference.
@@ -356,6 +373,8 @@ struct ConferenceStats {
 
 class Conference {
  public:
+  // Builds the call NormalizeConferenceConfig(config) describes, after
+  // recording its violations through the invariant registry.
   explicit Conference(const ConferenceConfig& config);
   ~Conference();
 
@@ -516,6 +535,17 @@ class Conference {
   Leg* BuildStarLeg(Uplink* up, int to);
   void BuildStarForwarder(int to);
   void BuildTrunk(int from_hub, int to_hub, Random& rng);
+  // Pipeline halves shared by the mesh and star builders.
+  void BuildSendPipeline(Uplink* up, Leg* mesh_leg, Random& rng,
+                         Sender::TransmitRtpFn rtp,
+                         Sender::TransmitRtcpFn rtcp);
+  void BuildLegMetrics(Leg* leg);
+  void BuildLegReceiver(Leg* leg, ReceiverEndpoint::TransmitRtcpFn transmit);
+  void CheckPathCount(const Network& net, int from, int to) const;
+  // Starts legs_[first_leg..] and uplinks_[first_uplink..] in one order:
+  // receivers, hub feedback endpoints, trunk agents (before the call starts
+  // only), then senders. Start() arms everything; a join arms what it built.
+  void ArmPipelines(size_t first_leg, size_t first_uplink);
   // Far-end feedback endpoint for `up`'s media on trunk `t` (t->from_hub
   // is up->hub), started at once when the call is already running.
   void BuildTrunkAgent(Trunk* t, Uplink* up);
@@ -551,7 +581,6 @@ class Conference {
                         const RtcpPacket& packet);
 
   // --- cascaded hub fabric ---
-  bool multi_hub() const { return config_.num_hubs > 1; }
   Trunk* LiveTrunk(int from_hub, int to_hub) const;
   void RetireTrunk(Trunk* t);
   // Hub outage handling, scheduled from hub_fault_plans: FailHub retires
@@ -586,19 +615,20 @@ class Conference {
   // kept (never erased): in-flight deliveries may still reference them.
   std::vector<std::unique_ptr<Uplink>> uplinks_;
   std::vector<std::unique_ptr<Leg>> legs_;
-  // Star churn: downlink networks / forwarders of participants that left,
-  // kept alive for in-flight continuations (paired with the participant so
-  // their cross-traffic flows still report).
-  std::vector<std::pair<int, std::unique_ptr<Network>>> retired_downlinks_;
-  struct RetiredForwarder {
+  // Star: the downlink network and forwarder of every participant that left
+  // or re-homed, kept alive for in-flight continuations. Their cross-traffic
+  // flows still report.
+  struct RetiredDownlink {
     int hub = 0;
     int receiver = 0;
-    // True when retired by a hub-failure re-homing (reported in stats);
-    // false for churn leaves (unreported, matching the historical JSON).
+    // True when retired by a hub-failure re-homing (its forwarder rows are
+    // reported in stats); false for churn leaves (unreported, matching the
+    // historical JSON).
     bool rehomed = false;
+    std::unique_ptr<Network> network;
     std::unique_ptr<HubForwarder> forwarder;
   };
-  std::vector<RetiredForwarder> retired_forwarders_;
+  std::vector<RetiredDownlink> retired_downlinks_;
   // Inter-hub trunks; empty for single-hub stars and meshes.
   std::vector<std::unique_ptr<Trunk>> trunks_;
   // Per-hub liveness and failover accounting (home_participants is filled

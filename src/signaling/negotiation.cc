@@ -189,21 +189,22 @@ bool ConferencePlan::PresentAt(int participant, Timestamp t) const {
   return present;
 }
 
-namespace {
-
-std::vector<MembershipEvent> CheckedTimeline(
-    int num_participants, std::vector<MembershipEvent> membership) {
+std::vector<InvariantViolation> NormalizeMembership(
+    const char* component, int num_participants,
+    std::vector<MembershipEvent>& membership) {
   std::stable_sort(membership.begin(), membership.end(),
                    [](const MembershipEvent& a, const MembershipEvent& b) {
                      return a.at < b.at;
                    });
-  const std::string error = ValidateMembership(num_participants, membership);
-  CONVERGE_INVARIANT("Negotiation", Timestamp::Zero(), error.empty(), error);
-  if (!error.empty()) membership.clear();
-  return membership;
+  std::string error = ValidateMembership(num_participants, membership);
+  if (error.empty()) return {};
+  membership.clear();
+  return {{.component = component,
+           .condition = "error.empty()",
+           .detail = std::move(error),
+           .context = {},
+           .at = Timestamp::Zero()}};
 }
-
-}  // namespace
 
 const NegotiatedSession& ConferencePlan::PairSession(int a, int b) const {
   if (a > b) std::swap(a, b);
@@ -215,7 +216,8 @@ const NegotiatedSession& ConferencePlan::PairSession(int a, int b) const {
 }
 
 ConferencePlan NegotiateMesh(
-    const std::vector<EndpointCapabilities>& participants) {
+    const std::vector<EndpointCapabilities>& participants,
+    std::vector<MembershipEvent> membership) {
   ConferencePlan plan;
   plan.num_participants = static_cast<int>(participants.size());
   plan.star = false;
@@ -224,37 +226,25 @@ ConferencePlan NegotiateMesh(
       plan.sessions.push_back(Negotiate(participants[a], participants[b]));
     }
   }
+  InvariantRegistry::ReportAll(
+      NormalizeMembership("Negotiation", plan.num_participants, membership));
+  plan.membership = std::move(membership);
   return plan;
 }
 
 ConferencePlan NegotiateStar(
     const EndpointCapabilities& forwarder,
-    const std::vector<EndpointCapabilities>& participants) {
+    const std::vector<EndpointCapabilities>& participants,
+    std::vector<MembershipEvent> membership) {
   ConferencePlan plan;
   plan.num_participants = static_cast<int>(participants.size());
   plan.star = true;
   for (const EndpointCapabilities& participant : participants) {
     plan.sessions.push_back(Negotiate(participant, forwarder));
   }
-  return plan;
-}
-
-ConferencePlan NegotiateMesh(
-    const std::vector<EndpointCapabilities>& participants,
-    std::vector<MembershipEvent> membership) {
-  ConferencePlan plan = NegotiateMesh(participants);
-  plan.membership =
-      CheckedTimeline(plan.num_participants, std::move(membership));
-  return plan;
-}
-
-ConferencePlan NegotiateStar(
-    const EndpointCapabilities& forwarder,
-    const std::vector<EndpointCapabilities>& participants,
-    std::vector<MembershipEvent> membership) {
-  ConferencePlan plan = NegotiateStar(forwarder, participants);
-  plan.membership =
-      CheckedTimeline(plan.num_participants, std::move(membership));
+  InvariantRegistry::ReportAll(
+      NormalizeMembership("Negotiation", plan.num_participants, membership));
+  plan.membership = std::move(membership);
   return plan;
 }
 

@@ -11,6 +11,7 @@
 
 #include "signaling/ice.h"
 #include "signaling/sdp.h"
+#include "util/invariants.h"
 #include "util/time.h"
 
 namespace converge {
@@ -36,6 +37,14 @@ struct MembershipEvent {
 // description of the first problem.
 std::string ValidateMembership(int num_participants,
                                const std::vector<MembershipEvent>& events);
+
+// Sorts `membership` by time (stably) and validates it. An invalid timeline
+// is cleared, and its ValidateMembership error comes back as the one
+// violation, labelled with the caller's `component` and stamped t = 0. The
+// negotiators and NormalizeConferenceConfig share this one rule.
+std::vector<InvariantViolation> NormalizeMembership(
+    const char* component, int num_participants,
+    std::vector<MembershipEvent>& membership);
 
 // Initial-presence rule shared by Conference and the negotiators.
 bool MembershipPresentAtStart(int participant,
@@ -140,31 +149,26 @@ struct ConferencePlan {
   }
 };
 
+// Both negotiators take the full roster up front (every participant that
+// will EVER be in the call, as real conferencing services do — a rejoiner
+// re-uses its negotiated session under a fresh incarnation) and attach the
+// membership timeline through NormalizeMembership: sorted by time, or
+// reported through the invariant registry and attached empty when invalid.
+// An empty timeline is the fixed-membership call.
+//
 // Full-mesh negotiation: offer/answer between every participant pair (lower
 // id offers). A single legacy endpoint only downgrades its own pairs — the
 // rest of the mesh keeps multipath.
 ConferencePlan NegotiateMesh(
-    const std::vector<EndpointCapabilities>& participants);
+    const std::vector<EndpointCapabilities>& participants,
+    std::vector<MembershipEvent> membership = {});
 
 // Star negotiation: every participant negotiates its uplink against the
 // forwarder's capabilities (the forwarder answers).
 ConferencePlan NegotiateStar(
     const EndpointCapabilities& forwarder,
-    const std::vector<EndpointCapabilities>& participants);
-
-// Churn-aware overloads: negotiate the full roster up front (every
-// participant that will EVER be in the call, as real conferencing services
-// do — a rejoiner re-uses its negotiated session under a fresh incarnation),
-// then validate and attach the membership timeline, sorted by time. The
-// timeline must pass ValidateMembership; invalid timelines are rejected via
-// the invariant registry and attached empty.
-ConferencePlan NegotiateMesh(
     const std::vector<EndpointCapabilities>& participants,
-    std::vector<MembershipEvent> membership);
-ConferencePlan NegotiateStar(
-    const EndpointCapabilities& forwarder,
-    const std::vector<EndpointCapabilities>& participants,
-    std::vector<MembershipEvent> membership);
+    std::vector<MembershipEvent> membership = {});
 
 // Cascaded-fabric negotiation (DESIGN §10): a star over `num_hubs` regional
 // hubs. Each participant negotiates its uplink against the forwarder

@@ -68,6 +68,14 @@ void InvariantRegistry::Report(const char* component, const char* condition,
                                             std::move(detail), t_context, at});
 }
 
+void InvariantRegistry::ReportAll(
+    const std::vector<InvariantViolation>& violations) {
+  if (!enabled()) return;
+  for (const InvariantViolation& v : violations) {
+    Report(v.component.c_str(), v.condition.c_str(), v.at, v.detail);
+  }
+}
+
 void InvariantRegistry::SetContext(std::string context) {
   t_context = std::move(context);
 }

@@ -40,6 +40,9 @@ class InvariantRegistry {
   // workers). Storage is capped; the total count keeps incrementing.
   static void Report(const char* component, const char* condition,
                      Timestamp at, std::string detail);
+  // Records violations a pure checker collected (NormalizeConferenceConfig,
+  // NormalizeMembership), in order, when checking is enabled.
+  static void ReportAll(const std::vector<InvariantViolation>& violations);
 
   // Thread-local run label attached to subsequent violations on this
   // thread — Call::Run sets "<variant> seed=<n>" so a violation inside a

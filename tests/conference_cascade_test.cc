@@ -83,28 +83,6 @@ TEST(ConferenceCascadeTest, SingleHubConfigIsByteIdenticalToPlainStar) {
   EXPECT_EQ(ja.find("\"hub\""), std::string::npos);
 }
 
-// A hub outage re-homes onto another hub, and a single hub has none: the
-// config is rejected through the invariant registry (not silently ignored)
-// and runs exactly like the plan-free star.
-TEST(ConferenceCascadeTest, SingleHubOutagePlanIsRejected) {
-  ConferenceConfig plain = CascadeStarConfig(3, Duration::Seconds(3), 13);
-  ConferenceConfig faulted = plain;
-  FaultPlan outage;
-  outage.Add(FaultEvent::Outage(Timestamp::Zero() + Duration::Seconds(1),
-                                Duration::Seconds(1)));
-  faulted.hub_fault_plans = {outage};
-
-  ScopedInvariants invariants;
-  Conference a(plain);
-  const std::string expected = ConferenceStatsToJson(a.Run());
-  ASSERT_EQ(InvariantRegistry::violation_count(), 0)
-      << InvariantRegistry::Describe();
-  Conference b(faulted);
-  EXPECT_GT(InvariantRegistry::violation_count(), 0)
-      << "single-hub outage plan accepted silently";
-  EXPECT_EQ(ConferenceStatsToJson(b.Run()), expected);
-}
-
 // --- 2. Trunk CC isolation --------------------------------------------------
 
 // One sender homed at hub 0, one receiver homed at hub 1, clean access

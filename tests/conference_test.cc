@@ -1,11 +1,14 @@
 // Conference runtime coverage: the 2-party Call adapter's byte-identity
 // against the pinned seed-era fixtures, 3-party mesh determinism across
 // worker counts and reruns, star-topology forwarding correctness, the
-// faulted-mesh chaos run CI pins under ASan, and the participant-scoped
-// SSRC allocator.
+// faulted-mesh chaos run CI pins under ASan, the participant-scoped SSRC
+// allocator, and every ConferenceConfig degrade rule, through the
+// constructor and through NormalizeConferenceConfig alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -461,6 +464,39 @@ TEST(ConferenceStarTest, WebRtcStarAnswersLegacyNacksAtTheHub) {
   EXPECT_GT(recovered, 0);
 }
 
+// A late joiner's uplink is built mid-call, so a path-count mismatch against
+// the downlinks must be stamped at the join, not at t = 0. The joiner's
+// uplink has fewer paths than the downlinks, so forwarding path p onto
+// downlink path p stays safe.
+TEST(ConferenceStarTest, LateJoinerPathCountMismatchIsStampedAtJoinTime) {
+  ConferenceConfig config = StarConfig(3, Duration::Seconds(2), 17);
+  const auto base = config.paths_for_edge;
+  config.paths_for_edge = [base](int from, int to) {
+    std::vector<PathSpec> paths = base(from, to);
+    if (from == 2) paths.resize(1);
+    return paths;
+  };
+  config.membership = {fixtures::Join(1.0, 2)};
+
+  ScopedInvariants invariants;
+  Conference conference(config);
+  conference.Run();
+  std::vector<std::pair<std::string, int64_t>> recorded;
+  for (const InvariantViolation& v : InvariantRegistry::Snapshot()) {
+    recorded.emplace_back(v.detail, v.at.us());
+  }
+  const int64_t join_us = Duration::Seconds(1.0).us();
+  const std::vector<std::pair<std::string, int64_t>> expected = {
+      {"star edge path-count mismatch: uplink 2 has 1, downlink 0 has 2",
+       join_us},
+      {"star edge path-count mismatch: uplink 2 has 1, downlink 1 has 2",
+       join_us},
+      {"star edge path-count mismatch: uplink 2 has 1, downlink 2 has 2",
+       join_us},
+  };
+  EXPECT_EQ(recorded, expected);
+}
+
 TEST(ConferenceStarTest, DeterministicAcrossJobs) {
   std::vector<ConferenceConfig> configs;
   for (uint64_t seed = 7; seed <= 9; ++seed) {
@@ -669,6 +705,330 @@ TEST(ConferenceChaosTest, DuplicationFaultsReachReceiversOnEveryEdgeKind) {
       } else {
         EXPECT_EQ(dups, 0) << from << "->" << to;
       }
+    }
+  }
+}
+
+// --- Config normalization: every degrade rule, pinned -----------------------
+
+// One rule of the ConferenceConfig contract: a config that breaks it, what
+// the constructor records, and the shape the call runs in instead.
+struct DegradeRule {
+  std::string name;
+  ConferenceConfig config;
+  // (condition, detail) per violation, in report order. Every one is the
+  // "Conference" component's, stamped at t = 0.
+  std::vector<std::pair<std::string, std::string>> violations{};
+  int num_hubs = 1;
+  int simulcast_rungs = 1;
+  int temporal_layers = 1;
+  // Resolved home hub, one entry per participant.
+  std::vector<int> home_hub;
+  // Legs at construction, and in the stats once churn has run.
+  size_t legs = 0;
+  size_t run_legs = 0;
+  // A valid config that must run byte-identically; unset for rules that
+  // are reported but not repaired.
+  std::optional<ConferenceConfig> repaired{};
+};
+
+std::vector<DegradeRule> DegradeRules() {
+  using fixtures::Join;
+  using fixtures::Leave;
+  const ConferenceConfig mesh = MeshConfig(3, Duration::Seconds(1), 71);
+  const ConferenceConfig star = StarConfig(3, Duration::Seconds(1), 72);
+  // `base` with `edit` applied.
+  auto with = [](ConferenceConfig base, auto edit) {
+    edit(base);
+    return base;
+  };
+  FaultPlan outage;
+  outage.Add(FaultEvent::Outage(Timestamp::Zero() + Duration::Seconds(0.3),
+                                Duration::Seconds(0.3)));
+  const ParticipantSpec silent{.sends = false, .receives = false};
+  std::vector<DegradeRule> rules;
+
+  rules.push_back(
+      {.name = "one participant",
+       .config = with(mesh, [](auto& c) { c.participants.resize(1); }),
+       .violations = {{"n >= 2", "conference needs >= 2 participants, got 1"}},
+       .home_hub = {0}});
+  {
+    ConferenceConfig crowd = mesh;
+    crowd.participants.assign(4097, silent);
+    crowd.participants[0] = crowd.participants[1] = ParticipantSpec{};
+    rules.push_back(
+        {.name = "too many participants",
+         .config = crowd,
+         .violations = {{"n <= SsrcAllocator::kMaxParticipantsPerIncarnation",
+                         "too many participants for the SSRC layout: 4097"}},
+         .home_hub = std::vector<int>(4097, 0),
+         .legs = 2,
+         .run_legs = 2});
+  }
+  const std::string streams_rule =
+      "p.num_streams >= 1 && "
+      "p.num_streams <= SsrcAllocator::kMaxStreamsPerParticipant";
+  rules.push_back(
+      {.name = "zero streams",
+       .config = with(mesh,
+                      [](auto& c) {
+                        c.participants[2] = {.sends = false,
+                                             .num_streams = 0};
+                      }),
+       .violations = {{streams_rule, "num_streams out of range: 0"}},
+       .home_hub = {0, 0, 0},
+       .legs = 4,
+       .run_legs = 4});
+  rules.push_back(
+      {.name = "too many streams",
+       .config = with(mesh,
+                      [](auto& c) {
+                        c.participants[2] = {.sends = false,
+                                             .num_streams = 257};
+                      }),
+       .violations = {{streams_rule, "num_streams out of range: 257"}},
+       .home_hub = {0, 0, 0},
+       .legs = 4,
+       .run_legs = 4});
+  // Valid once sorted: participant 2 joins late, participant 1 leaves.
+  rules.push_back(
+      {.name = "unsorted valid timeline",
+       .config = with(mesh,
+                      [](auto& c) {
+                        c.membership = {Leave(0.6, 1), Join(0.3, 2)};
+                      }),
+       .home_hub = {0, 0, 0},
+       .legs = 2,
+       .run_legs = 6,
+       .repaired = with(mesh, [](auto& c) {
+         c.membership = {Join(0.3, 2), Leave(0.6, 1)};
+       })});
+  rules.push_back(
+      {.name = "invalid timeline",
+       .config = with(mesh,
+                      [](auto& c) {
+                        c.membership = {Join(0.3, 2), Join(0.6, 2)};
+                      }),
+       .violations = {{"error.empty()", "participant 2 joins while present"}},
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = mesh});
+  rules.push_back({.name = "zero hubs",
+                   .config = with(star, [](auto& c) { c.num_hubs = 0; }),
+                   .violations = {{"false", "num_hubs must be >= 1, got 0"}},
+                   .home_hub = {0, 0, 0},
+                   .legs = 6,
+                   .run_legs = 6,
+                   .repaired = star});
+  rules.push_back(
+      {.name = "multi-hub mesh",
+       .config = with(mesh, [](auto& c) { c.num_hubs = 2; }),
+       .violations = {{"false",
+                       "multi-hub cascade requires the star topology"}},
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = mesh});
+  const ConferenceConfig cascade = with(star, [](auto& c) { c.num_hubs = 2; });
+  rules.push_back(
+      {.name = "wrong-sized home_hub",
+       .config = with(cascade, [](auto& c) { c.home_hub = {1}; }),
+       .violations = {{"config_.home_hub.empty() || "
+                       "config_.home_hub.size() == static_cast<size_t>(n)",
+                       "home_hub must be empty or have one entry per "
+                       "participant"}},
+       .num_hubs = 2,
+       .home_hub = {0, 1, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = cascade});
+  rules.push_back(
+      {.name = "out-of-range pin",
+       .config = with(cascade, [](auto& c) { c.home_hub = {1, -1, 0}; }),
+       .violations = {{"false", "home_hub[1]=-1 outside [0, 2)"}},
+       .num_hubs = 2,
+       .home_hub = {1, 1, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = with(cascade, [](auto& c) { c.home_hub = {1, 1, 0}; })});
+  rules.push_back(
+      {.name = "more fault plans than hubs",
+       .config = with(cascade,
+                      [&](auto& c) { c.hub_fault_plans = {{}, {}, outage}; }),
+       .violations = {{"false", "more hub fault plans than hubs"}},
+       .num_hubs = 2,
+       .home_hub = {0, 1, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = with(cascade,
+                        [](auto& c) { c.hub_fault_plans = {{}, {}}; })});
+  // A hub outage re-homes onto another hub, and a single hub has none: the
+  // plan is rejected, not silently ignored, and the call runs plan-free.
+  rules.push_back(
+      {.name = "single-hub outage plan",
+       .config = with(star, [&](auto& c) { c.hub_fault_plans = {outage}; }),
+       .violations = {{"false", "hub fault plans require num_hubs > 1"}},
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = star});
+  rules.push_back(
+      {.name = "two fault plans for one hub",
+       .config = with(star,
+                      [&](auto& c) { c.hub_fault_plans = {outage, outage}; }),
+       .violations = {{"false", "more hub fault plans than hubs"},
+                      {"false", "hub fault plans require num_hubs > 1"}},
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = star});
+  rules.push_back({.name = "zero rungs and layers",
+                   .config = with(star,
+                                  [](auto& c) {
+                                    c.simulcast_rungs = 0;
+                                    c.temporal_layers = 0;
+                                  }),
+                   .home_hub = {0, 0, 0},
+                   .legs = 6,
+                   .run_legs = 6,
+                   .repaired = star});
+  rules.push_back(
+      {.name = "too many rungs",
+       .config = with(star, [](auto& c) { c.simulcast_rungs = 5; }),
+       .violations = {{"false",
+                       "simulcast_rungs 5 exceeds the wire/selection limit "
+                       "of 4"}},
+       .simulcast_rungs = 4,
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = with(star, [](auto& c) { c.simulcast_rungs = 4; })});
+  rules.push_back(
+      {.name = "five temporal layers",
+       .config = with(star, [](auto& c) { c.temporal_layers = 5; }),
+       .temporal_layers = 4,
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = with(star, [](auto& c) { c.temporal_layers = 4; })});
+  rules.push_back(
+      {.name = "simulcast on a mesh",
+       .config = with(mesh, [](auto& c) { c.simulcast_rungs = 2; }),
+       .violations = {{"false", "simulcast requires the star topology"}},
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = mesh});
+  const ConferenceConfig srtt_star =
+      with(star, [](auto& c) { c.variant = Variant::kSrtt; });
+  rules.push_back(
+      {.name = "simulcast on a non-Converge variant",
+       .config = with(srtt_star, [](auto& c) { c.simulcast_rungs = 2; }),
+       .violations = {{"false",
+                       "simulcast requires a Converge-family variant "
+                       "(per-path NACK)"}},
+       .home_hub = {0, 0, 0},
+       .legs = 6,
+       .run_legs = 6,
+       .repaired = srtt_star});
+  return rules;
+}
+
+// (component, condition, detail, at in microseconds).
+using RecordedViolation =
+    std::tuple<std::string, std::string, std::string, int64_t>;
+
+std::vector<RecordedViolation> ExpectedViolations(const DegradeRule& rule) {
+  std::vector<RecordedViolation> out;
+  for (const auto& [condition, detail] : rule.violations) {
+    out.emplace_back("Conference", condition, detail, 0);
+  }
+  return out;
+}
+
+TEST(ConferenceConfigTest, ConstructorRecordsEveryDegradeRule) {
+  for (const DegradeRule& rule : DegradeRules()) {
+    SCOPED_TRACE(rule.name);
+    const std::vector<RecordedViolation> expected = ExpectedViolations(rule);
+    ScopedInvariants invariants;
+    Conference conference(rule.config);
+    std::vector<RecordedViolation> recorded;
+    for (const InvariantViolation& v : InvariantRegistry::Snapshot()) {
+      recorded.emplace_back(v.component, v.condition, v.detail, v.at.us());
+    }
+    EXPECT_EQ(recorded, expected);
+    EXPECT_EQ(conference.num_legs(), rule.legs);
+    for (size_t p = 0; p < rule.home_hub.size(); ++p) {
+      EXPECT_EQ(conference.home_hub(static_cast<int>(p)), rule.home_hub[p])
+          << "participant " << p;
+    }
+
+    const ConferenceStats stats = conference.Run();
+    // The degraded call runs to the end without tripping anything else.
+    EXPECT_EQ(InvariantRegistry::violation_count(),
+              static_cast<int64_t>(expected.size()))
+        << InvariantRegistry::Describe();
+    EXPECT_EQ(stats.num_hubs, rule.num_hubs);
+    EXPECT_EQ(stats.simulcast_rungs, rule.simulcast_rungs);
+    EXPECT_EQ(stats.temporal_layers, rule.temporal_layers);
+    EXPECT_EQ(stats.participants.size(), rule.home_hub.size());
+    EXPECT_EQ(stats.legs.size(), rule.run_legs);
+    if (rule.repaired.has_value()) {
+      Conference repaired(*rule.repaired);
+      EXPECT_EQ(ConferenceStatsToJson(repaired.Run()),
+                ConferenceStatsToJson(stats))
+          << "the degraded call diverged from its repaired config";
+      EXPECT_EQ(InvariantRegistry::violation_count(),
+                static_cast<int64_t>(expected.size()))
+          << "the repaired config is not valid";
+    }
+  }
+}
+
+// What normalizing decides, membership timeline included.
+auto NormalizedShape(const ConferenceConfig& c) {
+  std::vector<std::tuple<bool, int64_t, int>> timeline;
+  for (const MembershipEvent& ev : c.membership) {
+    timeline.emplace_back(ev.kind == MembershipEvent::Kind::kJoin, ev.at.us(),
+                          ev.participant);
+  }
+  return std::tuple(c.participants.size(), c.num_hubs, c.simulcast_rungs,
+                    c.temporal_layers, c.home_hub, c.hub_fault_plans.size(),
+                    timeline);
+}
+
+// The same rows against the pure normalizer: no Conference is built and
+// nothing reaches the invariant registry.
+TEST(ConferenceConfigTest, NormalizerMatchesEveryDegradeRule) {
+  for (const DegradeRule& rule : DegradeRules()) {
+    SCOPED_TRACE(rule.name);
+    ScopedInvariants invariants;
+    const NormalizedConference normalized =
+        NormalizeConferenceConfig(rule.config);
+    EXPECT_EQ(InvariantRegistry::violation_count(), 0);
+    std::vector<RecordedViolation> found;
+    for (const InvariantViolation& v : normalized.violations) {
+      found.emplace_back(v.component, v.condition, v.detail, v.at.us());
+    }
+    EXPECT_EQ(found, ExpectedViolations(rule));
+    const ConferenceConfig& config = normalized.config;
+    EXPECT_EQ(config.num_hubs, rule.num_hubs);
+    EXPECT_EQ(config.simulcast_rungs, rule.simulcast_rungs);
+    EXPECT_EQ(config.temporal_layers, rule.temporal_layers);
+    EXPECT_EQ(config.home_hub, rule.home_hub);
+    EXPECT_TRUE(std::is_sorted(
+        config.membership.begin(), config.membership.end(),
+        [](const auto& a, const auto& b) { return a.at < b.at; }));
+    EXPECT_EQ(NormalizedShape(NormalizeConferenceConfig(config).config),
+              NormalizedShape(config))
+        << "the output does not normalize to itself";
+    if (rule.repaired.has_value()) {
+      const NormalizedConference repaired =
+          NormalizeConferenceConfig(*rule.repaired);
+      EXPECT_TRUE(repaired.violations.empty());
+      EXPECT_EQ(NormalizedShape(repaired.config), NormalizedShape(config));
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "signaling/negotiation.h"
+#include "util/invariants.h"
 
 namespace converge {
 namespace {
@@ -280,6 +281,49 @@ TEST(MembershipTest, ChurnAwareMeshPlanCarriesTimeline) {
   EXPECT_TRUE(plan.PresentAt(1, at(10)));
   // Pairwise sessions exist for every pair regardless of churn.
   EXPECT_TRUE(plan.PairSession(0, 1).use_multipath);
+}
+
+// The negotiators and the conference share NormalizeMembership; each
+// reports an invalid timeline under its own component label and attaches
+// it empty.
+TEST(MembershipTest, InvalidTimelineIsReportedUnderTheCallersLabel) {
+  auto at = [](double s) { return Timestamp::Zero() + Duration::Seconds(s); };
+  using K = MembershipEvent::Kind;
+  std::vector<EndpointCapabilities> participants(2);
+  for (int i = 0; i < 2; ++i) {
+    participants[static_cast<size_t>(i)].participant_id = i;
+    participants[static_cast<size_t>(i)].interfaces = DualInterfaces();
+  }
+  const std::vector<MembershipEvent> twice = {{K::kLeave, at(2), 1},
+                                              {K::kLeave, at(4), 1}};
+
+  ScopedInvariants invariants;
+  EXPECT_TRUE(NegotiateStar(EndpointCapabilities{}, participants, twice)
+                  .membership.empty());
+  EXPECT_TRUE(NegotiateMesh(participants, twice).membership.empty());
+  const std::vector<InvariantViolation> reported =
+      InvariantRegistry::Snapshot();
+  ASSERT_EQ(reported.size(), 2u);
+  for (const InvariantViolation& v : reported) {
+    EXPECT_EQ(v.component, "Negotiation");
+    EXPECT_EQ(v.condition, "error.empty()");
+    EXPECT_EQ(v.detail, "participant 1 leaves while absent");
+    EXPECT_EQ(v.at, Timestamp::Zero());
+  }
+
+  // Called directly, the helper reports nothing itself.
+  std::vector<MembershipEvent> timeline = twice;
+  const std::vector<InvariantViolation> found =
+      NormalizeMembership("Conference", 2, timeline);
+  EXPECT_TRUE(timeline.empty());
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].component, "Conference");
+  EXPECT_EQ(found[0].detail, "participant 1 leaves while absent");
+  std::vector<MembershipEvent> unsorted = {{K::kJoin, at(8), 1},
+                                           {K::kLeave, at(4), 1}};
+  EXPECT_TRUE(NormalizeMembership("Conference", 2, unsorted).empty());
+  EXPECT_EQ(unsorted[0].kind, K::kLeave);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 2);
 }
 
 TEST(NegotiationTest, StarPlanNegotiatesOneUplinkPerParticipant) {
