@@ -190,7 +190,8 @@ BENCHMARK(BM_EventLoopSelfScheduling);
 
 // Events whose callback carries a full RtpPacket by value — the link
 // delivery shape. Must stay inside the EventLoop's inline callback buffer
-// (no heap fallback): sizeof(RtpPacket) + capture overhead < 192 bytes.
+// (no heap fallback): sizeof(RtpPacket) + capture overhead <=
+// EventLoop::kCallbackInlineBytes (144).
 void BM_EventLoopPacketCapture(benchmark::State& state) {
   constexpr int kEvents = 5'000;
   RtpPacket proto;
@@ -248,21 +249,21 @@ void BM_LinkEnqueueDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkEnqueueDeliver);
 
-// Copy vs move of an RtpPacket carrying shared FEC metadata: the copy is a
-// flat memcpy plus a refcount bump, the move is pointer swaps. Guards the
-// shared_ptr<const FecBlockMeta> representation.
+// Copy of a 64-byte RtpPacket carrying shared FEC metadata: a flat copy
+// plus one non-atomic increment of the FecMetaRef count. Guards the
+// intrusive-handle representation.
 void BM_RtpPacketCopy(benchmark::State& state) {
-  auto meta = std::make_shared<FecBlockMeta>();
+  FecBlockMeta meta;
   for (int i = 0; i < 40; ++i) {
     ProtectedPacketMeta m;
     m.seq = static_cast<uint16_t>(i);
     m.payload_bytes = 1100;
-    meta->covered.push_back(m);
+    meta.covered.push_back(m);
   }
   RtpPacket p;
   p.kind = PayloadKind::kFec;
   p.payload_bytes = 1100;
-  p.fec = std::move(meta);
+  p.fec = FecMetaRef::Make(std::move(meta));
   for (auto _ : state) {
     RtpPacket copy = p;
     benchmark::DoNotOptimize(copy);

@@ -1,7 +1,6 @@
 #include "fec/xor_fec.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace converge {
@@ -67,7 +66,6 @@ std::vector<RtpPacket> XorFecEncoder::Generate(
     fec.gop_id = sample.gop_id;
     fec.frame_kind = sample.frame_kind;
     fec.capture_time = sample.capture_time;
-    fec.fec_block = block_id;
     // Parity inherits the covered rung's layer coordinates so a hub can
     // forward only the parity protecting the subscribed rung.
     fec.spatial_id = sample.spatial_id;
@@ -75,15 +73,16 @@ std::vector<RtpPacket> XorFecEncoder::Generate(
     fec.temporal_id = sample.temporal_id;
     fec.num_temporal = sample.num_temporal;
 
-    int64_t max_payload = 0;
-    auto block = std::make_shared<FecBlockMeta>();
+    int32_t max_payload = 0;
+    FecBlockMeta block;
+    block.block_id = block_id;
     for (size_t j = static_cast<size_t>(g); j < media.size();
          j += static_cast<size_t>(num_fec)) {
       const RtpPacket& covered = *media[j];
-      block->covered.push_back(MetaOf(covered));
+      block.covered.push_back(MetaOf(covered));
       max_payload = std::max(max_payload, covered.payload_bytes);
     }
-    fec.fec = std::move(block);
+    fec.fec = FecMetaRef::Make(std::move(block));
     fec.payload_bytes = max_payload + 10;  // FEC level header
     out.push_back(std::move(fec));
   }

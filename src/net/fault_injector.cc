@@ -85,48 +85,20 @@ void FaultyLink::Send(int64_t bytes, DeliverFn on_deliver, DropFn on_drop) {
     if (on_drop) on_drop(/*queue_drop=*/false);
     return;
   }
-  const bool outage_pending = injector_.OutagePending(now);
-  if (!outage_pending && decision.extra_delay.IsZero()) {
-    // Fast path: no fault can touch this packet between here and delivery —
-    // hand it straight to the base link, allocation-free.
-    Link::Send(bytes, std::move(on_deliver), std::move(on_drop));
-    return;
-  }
+  // Outside every fault window nothing can touch this packet between here
+  // and delivery; otherwise its fate is decided again at arrival (jitter
+  // shifts it; an outage window may swallow or park it). Either way the
+  // base link carries it allocation-free.
+  const bool recheck = injector_.OutagePending(now) ||
+                       !decision.extra_delay.IsZero();
+  Enqueue(bytes, std::move(on_deliver), std::move(on_drop),
+          decision.extra_delay, recheck);
+}
 
-  // The delivery continuation is wrapped so the packet's fate can be decided
-  // again at arrival time (jitter shifts it; an outage window may swallow or
-  // park it). The wrapper exceeds the inline callback budget, so packets in
-  // fault windows heap-allocate — the steady state outside windows does not.
-  // The drop callback is shared: the base link needs it for queue/loss drops
-  // and the wrapper needs it for delivery-time outage drops.
-  auto shared_drop = std::make_shared<DropFn>(std::move(on_drop));
-  EventLoop* lp = loop();
-  FaultInjector* inj = &injector_;
-  FaultyLink* self = this;
-  DeliverFn wrapped =
-      [lp, inj, self, bytes, extra = decision.extra_delay,
-       inner = std::move(on_deliver), shared_drop](Timestamp arrival) mutable {
-        Timestamp target = arrival + extra;
-        const FaultInjector::DeliveryAction action = inj->OnDelivery(target);
-        if (action.drop) {
-          self->ConvertDeliveryToLoss(bytes);
-          if (*shared_drop) (*shared_drop)(/*queue_drop=*/false);
-          return;
-        }
-        if (action.delay) target = action.deliver_at;
-        if (target > arrival) {
-          lp->ScheduleAt(target,
-                         [target, inner = std::move(inner)]() mutable {
-                           inner(target);
-                         });
-        } else {
-          inner(arrival);
-        }
-      };
-  Link::Send(bytes, std::move(wrapped),
-             [shared_drop](bool queue_drop) {
-               if (*shared_drop) (*shared_drop)(queue_drop);
-             });
+Link::ArrivalVerdict FaultyLink::OnArrival(Timestamp target) {
+  const FaultInjector::DeliveryAction action = injector_.OnDelivery(target);
+  if (action.drop) return ArrivalVerdict{true, target};
+  return ArrivalVerdict{false, action.delay ? action.deliver_at : target};
 }
 
 std::unique_ptr<Link> MakeLink(EventLoop* loop, Link::Config config,

@@ -69,8 +69,8 @@ class FaultInjector {
   DeliveryAction OnDelivery(Timestamp arrival);
 
   // True while an outage window could still affect in-flight packets —
-  // FaultyLink only pays for delivery wrapping (heap-spilled callbacks)
-  // until the last outage has passed.
+  // FaultyLink only re-decides deliveries at arrival until the last outage
+  // has passed.
   bool OutagePending(Timestamp now) const {
     return plan_.LastOutageEnd().IsFinite() && now < plan_.LastOutageEnd();
   }
@@ -101,6 +101,9 @@ class FaultyLink final : public Link {
   Duration PropDelayNow() const override;
 
   const FaultInjector& injector() const { return injector_; }
+
+ protected:
+  ArrivalVerdict OnArrival(Timestamp target) override;
 
  private:
   FaultInjector injector_;

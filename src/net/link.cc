@@ -21,13 +21,23 @@ int64_t Link::QueueLimitBytes() const {
 }
 
 void Link::Send(int64_t bytes, DeliverFn on_deliver, DropFn on_drop) {
+  Enqueue(bytes, std::move(on_deliver), std::move(on_drop), Duration::Zero(),
+          /*recheck=*/false);
+}
+
+void Link::Enqueue(int64_t bytes, DeliverFn on_deliver, DropFn on_drop,
+                   Duration extra_delay, bool recheck) {
   ++stats_.packets_sent;
   if (queued_bytes_ + bytes > QueueLimitBytes()) {
     ++stats_.packets_queue_dropped;
     if (on_drop) on_drop(/*queue_drop=*/true);
     return;
   }
-  queue_.push_back(Pending{bytes, std::move(on_deliver), std::move(on_drop)});
+  const uint32_t recheck_slot =
+      recheck ? recheck_slots_.Put(Recheck{extra_delay, bytes, nullptr})
+              : kNoRecheck;
+  queue_.push_back(
+      Pending{bytes, recheck_slot, std::move(on_deliver), std::move(on_drop)});
   queued_bytes_ += bytes;
   if (!busy_) StartTransmission();
 }
@@ -58,23 +68,23 @@ void Link::FinishTransmission() {
   if (lost) {
     ++stats_.packets_lost;
     DropFn on_drop = std::move(pkt.on_drop);
+    if (pkt.recheck != kNoRecheck) recheck_slots_.Take(pkt.recheck);
     queue_.pop_front();
     if (on_drop) on_drop(/*queue_drop=*/false);
   } else {
     ++stats_.packets_delivered;
     stats_.bytes_delivered += pkt.bytes;
     const Timestamp arrival = loop_->now() + PropDelayNow();
-    uint32_t slot;
-    if (!deliver_free_.empty()) {
-      slot = deliver_free_.back();
-      deliver_free_.pop_back();
-      deliver_slots_[slot] = std::move(pkt.on_deliver);
-    } else {
-      slot = static_cast<uint32_t>(deliver_slots_.size());
-      deliver_slots_.push_back(std::move(pkt.on_deliver));
+    // A re-decided packet may still be dropped at arrival, so its drop
+    // callback travels with it.
+    if (pkt.recheck != kNoRecheck) {
+      recheck_slots_[pkt.recheck].on_drop = std::move(pkt.on_drop);
     }
+    const Arrival entry{arrival, inflight_seq_++,
+                        deliver_slots_.Put(std::move(pkt.on_deliver)),
+                        pkt.recheck};
     queue_.pop_front();
-    inflight_.push_back(Arrival{arrival, inflight_seq_++, slot});
+    inflight_.push_back(entry);
     std::push_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
     loop_->ScheduleAt(arrival, [this] { DeliverNext(); });
   }
@@ -85,10 +95,30 @@ void Link::DeliverNext() {
   std::pop_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
   const Arrival arrival = inflight_.back();
   inflight_.pop_back();
-  DeliverFn deliver = std::move(deliver_slots_[arrival.slot]);
-  deliver_slots_[arrival.slot] = nullptr;
-  deliver_free_.push_back(arrival.slot);
-  deliver(arrival.at);
+  if (arrival.recheck == kNoRecheck) {
+    DeliverFromSlot(arrival.slot, arrival.at);
+    return;
+  }
+  Recheck recheck = recheck_slots_.Take(arrival.recheck);
+  const ArrivalVerdict verdict = OnArrival(arrival.at + recheck.extra_delay);
+  if (verdict.drop) {
+    deliver_slots_.Take(arrival.slot);
+    --stats_.packets_delivered;
+    stats_.bytes_delivered -= recheck.bytes;
+    ++stats_.packets_lost;
+    if (recheck.on_drop) recheck.on_drop(/*queue_drop=*/false);
+  } else if (verdict.deliver_at > arrival.at) {
+    loop_->ScheduleAt(verdict.deliver_at,
+                      [this, slot = arrival.slot, at = verdict.deliver_at] {
+                        DeliverFromSlot(slot, at);
+                      });
+  } else {
+    DeliverFromSlot(arrival.slot, arrival.at);
+  }
+}
+
+void Link::DeliverFromSlot(uint32_t slot, Timestamp at) {
+  deliver_slots_.Take(slot)(at);
 }
 
 }  // namespace converge

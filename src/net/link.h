@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/fault_plan.h"
 #include "net/loss_model.h"
@@ -56,12 +58,13 @@ class Link {
   };
 
   // Small-buffer-optimized so a delivery continuation carrying a whole
-  // RtpPacket stays allocation-free; sized to fit inside an EventLoop
-  // callback slot together with the arrival timestamp.
+  // RtpPacket stays allocation-free; follows EventLoop::kCallbackInlineBytes.
   static constexpr size_t kDeliverInlineBytes =
       EventLoop::kCallbackInlineBytes - 24;
   using DeliverFn = InlineFunction<void(Timestamp), kDeliverInlineBytes>;
-  using DropFn = InlineFunction<void(bool), 48>;
+  // A drop callback captures an owner pointer or two; every Pending and
+  // Recheck record carries one.
+  using DropFn = InlineFunction<void(bool), 16>;
 
   Link(EventLoop* loop, Config config, Random rng);
   virtual ~Link() = default;
@@ -99,23 +102,74 @@ class Link {
   EventLoop* loop() const { return loop_; }
   const Config& config() const { return config_; }
 
-  // Fault-injection stat hooks (FaultyLink only): an ingress fault drop
-  // counts as sent+lost; a delivery retroactively converted to a loss (an
-  // outage swallowing an in-flight packet) undoes the delivered counters.
+  // The fate of a packet that a subclass re-decides at arrival (see
+  // Enqueue): dropped, or delivered at `deliver_at`.
+  struct ArrivalVerdict {
+    bool drop = false;
+    Timestamp deliver_at;
+  };
+
+  // Enqueues like Send. With `recheck`, the packet's fate is decided again
+  // when it arrives: OnArrival gets the arrival time plus `extra_delay` and
+  // its verdict either drops the packet (a delivery converted to a loss;
+  // on_drop fires) or delivers it — at once when the verdict is the
+  // arrival time itself, else from an event at the verdict's time. The
+  // continuation and the drop callback stay in their in-flight slot until
+  // then, so a re-decided packet costs no allocation.
+  void Enqueue(int64_t bytes, DeliverFn on_deliver, DropFn on_drop,
+               Duration extra_delay, bool recheck);
+  virtual ArrivalVerdict OnArrival(Timestamp target) {
+    return ArrivalVerdict{false, target};
+  }
+
+  // Fault-injection stat hook (FaultyLink only): an ingress fault drop
+  // counts as sent+lost.
   void RecordInjectedSendDrop() {
     ++stats_.packets_sent;
     ++stats_.packets_lost;
   }
-  void ConvertDeliveryToLoss(int64_t bytes) {
-    --stats_.packets_delivered;
-    stats_.bytes_delivered -= bytes;
-    ++stats_.packets_lost;
-  }
 
  private:
+  // Recycled storage addressed by a 4-byte index: after warm-up, parking
+  // and taking back never touch the allocator.
+  template <typename T>
+  class SlotPool {
+   public:
+    uint32_t Put(T value) {
+      if (free_.empty()) {
+        slots_.push_back(std::move(value));
+        return static_cast<uint32_t>(slots_.size() - 1);
+      }
+      const uint32_t slot = free_.back();
+      free_.pop_back();
+      slots_[slot] = std::move(value);
+      return slot;
+    }
+    T& operator[](uint32_t slot) { return slots_[slot]; }
+    T Take(uint32_t slot) {
+      T value = std::move(slots_[slot]);
+      free_.push_back(slot);
+      return value;
+    }
+
+   private:
+    std::vector<T> slots_;
+    std::vector<uint32_t> free_;
+  };
+
+  static constexpr uint32_t kNoRecheck = UINT32_MAX;
   struct Pending {
-    int64_t bytes;
+    int64_t bytes = 0;
+    uint32_t recheck = kNoRecheck;  // index into recheck_slots_
     DeliverFn on_deliver;
+    DropFn on_drop;
+  };
+  // What a re-decided packet needs at arrival besides its continuation.
+  // Only packets enqueued with `recheck` take one, so a link outside fault
+  // windows never grows the table.
+  struct Recheck {
+    Duration extra_delay;
+    int64_t bytes = 0;
     DropFn on_drop;
   };
   // One propagating packet: its delivery continuation parks in a recycled
@@ -128,6 +182,7 @@ class Link {
     Timestamp at;
     int64_t seq;
     uint32_t slot;
+    uint32_t recheck;
     bool operator>(const Arrival& o) const {
       return at != o.at ? at > o.at : seq > o.seq;
     }
@@ -137,6 +192,7 @@ class Link {
   void StartTransmission();
   void FinishTransmission();
   void DeliverNext();
+  void DeliverFromSlot(uint32_t slot, Timestamp at);
 
   EventLoop* loop_;
   Config config_;
@@ -150,10 +206,11 @@ class Link {
   // In-flight deliveries: min-heap on (arrival, seq) + recycled continuation
   // slots. Dispatch order matches the event loop's exactly — the loop fires
   // arrival events in (time, schedule-order) order, which is precisely the
-  // heap's (at, seq) order — so delivery results are unchanged.
+  // heap's (at, seq) order — so delivery results are unchanged. A packet
+  // whose OnArrival verdict postpones it keeps its slot until delivered.
   std::vector<Arrival> inflight_;
-  std::vector<DeliverFn> deliver_slots_;
-  std::vector<uint32_t> deliver_free_;
+  SlotPool<DeliverFn> deliver_slots_;
+  SlotPool<Recheck> recheck_slots_;
   int64_t inflight_seq_ = 0;
   Stats stats_;
 };

@@ -117,7 +117,7 @@ bool ParseRtpHeader(const std::vector<uint8_t>& in, RtpPacket* packet) {
     if (at + len > ext_end) return false;
     switch (id) {
       case kExtIdPathId:
-        packet->path_id = static_cast<PathId>(in[at]);
+        packet->path_id = static_cast<int8_t>(in[at]);
         break;
       case kExtIdMpSeq:
         packet->mp_seq = GetU16(in, at);

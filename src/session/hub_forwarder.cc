@@ -529,6 +529,8 @@ void HubForwarder::Emit(PathId path, PathState& ps, Queued q,
                         Timestamp now, bool padding) {
   RtpPacket& packet = q.packet;
   EgressLeg& el = ps.egress[q.leg];
+  CONVERGE_INVARIANT("HubForwarder", now, FitsPacketPathId(path),
+                     "path " + std::to_string(path));
   packet.path_id = path;
   packet.send_time = now;
   // Hub-owned sequence spaces, stamped at queue output so the per-path

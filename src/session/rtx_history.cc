@@ -1,5 +1,9 @@
 #include "session/rtx_history.h"
 
+#include <string>
+
+#include "util/invariants.h"
+
 namespace converge {
 
 void RtxHistory::OnSent(int leg, PathId path, const RtpPacket& packet) {
@@ -40,6 +44,9 @@ RtpPacket RtxHistory::Stamp(const RtpPacket& original, bool per_path,
   // A per-path answer names the (path, mp_seq) hole it plugs so the
   // receiver's NACK tracker stops chasing it; a legacy answer's own
   // (ssrc, seq) is the hole.
+  CONVERGE_INVARIANT("RtxHistory", Timestamp::MinusInfinity(),
+                     !per_path || FitsPacketPathId(report_path),
+                     "report path " + std::to_string(report_path));
   rtx.rtx_for_path = per_path ? report_path : kInvalidPathId;
   rtx.rtx_for_mp_seq = per_path ? seq : 0;
   return rtx;

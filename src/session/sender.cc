@@ -137,6 +137,9 @@ void Sender::OnCameraFrame(size_t stream_index, const RawFrame& raw) {
 void Sender::SendEncodedFrame(StreamState& stream,
                               const EncodedFrame& frame) {
   std::vector<RtpPacket> packets = stream.packetizer->Packetize(frame);
+  CONVERGE_INVARIANT("Sender", loop_->now(),
+                     std::in_range<uint8_t>(frame.qp),
+                     "qp " + std::to_string(frame.qp));
   for (RtpPacket& p : packets) p.qp = frame.qp;
 
   const std::vector<PathInfo> infos = BuildPathInfos();
@@ -244,6 +247,8 @@ void Sender::DispatchToPacer(PathId path, const RtpPacket& packet) {
   auto it = paths_.find(path);
   if (it == paths_.end()) return;
   RtpPacket copy = packet;
+  CONVERGE_INVARIANT("Sender", loop_->now(), FitsPacketPathId(path),
+                     "path " + std::to_string(path));
   copy.path_id = path;
   it->second.pacer->Enqueue(std::move(copy));
 }

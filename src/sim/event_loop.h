@@ -40,10 +40,14 @@ namespace converge {
 
 class EventLoop {
  public:
-  // Sized so the largest hot-path capture — a link-delivery continuation
-  // carrying an RtpPacket by value — stays inline. Oversized captures still
-  // work; they fall back to the heap inside InlineFunction.
-  static constexpr size_t kCallbackInlineBytes = 192;
+  // The smallest size at which every hot-path capture stays inline: a
+  // link-delivery continuation (Link::kDeliverInlineBytes, derived from this)
+  // carrying a 64-byte RtpPacket or a 72-byte RtcpPacket plus its routing
+  // context. The RTCP hops are the limit; the WireHop static_asserts in
+  // session/conference.cc pin it. Oversized captures still work; they fall
+  // back to the heap inside InlineFunction, which counts them
+  // (InlineFunctionHeapFallbacks).
+  static constexpr size_t kCallbackInlineBytes = 144;
   using Callback = InlineFunction<void(), kCallbackInlineBytes>;
 
   // Timer-wheel geometry. One tick is 2^kTickShift µs; the wheel spans

@@ -3,11 +3,17 @@
 // std::function heap-allocates any callable bigger than ~2 pointers, which
 // makes every scheduled event and every in-flight packet a malloc/free pair
 // in the simulator's inner loop. InlineFunction stores callables up to
-// kInlineBytes in place (a full RtpPacket capture fits) and only falls back
-// to the heap for oversized captures, so the steady-state event path runs
+// kInlineBytes in place (a 64-byte RtpPacket capture plus its routing
+// context fits the event loop's 144-byte slots) and only falls back to the
+// heap for oversized captures, so the steady-state event path runs
 // allocation-free. Move-only: captures are moved, never copied, end to end.
+//
+// A heap fallback still works but degrades silently, so every one is
+// counted process-wide: InlineFunctionHeapFallbacks() is the number of
+// constructions that took the heap branch, across all instantiations.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -15,6 +21,18 @@
 #include <utility>
 
 namespace converge {
+
+namespace internal {
+inline std::atomic<int64_t> inline_function_heap_fallbacks{0};
+}  // namespace internal
+
+// InlineFunction constructions (any signature, any buffer size) whose
+// callable did not fit inline and was heap-allocated, since process start.
+// Relaxed: a monotone counter read to compare before/after a run.
+inline int64_t InlineFunctionHeapFallbacks() {
+  return internal::inline_function_heap_fallbacks.load(
+      std::memory_order_relaxed);
+}
 
 template <typename Signature, size_t kInlineBytes = 48>
 class InlineFunction;
@@ -39,6 +57,8 @@ class InlineFunction<R(Args...), kInlineBytes> {
       invoke_ = &InvokeInline<Fn>;
       manage_ = &ManageInline<Fn>;
     } else {
+      internal::inline_function_heap_fallbacks.fetch_add(
+          1, std::memory_order_relaxed);
       heap_ = new Fn(std::forward<F>(f));
       invoke_ = &InvokeHeap<Fn>;
       manage_ = &ManageHeap<Fn>;

@@ -1,6 +1,10 @@
 #include "video/packetizer.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+
+#include "util/invariants.h"
 
 namespace converge {
 
@@ -10,8 +14,30 @@ std::vector<RtpPacket> Packetizer::Packetize(const EncodedFrame& frame) {
   const uint32_t rtp_ts =
       static_cast<uint32_t>(frame.capture_time.us() * 90 / 1000);  // 90 kHz
 
+  // RtpPacket's fields are narrower than the frame's: report a value that
+  // would wrap instead of letting it.
+  const Timestamp at = frame.capture_time;
+  CONVERGE_INVARIANT("Packetizer", at, std::in_range<int32_t>(frame.frame_id),
+                     "frame_id " + std::to_string(frame.frame_id));
+  CONVERGE_INVARIANT("Packetizer", at, std::in_range<int32_t>(frame.gop_id),
+                     "gop_id " + std::to_string(frame.gop_id));
+  CONVERGE_INVARIANT("Packetizer", at, std::in_range<uint8_t>(frame.stream_id),
+                     "stream_id " + std::to_string(frame.stream_id));
+  CONVERGE_INVARIANT(
+      "Packetizer", at,
+      frame.spatial_id >= 0 && frame.num_spatial >= 0 &&
+          frame.temporal_id >= 0 && frame.num_temporal >= 0 &&
+          std::max({frame.spatial_id, frame.num_spatial, frame.temporal_id,
+                    frame.num_temporal}) <= kMaxLayerCoordinate,
+      "layers " + std::to_string(frame.spatial_id) + "/" +
+          std::to_string(frame.num_spatial) + " " +
+          std::to_string(frame.temporal_id) + "/" +
+          std::to_string(frame.num_temporal));
+
   auto base_packet = [&](PayloadKind kind, Priority priority,
                          int64_t payload) {
+    CONVERGE_INVARIANT("Packetizer", at, std::in_range<int32_t>(payload),
+                       "payload_bytes " + std::to_string(payload));
     RtpPacket p;
     p.ssrc = config_.ssrc;
     p.seq = next_seq_++;
@@ -19,10 +45,10 @@ std::vector<RtpPacket> Packetizer::Packetize(const EncodedFrame& frame) {
     p.kind = kind;
     p.priority = priority;
     p.frame_kind = frame.kind;
-    p.stream_id = frame.stream_id;
-    p.frame_id = frame.frame_id;
-    p.gop_id = frame.gop_id;
-    p.payload_bytes = payload;
+    p.stream_id = static_cast<uint8_t>(frame.stream_id);
+    p.frame_id = static_cast<int32_t>(frame.frame_id);
+    p.gop_id = static_cast<int32_t>(frame.gop_id);
+    p.payload_bytes = static_cast<int32_t>(payload);
     p.capture_time = frame.capture_time;
     p.spatial_id = static_cast<uint8_t>(frame.spatial_id);
     p.num_spatial = static_cast<uint8_t>(frame.num_spatial);

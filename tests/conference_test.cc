@@ -1,9 +1,11 @@
 // Conference runtime coverage: the 2-party Call adapter's byte-identity
 // against the pinned seed-era fixtures, 3-party mesh determinism across
 // worker counts and reruns, star-topology forwarding correctness, the
-// faulted-mesh chaos run CI pins under ASan, the participant-scoped SSRC
-// allocator, and every ConferenceConfig degrade rule, through the
-// constructor and through NormalizeConferenceConfig alone.
+// faulted-mesh chaos run CI pins under ASan, zero InlineFunction heap
+// fallbacks while faulted and cascaded calls advance, the
+// participant-scoped SSRC allocator, and every ConferenceConfig degrade
+// rule, through the constructor and through NormalizeConferenceConfig
+// alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include "session/conference.h"
 #include "session/stats_json.h"
 #include "trace/generators.h"
+#include "util/inline_function.h"
 #include "util/invariants.h"
 
 #include "fixture_configs.h"
@@ -542,6 +545,40 @@ TEST(ConferenceChaosTest, FaultedThreePartyMeshRunsCleanUnderInvariants) {
   }
   EXPECT_EQ(tagged.size(), 3u)
       << "expected probe events attributed to all 3 participants";
+}
+
+// --- Heap fallbacks: every hot-path continuation stays inline --------------
+// InlineFunction counts the callables that spilled to the heap. Packets in
+// fault windows (jitter, reordering, duplication, outages) and the hub
+// fabric's trunk and RTCP hops must all fit the event loop's inline slots.
+
+int64_t HeapFallbacksWhileAdvancing(const ConferenceConfig& config) {
+  Conference conference(config);
+  conference.Start();
+  const int64_t before = InlineFunctionHeapFallbacks();
+  conference.AdvanceTo(Timestamp::Zero() + config.duration);
+  const int64_t fallbacks = InlineFunctionHeapFallbacks() - before;
+  conference.Collect();
+  return fallbacks;
+}
+
+TEST(ConferenceAllocationTest, FaultedDrivingCallNeverFallsBackToTheHeap) {
+  CallConfig call;
+  call.variant = Variant::kConverge;
+  call.duration = Duration::Seconds(20);
+  call.seed = 1000;
+  TraceParams params;
+  params.length = call.duration;
+  call.paths = MakeScenarioPathsWithFaults(Scenario::kDriving, call.seed,
+                                           params);
+  EXPECT_EQ(HeapFallbacksWhileAdvancing(ToConferenceConfig(call)), 0);
+}
+
+TEST(ConferenceAllocationTest, CascadeStarNeverFallsBackToTheHeap) {
+  // Three hubs, a hub failure with re-homing, and a leave/rejoin.
+  EXPECT_EQ(
+      HeapFallbacksWhileAdvancing(fixtures::FixtureCascadeFailoverConfig()),
+      0);
 }
 
 // Star chaos: a mid-call rate cliff on ONE receiver's downlink. The hub

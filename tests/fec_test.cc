@@ -47,8 +47,8 @@ TEST(XorFecTest, GeneratesRequestedParityCount) {
   for (const auto& f : parity) {
     EXPECT_EQ(f.kind, PayloadKind::kFec);
     EXPECT_EQ(f.priority, Priority::kFec);
-    EXPECT_EQ(f.fec_block, 42);
     ASSERT_NE(f.fec, nullptr);
+    EXPECT_EQ(f.fec->block_id, 42);
     EXPECT_FALSE(f.fec->covered.empty());
   }
   // Interleaved groups: parity g covers seqs {g, g+3, g+6, ...}.

@@ -84,5 +84,27 @@ TEST(InlineFunctionTest, MoveAssignReleasesPreviousTarget) {
   EXPECT_EQ(released.use_count(), 1);  // old capture destroyed on assign
 }
 
+TEST(InlineFunctionTest, HeapFallbacksAreCountedOnlyOnTheHeapBranch) {
+  const int64_t before = InlineFunctionHeapFallbacks();
+  int calls = 0;
+  InlineFunction<void(), 48> small = [&calls] { ++calls; };
+  InlineFunction<void(), 48> moved = std::move(small);
+  moved();
+  EXPECT_EQ(InlineFunctionHeapFallbacks(), before);  // inline: not counted
+
+  std::array<uint64_t, 32> big{};
+  InlineFunction<uint64_t(), 48> spilled = [big] { return big[0]; };
+  EXPECT_EQ(InlineFunctionHeapFallbacks(), before + 1);
+  // Moving a spilled callable hands over the pointer; no new fallback.
+  InlineFunction<uint64_t(), 48> spilled_moved = std::move(spilled);
+  EXPECT_EQ(spilled_moved(), 0u);
+  EXPECT_EQ(InlineFunctionHeapFallbacks(), before + 1);
+
+  // The same capture fits a bigger buffer inline.
+  InlineFunction<uint64_t(), 256> roomy = [big] { return big[0]; };
+  EXPECT_EQ(InlineFunctionHeapFallbacks(), before + 1);
+  EXPECT_EQ(calls, 1);
+}
+
 }  // namespace
 }  // namespace converge
