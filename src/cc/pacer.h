@@ -1,7 +1,12 @@
-// Per-path pacer: smooths packet emission onto a path at a configurable
-// multiple of the path's allocated rate, like WebRTC's paced sender.
+// Per-path pacer: smooths packet emission onto a path at a fixed multiple
+// of the path's allocated rate, like WebRTC's paced sender.
+//
+// The pacing policy is defined here once: the sender's per-path pacers and
+// the hub's per-downlink queues (session/hub_forwarder) both run on these
+// constants and on PacingBudget. Only the queues differ.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -11,18 +16,39 @@
 
 namespace converge {
 
+// Pacing tick.
+inline constexpr Duration kPacingInterval = Duration::Millis(5);
+// Headroom of the pacing rate over the media (or CC target) rate.
+inline constexpr double kPacingFactor = 1.25;
+// Budget cap: at most one burst of this many bytes leaves in a tick.
+inline constexpr int64_t kMaxBurstBytes = 20'000;
+// Budget cap once the queue runs dry: an idle path does not save up a
+// full burst for the next frame.
+inline constexpr double kIdleBudgetBytes = 3000.0;
+
+// Byte budget of one paced queue: accrues at the pacing rate, is capped at
+// one burst, and is spent per emitted byte.
+class PacingBudget {
+ public:
+  void Accrue(DataRate rate, Duration elapsed) {
+    bytes_ += static_cast<double>(rate.BytesIn(elapsed));
+    bytes_ = std::min(bytes_, static_cast<double>(kMaxBurstBytes));
+  }
+  bool Covers(int64_t size) const {
+    return bytes_ >= static_cast<double>(size);
+  }
+  void Spend(int64_t size) { bytes_ -= static_cast<double>(size); }
+  // The queue drained: do not accumulate idle budget beyond one burst.
+  void CapIdle() { bytes_ = std::min(bytes_, kIdleBudgetBytes); }
+  double bytes() const { return bytes_; }
+
+ private:
+  double bytes_ = 0.0;
+};
+
 class Pacer {
  public:
   struct Config {
-    Duration process_interval = Duration::Millis(5);
-    double pacing_factor = 1.25;  // headroom over the media rate
-    int64_t max_burst_bytes = 20'000;
-    // Packets whose projected queueing time exceeds this are dropped from
-    // the head of the queue (stale media is worthless in conferencing).
-    Duration max_queue_time = Duration::Millis(400);
-    // Retransmissions older than this are dropped: the frame buffer has
-    // already skipped past the frame they would repair.
-    Duration max_rtx_age = Duration::Millis(300);
     // PathId stamped on trace events (-1 when not path-scoped).
     int trace_path = -1;
   };
@@ -65,7 +91,7 @@ class Pacer {
   RingQueue<Queued> high_queue_;  // retransmissions
   RingQueue<Queued> queue_;
   int64_t queued_bytes_ = 0;
-  double budget_bytes_ = 0.0;
+  PacingBudget budget_;
   Timestamp last_process_;
   Stats stats_;
   std::unique_ptr<RepeatingTask> task_;

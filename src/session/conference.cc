@@ -345,10 +345,10 @@ MetricsCollector::Config MakeMetricsConfig(const ConferenceConfig& config,
 // aggregate publisher rate it would have to carry — and lets its own
 // delay/loss feedback pull a constrained link down. It answers the NACK
 // flavour the call's receivers send.
-HubForwarder::Config EgressConfig(HubForwarder::Config conf,
-                                  const ConferenceConfig& config,
+HubForwarder::Config EgressConfig(const ConferenceConfig& config,
                                   DataRate start,
                                   const char* trace_component) {
+  HubForwarder::Config conf;
   conf.per_path_nack = HasMultipathRtpExtension(config.variant);
   conf.cc.controller.algorithm = config.cc_algorithm;
   conf.cc.controller.start_rate = start;
@@ -626,12 +626,11 @@ void Conference::BuildStarForwarder(int to) {
   // Aggregated over currently-present senders (= all senders when
   // membership is static).
   HubForwarder::Config hconf =
-      EgressConfig(config_.hub, config_,
-                   PublisherRate(/*exclude=*/to, /*hub=*/-1),
+      EgressConfig(config_, PublisherRate(/*exclude=*/to, /*hub=*/-1),
                    HubTraceComponent(config_.cc_algorithm));
   // Receiver-facing engines run rung selection whenever the conference is
-  // layered; hub.layers carries only the tunables.
-  hconf.layers.enabled = config_.simulcast_rungs > 1;
+  // layered.
+  hconf.layered = config_.simulcast_rungs > 1;
   // Hub work on this receiver's downlinks is attributed to the receiver,
   // like the downlink delivery callbacks.
   TraceParticipantScope scope(to);
@@ -702,12 +701,10 @@ void Conference::BuildTrunk(int from_hub, int to_hub, Random& rng) {
   // Starts at the aggregate rate of the publishers homed at the near hub.
   DataRate aggregate = PublisherRate(/*exclude=*/-1, from_hub);
   if (aggregate.bps() == 0) aggregate = config_.max_rate_per_stream;
-  HubForwarder::Config tconf =
-      EgressConfig(config_.trunk, config_, aggregate, "hub_trunk");
+  // A trunk is never layered: it must carry EVERY rung, because the remote
+  // hub's per-receiver engines make their own selections.
+  HubForwarder::Config tconf = EgressConfig(config_, aggregate, "hub_trunk");
   tconf.trace_category = "hub_trunk";
-  // A trunk must carry EVERY rung: the remote hub's per-receiver engines
-  // make their own selections, so filtering here would starve them.
-  tconf.layers.enabled = false;
   t->engine = std::make_unique<HubForwarder>(
       &loop_, tconf, t->network->path_ids(),
       [this, t](int origin, PathId path, RtpPacket packet) {

@@ -135,25 +135,24 @@ struct ConferenceConfig {
   VideoAwareScheduler::Config video_scheduler;
   ConvergeFecController::Config converge_fec;
   // Per-path congestion-control algorithm (every sender path AND every hub
-  // downlink run one instance of it) and the strategy coupling a sender's
-  // per-path targets into allocated rates. Defaults preserve the historical
-  // uncoupled-GCC behavior byte-for-byte.
+  // downlink and trunk run one instance of it) and the strategy coupling a
+  // sender's per-path targets into allocated rates. Defaults preserve the
+  // historical uncoupled-GCC behavior byte-for-byte. The hub's forwarding
+  // engines take nothing else from the caller: their CC start and max
+  // rates derive from the aggregate publisher rate (an SFU starts
+  // optimistic and lets delay/loss signals pull a slow downlink back),
+  // their NACK flavour follows the variant like the receivers', and their
+  // thinning, eviction, rung-selection and padding policy is fixed
+  // (session/hub_forwarder.cc).
   CcAlgorithm cc_algorithm = CcAlgorithm::kGcc;
   CcCoupling cc_coupling = CcCoupling::kUncoupled;
-  // Star only: per-downlink forwarding at the hub. The congestion
-  // controller's algorithm, start and max rates in hub.cc.controller are
-  // overridden at build time: the algorithm follows cc_algorithm and the
-  // rates derive from the aggregate publisher rate (an SFU starts
-  // optimistic and lets delay/loss signals pull a slow downlink back).
-  // per_path_nack follows the variant, like the receivers' NACK flavour.
-  HubForwarder::Config hub;
 
   // --- Layered media (simulcast + temporal SVC metadata) -----------------
   // simulcast_rungs > 1 makes every publisher encode that many rungs per
   // capture (video/encoder.h: rung k halves the linear resolution k times)
   // and switches the hub's per-receiver forwarders from whole-frame
-  // thinning to per-(origin, stream) rung selection (hub.layers tunables
-  // apply; layers.enabled itself is derived from this field at build time).
+  // thinning to per-(origin, stream) rung selection with ALR padding
+  // (HubForwarder::Config::layered, set from this field at build time).
   // Requires the star topology AND a Converge-family variant (rung
   // filtering leaves per-SSRC seq gaps that only mp_seq-based per-path
   // NACK tolerates; a mesh receiver would see every rung and mis-assemble);
@@ -195,10 +194,6 @@ struct ConferenceConfig {
   // end the hub rejoins the fabric — trunks are rebuilt so it can serve
   // future re-homings — but participants do not move back.
   std::vector<FaultPlan> hub_fault_plans;
-  // Trunk forwarding-engine knobs. Like `hub`, the congestion controller's
-  // algorithm and rates and the NACK flavour are overridden at build time;
-  // trunk CC and queue probes trace under "hub_trunk".
-  HubForwarder::Config trunk;
 
   // Flight-recorder capacity in events; 0 (the default) disables tracing.
   size_t trace_capacity = 0;

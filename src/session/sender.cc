@@ -9,6 +9,15 @@
 #include "util/trace_recorder.h"
 
 namespace converge {
+namespace {
+
+// Cadence of the scheduler and rate tick, sender reports and SDES
+// frame-rate reports.
+constexpr Duration kTickInterval = Duration::Millis(50);
+constexpr Duration kSrInterval = Duration::Millis(100);
+constexpr Duration kSdesInterval = Duration::Seconds(1.0);
+
+}  // namespace
 
 Sender::Sender(EventLoop* loop, Config config, Scheduler* scheduler,
                FecController* fec, std::vector<PathId> path_ids, Random rng,
@@ -27,10 +36,8 @@ Sender::Sender(EventLoop* loop, Config config, Scheduler* scheduler,
     CcConfig cc_config = config_.cc;
     cc_config.trace_path = static_cast<int>(id);
     st.cc = MakeCcController(cc_config);
-    Pacer::Config pacer_config = config_.pacer;
-    pacer_config.trace_path = static_cast<int>(id);
     st.pacer = std::make_unique<Pacer>(
-        loop_, pacer_config,
+        loop_, Pacer::Config{.trace_path = static_cast<int>(id)},
         [this, id](RtpPacket&& packet) { DispatchPacket(id, std::move(packet)); });
     st.pacer->SetRate(config_.cc.start_rate);
   }
@@ -55,11 +62,11 @@ Sender::~Sender() = default;
 
 void Sender::Start() {
   for (StreamState& s : streams_) s.camera->Start();
-  tick_task_ = std::make_unique<RepeatingTask>(loop_, config_.tick_interval,
+  tick_task_ = std::make_unique<RepeatingTask>(loop_, kTickInterval,
                                                [this] { Tick(); });
   sr_task_ = std::make_unique<RepeatingTask>(
-      loop_, config_.sr_interval, [this] { SendSenderReports(); });
-  sdes_task_ = std::make_unique<RepeatingTask>(loop_, config_.sdes_interval,
+      loop_, kSrInterval, [this] { SendSenderReports(); });
+  sdes_task_ = std::make_unique<RepeatingTask>(loop_, kSdesInterval,
                                                [this] { SendSdes(); });
   SendSdes();
 }

@@ -46,10 +46,6 @@ class Sender {
     // MakeCcController) and the coupling strategy combining their targets.
     CcConfig cc;
     CcCoupling cc_coupling = CcCoupling::kUncoupled;
-    Pacer::Config pacer;
-    Duration tick_interval = Duration::Millis(50);
-    Duration sr_interval = Duration::Millis(100);
-    Duration sdes_interval = Duration::Seconds(1.0);
     bool enable_fec = true;
     // The NACK flavour the call negotiated, mirroring the receivers'
     // ReceiverEndpoint::Config::per_path_nack: true answers (path, mp_seq)

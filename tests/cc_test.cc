@@ -157,21 +157,25 @@ TEST(GccTest, GoodputFromTransportFeedback) {
 TEST(PacerTest, PacesAtConfiguredRate) {
   EventLoop loop;
   int64_t sent_bytes = 0;
-  Pacer::Config config;
-  config.max_queue_time = Duration::Seconds(100);  // no shedding here
-  Pacer pacer(&loop, config,
+  Pacer pacer(&loop, {},
               [&](RtpPacket&& p) { sent_bytes += p.wire_size(); });
   pacer.SetRate(DataRate::MegabitsPerSec(1));  // paced at 1.25 Mbps
 
-  for (int i = 0; i < 1000; ++i) {
-    RtpPacket p;
-    p.payload_bytes = 1222;  // wire = 1250
-    pacer.Enqueue(p);
-  }
+  // Offer 1.5 Mbps (three 1250-byte packets every 20 ms): more than the
+  // pacer drains, so it stays backlogged, but the backlog grows by only
+  // ~0.25 Mbps and stays below the 400-ms shedding bound.
+  RepeatingTask offer(&loop, Duration::Millis(20), [&] {
+    for (int i = 0; i < 3; ++i) {
+      RtpPacket p;
+      p.payload_bytes = 1222;  // wire = 1250
+      pacer.Enqueue(p);
+    }
+  });
   loop.RunUntil(Timestamp::Seconds(1.0));
   // ~1.25 Mbps -> ~156 KB/s.
   EXPECT_NEAR(static_cast<double>(sent_bytes), 156250.0, 156250.0 * 0.1);
   EXPECT_GT(pacer.queue_packets(), 0u);
+  EXPECT_EQ(pacer.stats().packets_dropped, 0);
 }
 
 TEST(PacerTest, RtxJumpsAheadOfMediaBacklog) {
@@ -197,9 +201,7 @@ TEST(PacerTest, RtxJumpsAheadOfMediaBacklog) {
 TEST(PacerTest, StaleRtxDropped) {
   EventLoop loop;
   int rtx_sent = 0;
-  Pacer::Config config;
-  config.max_rtx_age = Duration::Millis(300);
-  Pacer pacer(&loop, config, [&](RtpPacket&& p) {
+  Pacer pacer(&loop, {}, [&](RtpPacket&& p) {
     if (p.priority == Priority::kRetransmit) ++rtx_sent;
   });
   pacer.SetRate(DataRate::KilobitsPerSec(1));  // effectively stalled
@@ -245,9 +247,7 @@ TEST(AimdTest, QuietTimeAcceleratesRecovery) {
 TEST(PacerTest, ShedsStaleBacklog) {
   EventLoop loop;
   int sent = 0;
-  Pacer::Config config;
-  config.max_queue_time = Duration::Millis(400);
-  Pacer pacer(&loop, config, [&](RtpPacket&&) { ++sent; });
+  Pacer pacer(&loop, {}, [&](RtpPacket&&) { ++sent; });
   pacer.SetRate(DataRate::MegabitsPerSec(1));
   for (int i = 0; i < 1000; ++i) {
     RtpPacket p;
