@@ -1,5 +1,6 @@
 #include "cc/downlink_cc.h"
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -16,6 +17,15 @@ DownlinkCc::SentRecord* DownlinkCc::FindSent(int leg, int64_t seq) {
   return nullptr;
 }
 
+bool DownlinkCc::Trimmed(int leg, int64_t seq) const {
+  if (static_cast<size_t>(leg) >= sent_.size()) return false;
+  const LegHistory& history = sent_[static_cast<size_t>(leg)];
+  return std::any_of(history.begin(), history.end(),
+                     [&](const SeqWindow<SentRecord>& window) {
+                       return window.Trimmed(seq);
+                     });
+}
+
 void DownlinkCc::EraseSent(int leg, int64_t seq) {
   LegHistory& history = sent_[static_cast<size_t>(leg)];
   for (auto it = history.begin(); it != history.end(); ++it) {
@@ -23,6 +33,16 @@ void DownlinkCc::EraseSent(int leg, int64_t seq) {
     if (it->empty() && history.size() > 1) history.erase(it);
     return;
   }
+}
+
+size_t DownlinkCc::pages_allocated() const {
+  size_t pages = 0;
+  for (const LegHistory& history : sent_) {
+    for (const SeqWindow<SentRecord>& window : history) {
+      pages += window.pages_allocated();
+    }
+  }
+  return pages;
 }
 
 void DownlinkCc::OnPacketSent(int leg, int64_t transport_seq,
@@ -52,6 +72,23 @@ void DownlinkCc::OnPacketSent(int leg, int64_t transport_seq,
     EraseSent(old_leg, old_seq);
   }
   sent_order_.push_back(std::make_pair(leg, transport_seq));
+  // The age bound trims the leg's own windows, which its seqs fill in
+  // send order. The FIFO keeps every registration of the count cap, so a
+  // restarted leg's key still goes when its previous life's registration
+  // is evicted, as before the bound.
+  LegHistory& history = sent_[static_cast<size_t>(leg)];
+  for (SeqWindow<SentRecord>& window : history) {
+    window.Trim([&](const SentRecord& held) {
+      return send_time - held.send_time > kSentHistoryHorizon;
+    });
+  }
+  if (history.size() > 1) {
+    // A previous life's window goes once it is empty, as in EraseSent (the
+    // record just written keeps one window alive).
+    std::erase_if(history, [](const SeqWindow<SentRecord>& window) {
+      return window.empty();
+    });
+  }
 }
 
 void DownlinkCc::OnTransportFeedback(int leg, const TransportFeedback& fb,
@@ -63,7 +100,10 @@ void DownlinkCc::OnTransportFeedback(int leg, const TransportFeedback& fb,
   Timestamp newest_send = Timestamp::MinusInfinity();
   for (const auto& a : fb.arrivals) {
     const SentRecord* sent = FindSent(leg, a.mp_transport_seq);
-    if (sent == nullptr) continue;
+    if (sent == nullptr) {
+      if (Trimmed(leg, a.mp_transport_seq)) ++horizon_misses_;
+      continue;
+    }
     PacketResult r;
     r.transport_seq = a.mp_transport_seq;
     r.bytes = sent->bytes;

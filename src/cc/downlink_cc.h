@@ -30,6 +30,7 @@ class DownlinkCc {
   struct Config {
     CcConfig controller;
     // Packets kept awaiting feedback; the oldest entries are pruned first.
+    // Records older than kSentHistoryHorizon go as well.
     size_t max_history = 8192;
   };
 
@@ -43,8 +44,8 @@ class DownlinkCc {
                     int64_t bytes);
 
   // One leg's transport feedback for this downlink path. Entries missing
-  // from the sent history (pruned, or stamped before a restart) are
-  // skipped rather than misread as losses.
+  // from the sent history (pruned, aged out, or stamped before a restart)
+  // are skipped rather than misread as losses.
   void OnTransportFeedback(int leg, const TransportFeedback& fb,
                            Timestamp now);
 
@@ -57,6 +58,11 @@ class DownlinkCc {
   int64_t packets_registered() const { return packets_registered_; }
   int64_t packets_acked() const { return packets_acked_; }
   int64_t packets_lost() const { return packets_lost_; }
+  // Feedback arrivals skipped because the age bound had already trimmed
+  // their record from the leg's windows (SeqWindow::Trimmed).
+  int64_t horizon_misses() const { return horizon_misses_; }
+  // Pages the awaiting-feedback windows hold (SeqWindow::pages_allocated).
+  size_t pages_allocated() const;
 
  private:
   struct SentRecord {
@@ -71,6 +77,7 @@ class DownlinkCc {
   using LegHistory = std::vector<SeqWindow<SentRecord>>;
 
   SentRecord* FindSent(int leg, int64_t seq);
+  bool Trimmed(int leg, int64_t seq) const;
   void EraseSent(int leg, int64_t seq);
 
   Config config_;
@@ -83,6 +90,7 @@ class DownlinkCc {
   int64_t packets_registered_ = 0;
   int64_t packets_acked_ = 0;
   int64_t packets_lost_ = 0;
+  int64_t horizon_misses_ = 0;
 };
 
 }  // namespace converge

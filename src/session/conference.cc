@@ -1058,6 +1058,8 @@ CallStats CollectLegStats(int num_streams, MetricsCollector* metrics,
   out.media_packets_sent = tx.media_packets_sent;
   out.fec_packets_sent = tx.fec_packets_sent;
   out.rtx_packets_sent = tx.rtx_packets_sent;
+  out.nack_horizon_misses = sender.nack_horizon_misses();
+  out.feedback_horizon_misses = sender.feedback_horizon_misses();
   out.frames_encoded = tx.frames_encoded;
   out.fec_overhead =
       tx.media_packets_sent > 0
@@ -1247,6 +1249,7 @@ ConferenceStats Conference::Collect() {
         static_cast<double>(fwd.downlink_target(path).bps()) / 1000.0;
     row.srtt_ms = fwd.downlink_srtt(path).seconds() * 1000.0;
     row.loss = fwd.downlink_loss(path);
+    row.feedback_horizon_misses = fwd.cc(path).horizon_misses();
     row.forwarder = fwd.stats(path);
   };
   auto add_downlinks = [&](int hub, int receiver, const HubForwarder& fwd) {

@@ -238,6 +238,12 @@ struct CallStats {
   int64_t total_frame_drops = 0;
   int64_t total_keyframe_requests = 0;
 
+  // Sender lookups that fell behind a sent history's age bound
+  // (kSentHistoryHorizon): per-path NACKed seqs and transport-feedback
+  // arrivals. Zero while every lookup stays inside the horizon.
+  int64_t nack_horizon_misses = 0;
+  int64_t feedback_horizon_misses = 0;
+
   // Convenience aggregates over streams.
   double AvgFps() const;
   double AvgFreezeMs() const;
@@ -303,6 +309,9 @@ struct ConferenceStats {
     // subscriptions sits at when the call ends (0 = every stream at the
     // top rung). Stays 0 — and unexported — for single-layer calls.
     int selected_rung = 0;
+    // Transport-feedback arrivals the downlink controller's age bound had
+    // already dropped (DownlinkCc::horizon_misses).
+    int64_t feedback_horizon_misses = 0;
     HubForwarder::DownlinkStats forwarder;
   };
 
@@ -319,6 +328,7 @@ struct ConferenceStats {
     double loss = 0.0;
     int64_t feedback_batches = 0;
     int64_t packets_registered = 0;
+    int64_t feedback_horizon_misses = 0;
     HubForwarder::DownlinkStats forwarder;
   };
 

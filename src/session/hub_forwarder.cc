@@ -510,8 +510,9 @@ void HubForwarder::EvictFrame(PathId path, PathState& ps, int leg,
   // Evict the target frame and every queued delta that depends on it
   // (later deltas of the stream cannot decode once the chain is cut).
   std::deque<Queued> kept;
-  int64_t frames_gone = 0;
-  int64_t last_gone = -1;
+  // Doomed frames, each once however its packets interleave in the queue
+  // (an uplink-recovered packet can sit behind the next frame's).
+  std::vector<int64_t> frames_gone;
   for (Queued& q : ps.queue) {
     const RtpPacket& p = q.packet;
     const bool same_stream =
@@ -524,16 +525,16 @@ void HubForwarder::EvictFrame(PathId path, PathState& ps, int leg,
       kept.push_back(std::move(q));
       continue;
     }
-    if (p.frame_id != last_gone) {
-      last_gone = p.frame_id;
-      ++frames_gone;
+    if (std::find(frames_gone.begin(), frames_gone.end(), p.frame_id) ==
+        frames_gone.end()) {
+      frames_gone.push_back(p.frame_id);
       g.decisions[p.frame_id] = -1;
     }
     ps.queued_bytes -= p.wire_size();
     ++ps.stats.packets_dropped;
   }
   ps.queue = std::move(kept);
-  ps.stats.frames_evicted += frames_gone;
+  ps.stats.frames_evicted += static_cast<int64_t>(frames_gone.size());
   if (TraceRecorder* trace = TraceRecorder::Current()) {
     trace->Instant(config_.trace_category, "frame_evicted", now,
                    static_cast<double>(frame_id),
@@ -749,6 +750,7 @@ bool HubForwarder::OnReceiverRtcp(int leg, PathId path,
         packet.path_id != kInvalidPathId ? packet.path_id : path;
     // Answered on the path the packet was lost on: the report path for
     // per-path NACKs, the path it originally left on for legacy ones.
+    const int64_t misses = rtx_.horizon_misses();
     rtx_.AnswerNack(
         leg, report_path, *nack, now,
         [&](RtpPacket rtx, PathId target, uint16_t seq) {
@@ -765,6 +767,11 @@ bool HubForwarder::OnReceiverRtcp(int leg, PathId path,
           tp.rtx_queue.push_back({std::move(rtx), now, leg});
           return true;
         });
+    if (rtx_.horizon_misses() != misses) {
+      // Only a per-path NACK can miss, and its window is the report path's.
+      Path(report_path).stats.nack_horizon_misses +=
+          rtx_.horizon_misses() - misses;
+    }
     return true;
   }
   return false;
@@ -797,6 +804,12 @@ const HubForwarder::DownlinkStats& HubForwarder::stats(PathId path) const {
 }
 const DownlinkCc& HubForwarder::cc(PathId path) const {
   return Path(path).cc;
+}
+
+size_t HubForwarder::history_pages_allocated() const {
+  size_t pages = rtx_.pages_allocated();
+  for (const auto& [path, ps] : paths_) pages += ps->cc.pages_allocated();
+  return pages;
 }
 
 int HubForwarder::selected_rung(int leg, int stream_id) const {

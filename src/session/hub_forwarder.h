@@ -95,6 +95,9 @@ class HubForwarder {
     int64_t layer_switches = 0;
     int64_t layer_packets_filtered = 0;
     int64_t padding_packets = 0;  // ALR probe duplicates (layered only)
+    // NACKed seqs on this report path the RTX history's age bound had
+    // already dropped (RtxHistory::horizon_misses).
+    int64_t nack_horizon_misses = 0;
   };
 
   // Delivers a stamped packet onto the downlink: (origin leg, path, packet).
@@ -145,6 +148,9 @@ class HubForwarder {
   int64_t queued_bytes(PathId path) const;
   const DownlinkStats& stats(PathId path) const;
   const DownlinkCc& cc(PathId path) const;
+  // Pages the sent histories hold: the RTX windows and every path's
+  // awaiting-feedback windows.
+  size_t history_pages_allocated() const;
 
   // Layered forwarding introspection. selected_rung: the rung (origin leg,
   // stream) is currently subscribed to (0 when the stream is unknown or

@@ -19,6 +19,9 @@ void RtxHistory::OnSent(int leg, PathId path, const RtpPacket& packet) {
     } else {
       window.Erase(packet.mp_seq);  // stale wrap-around entry
     }
+    window.Trim([&](const RtpPacket& held) {
+      return packet.send_time - held.send_time > kSentHistoryHorizon;
+    });
   } else if (media_like && !packet.via_rtx) {
     // An RTX copy keeps its original's (ssrc, seq), which already holds the
     // entry.
@@ -34,6 +37,14 @@ void RtxHistory::ForgetLeg(int leg) {
   windows_.erase(windows_.lower_bound(begin), windows_.lower_bound(end));
   legacy_.erase(legacy_.lower_bound({begin, 0}),
                 legacy_.lower_bound({end, 0}));
+}
+
+size_t RtxHistory::pages_allocated() const {
+  size_t pages = 0;
+  for (const auto& [flow, window] : windows_) {
+    pages += window.pages_allocated();
+  }
+  return pages;
 }
 
 RtpPacket RtxHistory::Stamp(const RtpPacket& original, bool per_path,

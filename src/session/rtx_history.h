@@ -7,11 +7,12 @@
 //
 // Flavours (DESIGN.md §12). A per-path NACK names (path, mp_seq) holes of
 // one leg's per-path sequence space (the Appendix B multipath extension);
-// its history is one SeqWindow per (leg, path) over the 16-bit mp_seq,
-// overwritten on wrap. A legacy NACK names (ssrc, seq); its history is one
-// map over (leg, ssrc, seq) capped at kLegacyCapacity entries. An engine
-// keeps the history of the flavour its call negotiated and ignores NACKs of
-// the other.
+// its history is one SeqWindow per (leg, path) over the 16-bit mp_seq that
+// keeps a packet for kSentHistoryHorizon after newer sends on its window
+// (and never past the next wrap). A legacy NACK names (ssrc, seq); its
+// history is one map over (leg, ssrc, seq) capped at kLegacyCapacity
+// entries. An engine keeps the history of the flavour its call negotiated
+// and ignores NACKs of the other.
 #pragma once
 
 #include <cstddef>
@@ -59,6 +60,12 @@ class RtxHistory {
   // rejoin restarts its sequence spaces), its dedup records stay.
   void ForgetLeg(int leg);
 
+  // Per-path NACKed seqs declined because the age bound had trimmed them
+  // from their window (SeqWindow::Trimmed), over the module's life.
+  int64_t horizon_misses() const { return horizon_misses_; }
+  // Pages the per-path windows hold (SeqWindow::pages_allocated).
+  size_t pages_allocated() const;
+
  private:
   // (flow, seq). Flows put the leg above bit 32 and mark per-path flows
   // with bit 32, so keys order by leg, then path or ssrc, then seq.
@@ -82,6 +89,7 @@ class RtxHistory {
   std::map<int64_t, SeqWindow<RtpPacket>> windows_;  // by MpFlow
   std::map<Key, LegacyEntry> legacy_;
   std::map<Key, Timestamp> recent_;  // last answer per NACKed key
+  int64_t horizon_misses_ = 0;
 };
 
 template <typename SendFn>
@@ -102,7 +110,8 @@ void RtxHistory::AnswerNack(int leg, PathId report_path, const Nack& nack,
     const RtpPacket* original = nullptr;
     PathId origin = report_path;
     if (per_path) {
-      original = window->Find(seq);  // null: not media, or never sent
+      original = window->Find(seq);  // null: not media, never sent, or aged
+      if (original == nullptr && window->Trimmed(seq)) ++horizon_misses_;
     } else if (auto it = legacy_.find(key); it != legacy_.end()) {
       // Cross-path reordering makes receivers NACK packets that are merely
       // late (§2.3); those answers are simply wasted.

@@ -270,6 +270,9 @@ void Sender::DispatchPacket(PathId path, RtpPacket packet) {
   packet.mp_transport_seq = static_cast<uint16_t>(st.transport_count & 0xFFFF);
   st.sent.Insert(st.transport_count++,
                  SentRecord{packet.send_time, packet.wire_size()});
+  st.sent.Trim([&](const SentRecord& held) {
+    return packet.send_time - held.send_time > kSentHistoryHorizon;
+  });
   rtx_.OnSent(/*leg=*/0, path, packet);
 
   if (packet.IsMediaLike()) {
@@ -420,7 +423,10 @@ void Sender::HandleTransportFeedback(const TransportFeedback& feedback,
   results.reserve(feedback.arrivals.size());
   for (const TransportFeedback::Arrival& a : feedback.arrivals) {
     const SentRecord* rec = st.sent.Find(a.mp_transport_seq);
-    if (rec == nullptr) continue;
+    if (rec == nullptr) {
+      if (st.sent.Trimmed(a.mp_transport_seq)) ++feedback_horizon_misses_;
+      continue;
+    }
     PacketResult r;
     r.transport_seq = a.mp_transport_seq;
     r.send_time = rec->send_time;
@@ -450,6 +456,12 @@ void Sender::HandleNack(const Nack& nack, PathId report_path) {
       fec_->OnNack(path, count);
     }
   }
+}
+
+size_t Sender::history_pages_allocated() const {
+  size_t pages = rtx_.pages_allocated();
+  for (const auto& [id, st] : paths_) pages += st.sent.pages_allocated();
+  return pages;
 }
 
 DataRate Sender::path_rate(PathId path) const {

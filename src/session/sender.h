@@ -87,6 +87,12 @@ class Sender {
   void HandleRtcp(const RtcpPacket& packet, Timestamp arrival);
 
   const Stats& stats() const { return stats_; }
+  // Lookups that fell behind a history's age bound (kSentHistoryHorizon):
+  // per-path NACKed seqs, and transport-feedback arrivals.
+  int64_t nack_horizon_misses() const { return rtx_.horizon_misses(); }
+  int64_t feedback_horizon_misses() const { return feedback_horizon_misses_; }
+  // Pages the sent histories hold: RTX windows and feedback windows.
+  size_t history_pages_allocated() const;
   DataRate current_encoder_target() const { return encoder_target_; }
   DataRate path_rate(PathId path) const;
   Duration path_srtt(PathId path) const;
@@ -105,8 +111,8 @@ class Sender {
     uint16_t next_mp_seq = 0;
     int64_t transport_count = 0;  // unwrapped; low 16 bits go on the wire
     // Sent history for transport feedback matching, keyed by unwrapped
-    // transport seq (+1 per packet), so the window holds exactly the last
-    // kSentWindow.
+    // transport seq (+1 per packet): the last kSentWindow packets, less
+    // those older than kSentHistoryHorizon.
     static constexpr size_t kSentWindow = 8192;
     SeqWindow<SentRecord> sent{kSentWindow};
   };
@@ -162,6 +168,7 @@ class Sender {
 
   DataRate encoder_target_ = DataRate::KilobitsPerSec(300);
   Stats stats_;
+  int64_t feedback_horizon_misses_ = 0;
   std::unique_ptr<RepeatingTask> tick_task_;
   std::unique_ptr<RepeatingTask> sr_task_;
   std::unique_ptr<RepeatingTask> sdes_task_;

@@ -88,6 +88,17 @@ class JsonWriter {
   bool first_ = true;
 };
 
+// Lookups that fell behind a sent history's age bound. Emitted only when
+// nonzero, so a call whose lookups stay inside the horizon serializes as
+// it did before the bound existed.
+void HorizonMissFields(JsonWriter& w, int64_t nack_misses,
+                       int64_t feedback_misses) {
+  if (nack_misses != 0) w.Field("nack_horizon_misses", nack_misses);
+  if (feedback_misses != 0) {
+    w.Field("feedback_horizon_misses", feedback_misses);
+  }
+}
+
 // Body of one CallStats object (fields + streams + time_series arrays),
 // shared between the top-level CallStatsToJson export and the nested per-leg
 // objects in ConferenceStatsToJson. The field order is pinned by the
@@ -108,6 +119,8 @@ void WriteCallStatsBody(JsonWriter& w, const CallStats& stats) {
   w.Field("fec_recovered_packets", stats.fec_recovered_packets);
   w.Field("total_frame_drops", stats.total_frame_drops);
   w.Field("total_keyframe_requests", stats.total_keyframe_requests);
+  HorizonMissFields(w, stats.nack_horizon_misses,
+                    stats.feedback_horizon_misses);
 
   w.OpenArray("streams");
   for (const StreamQoe& s : stats.streams) {
@@ -219,6 +232,8 @@ std::string ConferenceStatsToJson(const ConferenceStats& stats, int indent) {
       w.Field("layer_packets_filtered", d.forwarder.layer_packets_filtered);
       w.Field("padding_packets", d.forwarder.padding_packets);
     }
+    HorizonMissFields(w, d.forwarder.nack_horizon_misses,
+                      d.feedback_horizon_misses);
     w.CloseObject();
   }
   w.CloseArray();
@@ -288,6 +303,8 @@ std::string ConferenceStatsToJson(const ConferenceStats& stats, int indent) {
       w.Field("plis_relayed", t.forwarder.plis_relayed);
       w.Field("max_queue_bytes", t.forwarder.max_queue_bytes);
       w.Field("max_queue_delay_ms", t.forwarder.max_queue_delay_ms);
+      HorizonMissFields(w, t.forwarder.nack_horizon_misses,
+                        t.feedback_horizon_misses);
       w.CloseObject();
     }
     w.CloseArray();

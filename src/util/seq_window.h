@@ -14,8 +14,18 @@
 // history costs only the pages it uses and a full one never grows by
 // doubling-and-copying. Keys may be any int64_t except INT64_MIN (the empty
 // marker); negative keys index like their two's-complement bit pattern.
+//
+// Histories are also bounded by age. A tail cursor follows the slot
+// positions in insert order: Trim walks it from the oldest position toward
+// the newest insert, erasing entries its predicate calls expired and
+// stepping over holes, and stops at the first live entry that is not. Each
+// position is passed once per time an insert brings it into the span, so
+// trimming on every insert costs amortized O(1). The last kTrimMemory
+// positions the cursor passed remember whether it erased an entry there,
+// so a lookup that missed can tell an aged-out key from one never held.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -23,15 +33,26 @@
 #include <utility>
 #include <vector>
 
+#include "util/time.h"
+
 namespace converge {
+
+// How long every sent-packet history keeps a record (RtxHistory's per-path
+// windows, the sender's transport-feedback window, DownlinkCc's records):
+// an entry is trimmed once a newer send on its window is more than this
+// much later. Longer than any lookup a modelled call makes (DESIGN.md §12).
+inline constexpr Duration kSentHistoryHorizon = Duration::Millis(10'000);
 
 template <typename T>
 class SeqWindow {
  public:
   // Slots per page (a window smaller than this is a single page).
   static constexpr size_t kPageSlots = 256;
+  // Positions behind the tail that remember a trim (a window smaller than
+  // this remembers all of them).
+  static constexpr size_t kTrimMemory = 1024;
 
-  // `window` must be a power of two.
+  // `window` must be a power of two, at most 2^31.
   explicit SeqWindow(size_t window)
       : mask_(window - 1),
         page_slots_(window < kPageSlots ? window : kPageSlots),
@@ -49,7 +70,9 @@ class SeqWindow {
       // costs two empty vectors.
       pages_.resize(window() / page_slots_);
       live_.resize(pages_.size(), 0);
+      tail_ = static_cast<uint32_t>(index);
     }
+    Advance(index);
     if (pages_[page] == nullptr) {
       pages_[page] = std::make_unique<Slot[]>(page_slots_);
     }
@@ -86,11 +109,47 @@ class SeqWindow {
     if (page >= pages_.size() || pages_[page] == nullptr) return false;
     Slot& slot = pages_[page][index & (page_slots_ - 1)];
     if (slot.key != key) return false;
-    slot.key = kEmpty;
-    slot.value = T();
-    --size_;
-    if (--live_[page] == 0) pages_[page].reset();
+    EraseSlot(page, slot);
     return true;
+  }
+
+  // Walks the tail cursor toward the newest insert, erasing every entry
+  // `expired(value)` holds for and stepping over holes, until the first
+  // live entry it does not hold for. Called with a cutoff that only moves
+  // forward, over entries inserted in time order, it keeps exactly the
+  // entries that have not expired.
+  template <typename Expired>
+  void Trim(Expired&& expired) {
+    while (span_ > 0) {
+      const size_t page = tail_ >> page_shift_;
+      const size_t offset = tail_ & (page_slots_ - 1);
+      if (pages_[page] == nullptr) {
+        // A released page holds nothing: step over the rest of it at once.
+        StepTail(std::min<size_t>(page_slots_ - offset, span_), false);
+        continue;
+      }
+      Slot& slot = pages_[page][offset];
+      const bool live = slot.key != kEmpty;
+      if (live) {
+        if (!expired(std::as_const(slot.value))) return;
+        EraseSlot(page, slot);
+      }
+      StepTail(1, live);
+    }
+  }
+
+  // True when Trim erased `key`'s entry and no newer key has taken its slot
+  // since: a lookup that misses such a key fell behind the age bound rather
+  // than naming something never kept (or erased). Remembered for the last
+  // kTrimMemory positions the tail passed.
+  bool Trimmed(int64_t key) const {
+    const size_t index = Index(key);
+    const size_t back = (tail_ - index) & mask_;
+    if (back < 1 || back > std::min<size_t>(behind_, TrimMemory())) {
+      return false;
+    }
+    const size_t bit = index & (TrimMemory() - 1);
+    return trimmed_ != nullptr && ((trimmed_[bit / 64] >> (bit % 64)) & 1);
   }
 
   size_t size() const { return size_; }
@@ -120,6 +179,67 @@ class SeqWindow {
     return static_cast<size_t>(static_cast<uint64_t>(key)) & mask_;
   }
 
+  void EraseSlot(size_t page, Slot& slot) {
+    slot.key = kEmpty;
+    slot.value = T();
+    --size_;
+    if (--live_[page] == 0) pages_[page].reset();
+  }
+
+  // Moves the cursor span forward to take in an insert at `index`. An
+  // insert anywhere but the newest position is taken as the new newest:
+  // the span grows forward to reach it and, once it covers the whole
+  // window, rolls its tail along. An out-of-order insert is kept, but the
+  // cursor reaches it only when it comes round, so Trim expects keys to
+  // rise.
+  void Advance(size_t index) {
+    if (span_ == 0) {
+      // Everything was trimmed: the positions up to `index` were passed.
+      const size_t skipped = (index - tail_) & mask_;
+      Remember(tail_, skipped, false);
+      behind_ = static_cast<uint32_t>(std::min(behind_ + skipped, mask_));
+      tail_ = static_cast<uint32_t>(index);
+      span_ = 1;
+      return;
+    }
+    const size_t newest = (tail_ + span_ - 1) & mask_;
+    const size_t span = span_ + ((index - newest) & mask_);
+    if (span >= window()) {
+      span_ = static_cast<uint32_t>(window());
+      tail_ = static_cast<uint32_t>((index + 1) & mask_);
+      behind_ = 0;
+    } else {
+      span_ = static_cast<uint32_t>(span);
+      behind_ = static_cast<uint32_t>(
+          std::min<size_t>(behind_, window() - span));
+    }
+  }
+
+  void StepTail(size_t n, bool erased) {
+    Remember(tail_, n, erased);
+    tail_ = static_cast<uint32_t>((tail_ + n) & mask_);
+    span_ -= static_cast<uint32_t>(n);
+    behind_ += static_cast<uint32_t>(n);
+  }
+
+  size_t TrimMemory() const { return std::min(kTrimMemory, window()); }
+
+  // Records whether Trim erased an entry at the `n` positions from
+  // `first` (only the last TrimMemory() of them are kept). The bits are
+  // allocated by the first erase.
+  void Remember(size_t first, size_t n, bool erased) {
+    if (trimmed_ == nullptr) {
+      if (!erased) return;  // nothing remembered yet: every bit is clear
+      trimmed_ = std::make_unique<uint64_t[]>((TrimMemory() + 63) / 64);
+    }
+    for (size_t i = n > TrimMemory() ? n - TrimMemory() : 0; i < n; ++i) {
+      const size_t bit = ((first + i) & mask_) & (TrimMemory() - 1);
+      const uint64_t mask = uint64_t{1} << (bit % 64);
+      trimmed_[bit / 64] = erased ? trimmed_[bit / 64] | mask
+                                  : trimmed_[bit / 64] & ~mask;
+    }
+  }
+
   const Slot* SlotOf(int64_t key) const {
     const size_t index = Index(key);
     const size_t page = index >> page_shift_;
@@ -130,7 +250,15 @@ class SeqWindow {
   size_t mask_;
   size_t page_slots_;
   int page_shift_;
+  // Tail cursor: every live entry lies in the `span_` positions from
+  // `tail_` (the oldest) to the newest insert; the `behind_` positions
+  // just behind `tail_` were passed by Trim.
+  uint32_t tail_ = 0;
+  uint32_t span_ = 0;
+  uint32_t behind_ = 0;
   size_t size_ = 0;
+  // One bit per remembered position: Trim erased an entry there.
+  std::unique_ptr<uint64_t[]> trimmed_;
   std::vector<std::unique_ptr<Slot[]>> pages_;
   std::vector<uint32_t> live_;  // occupied slots per page
 };

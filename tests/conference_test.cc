@@ -581,6 +581,120 @@ TEST(ConferenceAllocationTest, CascadeStarNeverFallsBackToTheHeap) {
       0);
 }
 
+// What the sent histories of every live sender and hub engine hold, and
+// what they may hold: the packets those engines sent and how many (engine,
+// path, origin) flows they keep windows for.
+struct HistoryLoad {
+  size_t pages = 0;
+  int64_t packets_sent = 0;  // cumulative, every kind
+  int64_t flows = 0;
+};
+
+HistoryLoad MeasureHistories(const Conference& conference,
+                             const ConferenceConfig& config) {
+  HistoryLoad load;
+  const int participants = static_cast<int>(config.participants.size());
+  // Legs of one star origin share its sender; every edge has the same
+  // path count here.
+  std::set<const Sender*> senders;
+  for (size_t leg = 0; leg < conference.num_legs(); ++leg) {
+    const Sender* sender = &conference.leg_sender(leg);
+    if (!senders.insert(sender).second) continue;
+    const Sender::Stats& st = sender->stats();
+    load.pages += sender->history_pages_allocated();
+    load.packets_sent += st.media_packets_sent + st.fec_packets_sent +
+                         st.rtx_packets_sent + st.probe_packets_sent;
+    load.flows +=
+        static_cast<int64_t>(conference.leg_network(leg).num_paths());
+  }
+  auto add_engine = [&](const HubForwarder* engine) {
+    if (engine == nullptr) return;
+    load.pages += engine->history_pages_allocated();
+    for (PathId path : engine->path_ids()) {
+      const HubForwarder::DownlinkStats& st = engine->stats(path);
+      load.packets_sent += st.packets_forwarded + st.padding_packets;
+      load.flows += participants;
+    }
+  };
+  for (int p = 0; p < participants; ++p) {
+    add_engine(conference.hub_forwarder(p));
+  }
+  for (int from = 0; from < config.num_hubs; ++from) {
+    for (int to = 0; to < config.num_hubs; ++to) {
+      add_engine(conference.trunk_engine(from, to));
+    }
+  }
+  return load;
+}
+
+// Runs `config` second by second and checks, each second, that the sent
+// histories hold no more pages than the packets of the trailing horizon
+// can fill. Each packet enters at most two histories (its RTX window and
+// its feedback window); a window of n entries spans at most n / 256 + 2
+// pages; each flow has at most three windows (a restarted leg's feedback
+// records may open a second). One second of slack covers packets counted
+// when queued but sent later. Without the age bound the RTX windows fill
+// toward 256 pages each as the call goes on. Returns the final stats.
+ConferenceStats RunCheckingHistoryPages(const ConferenceConfig& config) {
+  Conference conference(config);
+  conference.Start();
+  std::vector<int64_t> sent_by_second = {0};
+  const int64_t trailing_s =
+      static_cast<int64_t>(kSentHistoryHorizon.seconds()) + 1;
+  for (int64_t second = 1; second <= config.duration.seconds(); ++second) {
+    conference.AdvanceTo(Timestamp::Zero() + Duration::Seconds(second));
+    const HistoryLoad load = MeasureHistories(conference, config);
+    sent_by_second.push_back(load.packets_sent);
+    const int64_t trailing =
+        load.packets_sent -
+        sent_by_second[static_cast<size_t>(
+            std::max<int64_t>(0, second - trailing_s))];
+    const int64_t bound = 2 * trailing / 256 + 6 * load.flows;
+    EXPECT_LE(static_cast<int64_t>(load.pages), bound)
+        << "at " << second << " s, " << trailing << " packets in the last "
+        << trailing_s << " s";
+  }
+  return conference.Collect();
+}
+
+int64_t HorizonMisses(const ConferenceStats& stats) {
+  int64_t misses = 0;
+  for (const ConferenceStats::Leg& leg : stats.legs) {
+    misses += leg.stats.nack_horizon_misses + leg.stats.feedback_horizon_misses;
+  }
+  for (const ConferenceStats::Downlink& d : stats.downlinks) {
+    misses += d.forwarder.nack_horizon_misses + d.feedback_horizon_misses;
+  }
+  for (const ConferenceStats::Trunk& t : stats.trunks) {
+    misses += t.forwarder.nack_horizon_misses + t.feedback_horizon_misses;
+  }
+  return misses;
+}
+
+// The paper's call length on its harshest scenario: no lookup reaches past
+// the age bound, and history memory follows the send rate, not the call
+// length.
+TEST(ConferenceHistoryTest, FaultedDrivingCallStaysInsideTheHorizon) {
+  CallConfig call;
+  call.variant = Variant::kConverge;
+  call.duration = Duration::Seconds(180);
+  call.seed = 1000;
+  TraceParams params;
+  params.length = call.duration;
+  call.paths = MakeScenarioPathsWithFaults(Scenario::kDriving, call.seed,
+                                           params);
+  ConferenceConfig config = ToConferenceConfig(call);
+  EXPECT_EQ(HorizonMisses(RunCheckingHistoryPages(config)), 0);
+}
+
+// Three hubs, a 2-s hub outage with re-homing, and a leave/rejoin, run
+// for six horizons.
+TEST(ConferenceHistoryTest, CascadeFailoverStarStaysInsideTheHorizon) {
+  ConferenceConfig config = fixtures::FixtureCascadeFailoverConfig();
+  config.duration = Duration::Seconds(60);
+  EXPECT_EQ(HorizonMisses(RunCheckingHistoryPages(config)), 0);
+}
+
 // Star chaos: a mid-call rate cliff on ONE receiver's downlink. The hub
 // must absorb it per-downlink — invariants clean, the hub queue bounded by
 // the drop policy, and the receivers on healthy downlinks within 5% of an

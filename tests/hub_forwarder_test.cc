@@ -445,6 +445,36 @@ TEST(HubForwarderTest, EvictionIsOldestFirstAndKeyframeProtected) {
   EXPECT_EQ(h.delivered[0].packet.frame_kind, FrameKind::kKey);
 }
 
+// Eviction counts frames, not runs of packets: with the doomed frames'
+// packets interleaved in the queue (an uplink-recovered packet of frame 1
+// queued behind frame 2's), both frames still count once each.
+TEST(HubForwarderTest, EvictionCountsInterleavedFramesOnce) {
+  HubForwarder::Config config;
+  config.cc.controller.start_rate = DataRate::KilobitsPerSec(50);
+  config.cc.controller.min_rate = DataRate::KilobitsPerSec(50);
+  config.cc.controller.max_rate = DataRate::KilobitsPerSec(100);
+  Harness h(config);
+  // The same byte budget as above: every packet is admitted below the
+  // 350-ms thinning bound or belongs to an admitted frame, and the queue
+  // ends past the 600-ms drop bound.
+  uint16_t seq = 0;
+  h.forwarder.OnMediaFromUplink(
+      0, 0, MediaPacket(0x10, seq++, 0, FrameKind::kKey, 800));
+  for (int64_t frame : {1, 2, 1, 2, 1, 2}) {
+    h.forwarder.OnMediaFromUplink(
+        0, 0, MediaPacket(0x10, seq++, frame, FrameKind::kDelta, 800));
+  }
+  ASSERT_GT(h.forwarder.queue_delay(0), Duration::Millis(600));
+  h.loop.RunUntil(Timestamp::Zero() + Duration::Millis(300));
+
+  const HubForwarder::DownlinkStats& stats = h.forwarder.stats(0);
+  EXPECT_EQ(stats.frames_thinned, 0);
+  EXPECT_EQ(stats.frames_evicted, 2);
+  EXPECT_EQ(stats.packets_dropped, 6);
+  ASSERT_EQ(h.delivered.size(), 1u);
+  EXPECT_EQ(h.delivered[0].packet.frame_kind, FrameKind::kKey);
+}
+
 TEST(HubForwarderTest, AnswersNackFromHubHistoryWithFreshStamps) {
   Harness h(FastConfig(10.0));
   for (int64_t frame = 0; frame < 3; ++frame) {

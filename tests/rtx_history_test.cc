@@ -3,12 +3,17 @@
 // forwarding engines each kept before it (per-path mp_sent windows, the
 // legacy ssrc_sent_/legacy_sent_ maps, the recent_rtx_ dedup maps and the
 // RTX stamping). Random send/NACK/leave workloads drive both sides in both
-// NACK flavours; every answer must match packet for packet. Directed tests
-// pin the dedup boundary, the stamping and the flavour filter.
+// NACK flavours; every answer must match packet for packet. The references
+// keep per-path packets until the 16-bit wrap, the module only for
+// kSentHistoryHorizon: per-path NACKs for older packets go to the module
+// alone, which must decline them and count each as a horizon miss. Directed
+// tests pin the dedup boundary, the stamping, the flavour filter and the
+// age bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <random>
 #include <tuple>
@@ -281,6 +286,96 @@ class ReferenceHub {
   std::map<std::pair<int64_t, uint16_t>, Timestamp> recent_rtx_;
 };
 
+// ---- The age bound -----------------------------------------------------------
+
+// Which per-path packets the module's age bound has dropped while a
+// reference still holds them: the send time of each held media-like packet
+// per (leg, path, mp_seq), and the newest send per (leg, path), which is
+// what the module trims against. Engines of the legacy flavour keep no
+// per-path history, so nothing ages for them.
+class HorizonShadow {
+ public:
+  explicit HorizonShadow(bool per_path_nack) : per_path_nack_(per_path_nack) {}
+
+  void OnSent(int leg, PathId path, const RtpPacket& packet) {
+    Flow& flow = flows_[{leg, path}];
+    flow.newest = packet.send_time;
+    if (packet.IsMediaLike()) {
+      flow.held[packet.mp_seq] = packet.send_time;
+      flow.media.emplace_back(packet.mp_seq, packet.send_time);
+      flow.after_media = static_cast<uint16_t>(packet.mp_seq + 1);
+    } else {
+      flow.held.erase(packet.mp_seq);
+    }
+  }
+  void Forget(int leg) {
+    for (auto it = flows_.begin(); it != flows_.end();) {
+      it = it->first.first == leg ? flows_.erase(it) : std::next(it);
+    }
+  }
+  // The NACK with every held seq older than the horizon left out. `aged`
+  // counts those left out; `counted` those of them the module still
+  // remembers trimming (SeqWindow::kTrimMemory positions behind its
+  // tail). Legacy NACKs pass whole.
+  Nack InsideHorizon(int leg, PathId report_path, const Nack& nack,
+                     int64_t* aged, int64_t* counted) {
+    auto it = flows_.find({leg, report_path});
+    if (!per_path_nack_ || nack.ssrc != 0 || it == flows_.end()) return nack;
+    Flow& flow = it->second;
+    const uint16_t tail = flow.Tail();
+    Nack inside{nack.ssrc, {}};
+    for (uint16_t seq : nack.seqs) {
+      auto held = flow.held.find(seq);
+      if (held != flow.held.end() && flow.Expired(held->second)) {
+        ++*aged;
+        const uint16_t back = static_cast<uint16_t>(tail - seq);
+        if (back >= 1 && back <= SeqWindow<RtpPacket>::kTrimMemory) {
+          ++*counted;
+        }
+      } else {
+        inside.seqs.push_back(seq);
+      }
+    }
+    return inside;
+  }
+
+ private:
+  struct Flow {
+    bool Expired(Timestamp sent) const {
+      return newest - sent > kSentHistoryHorizon;
+    }
+    // The module's tail: its oldest unexpired media packet, else the
+    // value after its newest media packet.
+    uint16_t Tail() {
+      while (!media.empty()) {
+        const auto [seq, sent] = media.front();
+        auto held = held_at(seq);
+        if (held != nullptr && *held == sent && !Expired(sent)) return seq;
+        media.pop_front();
+      }
+      return after_media;
+    }
+    const Timestamp* held_at(uint16_t seq) const {
+      auto it = held.find(seq);
+      return it == held.end() ? nullptr : &it->second;
+    }
+
+    Timestamp newest;
+    std::map<uint16_t, Timestamp> held;
+    std::deque<std::pair<uint16_t, Timestamp>> media;  // in send order
+    uint16_t after_media = 0;
+  };
+  bool per_path_nack_;
+  std::map<std::pair<int, PathId>, Flow> flows_;
+};
+
+// The module's verdict on the seqs the reference did not see: each aged
+// one is declined (the answers already matched the reference's exactly)
+// and counted as a miss while the module still remembers trimming it.
+void ExpectAgedCounted(int64_t counted, int64_t misses, int64_t step) {
+  ASSERT_EQ(misses, counted) << "step " << step;
+}
+
 // ---- Random workload --------------------------------------------------------
 
 // Origin legs send media, parameter sets, FEC, probes and RTX copies over
@@ -442,16 +537,24 @@ class Workload {
 // The sender's use: leg 0, ChooseRtxPath picks the target.
 struct SenderPair {
   SenderPair(bool per_path_nack)
-      : reference(per_path_nack, {0, 1, 2}), history(per_path_nack) {}
+      : reference(per_path_nack, {0, 1, 2}),
+        history(per_path_nack),
+        shadow(per_path_nack) {}
 
   void OnSent(int leg, PathId path, const RtpPacket& packet) {
     reference.OnSent(path, packet);
     history.OnSent(leg, path, packet);
+    shadow.OnSent(leg, path, packet);
   }
   void Nack(int leg, PathId report_path, const converge::Nack& nack,
             Timestamp now, int64_t step) {
-    const std::vector<Answer> want =
-        reference.HandleNack(nack, report_path, now);
+    int64_t step_aged = 0;
+    int64_t step_counted = 0;
+    const std::vector<Answer> want = reference.HandleNack(
+        shadow.InsideHorizon(leg, report_path, nack, &step_aged,
+                             &step_counted),
+        report_path, now);
+    const int64_t misses_before = history.horizon_misses();
     std::vector<Answer> got;
     history.AnswerNack(
         leg, report_path, nack, now,
@@ -462,29 +565,43 @@ struct SenderPair {
           return true;
         });
     ExpectSameAnswers(want, got, step);
+    ExpectAgedCounted(step_counted,
+                      history.horizon_misses() - misses_before, step);
     answers += static_cast<int64_t>(want.size());
+    aged += step_aged;
   }
   void Reset(int) {}
 
   ReferenceSender reference;
   RtxHistory history;
+  HorizonShadow shadow;
   int64_t answers = 0;
+  int64_t aged = 0;  // NACKed seqs the reference held beyond the horizon
 };
 
 // A hub engine's use: per-origin legs, answered on the origin path if the
 // engine has it, origins reset on leave.
 struct HubPair {
   HubPair(bool per_path_nack)
-      : reference(per_path_nack, {0, 1, 2}), history(per_path_nack) {}
+      : reference(per_path_nack, {0, 1, 2}),
+        history(per_path_nack),
+        shadow(per_path_nack) {}
 
   void OnSent(int leg, PathId path, const RtpPacket& packet) {
     reference.OnSent(leg, path, packet);
     history.OnSent(leg, path, packet);
+    shadow.OnSent(leg, path, packet);
   }
   void Nack(int leg, PathId report_path, const converge::Nack& nack,
             Timestamp now, int64_t step) {
-    const std::vector<Answer> want =
-        reference.HandleNack(leg, report_path, nack, now);
+    int64_t step_aged = 0;
+    int64_t step_counted = 0;
+    const std::vector<Answer> want = reference.HandleNack(
+        leg, report_path,
+        shadow.InsideHorizon(leg, report_path, nack, &step_aged,
+                             &step_counted),
+        now);
+    const int64_t misses_before = history.horizon_misses();
     std::vector<Answer> got;
     history.AnswerNack(leg, report_path, nack, now,
                        [&](RtpPacket rtx, PathId target, uint16_t seq) {
@@ -493,16 +610,22 @@ struct HubPair {
                          return true;
                        });
     ExpectSameAnswers(want, got, step);
+    ExpectAgedCounted(step_counted,
+                      history.horizon_misses() - misses_before, step);
     answers += static_cast<int64_t>(want.size());
+    aged += step_aged;
   }
   void Reset(int leg) {
     reference.ResetOrigin(leg);
     history.ForgetLeg(leg);
+    shadow.Forget(leg);
   }
 
   ReferenceHub reference;
   RtxHistory history;
+  HorizonShadow shadow;
   int64_t answers = 0;
+  int64_t aged = 0;  // NACKed seqs the reference held beyond the horizon
 };
 
 // Three mp_seq wraps on the busiest (leg, path) at 0.6 * 0.6 of all sends.
@@ -516,6 +639,8 @@ TEST(RtxHistoryTest, PerPathSenderMatchesReference) {
   EXPECT_GE(workload.max_wraps(), 3);
   EXPECT_GT(pair.answers, 5'000);
   EXPECT_GT(pair.reference.dedup_evictions, 0);
+  EXPECT_GT(pair.aged, 1'000);
+  EXPECT_GT(pair.history.horizon_misses(), 100);
 }
 
 TEST(RtxHistoryTest, LegacySenderMatchesReference) {
@@ -535,6 +660,8 @@ TEST(RtxHistoryTest, PerPathHubMatchesReferenceAcrossResets) {
   EXPECT_GE(workload.max_wraps(), 3);
   EXPECT_GT(pair.answers, 5'000);
   EXPECT_GT(pair.reference.dedup_evictions, 0);
+  EXPECT_GT(pair.aged, 1'000);
+  EXPECT_GT(pair.history.horizon_misses(), 100);
 }
 
 TEST(RtxHistoryTest, LegacyHubMatchesReferenceAcrossResets) {
@@ -634,6 +761,31 @@ TEST(RtxHistoryTest, IgnoresTheOtherFlavour) {
       AnswerAll(per_path, 0, 0, Nack{0x1000, {5}}, Timestamp::Zero()).empty());
   EXPECT_TRUE(
       AnswerAll(legacy, 0, 0, PerPathNack(5), Timestamp::Zero()).empty());
+}
+
+// A per-path window keeps a packet while no newer send on it is more than
+// kSentHistoryHorizon later. A NACK for a packet past that is declined and
+// counted; one for a value the window never held is declined uncounted.
+TEST(RtxHistoryTest, PerPathWindowAgesOutAndCountsMisses) {
+  RtxHistory history(/*per_path_nack=*/true);
+  const Timestamp t0 = Timestamp::Millis(3);
+  auto send = [&](uint16_t mp_seq, Timestamp at) {
+    RtpPacket p = Media(0x1000, mp_seq, 0, mp_seq);
+    p.send_time = at;
+    history.OnSent(0, 0, p);
+  };
+  send(0, t0);
+  send(1, t0 + kSentHistoryHorizon);  // exactly the horizon later
+  EXPECT_EQ(AnswerAll(history, 0, 0, PerPathNack(0), t0).size(), 1u);
+
+  send(2, t0 + kSentHistoryHorizon + Duration::Micros(1));
+  const Timestamp late = t0 + kSentHistoryHorizon + Duration::Seconds(1);
+  EXPECT_TRUE(AnswerAll(history, 0, 0, PerPathNack(0), late).empty());
+  EXPECT_EQ(history.horizon_misses(), 1);
+  EXPECT_TRUE(AnswerAll(history, 0, 0, PerPathNack(900), late).empty());
+  EXPECT_EQ(history.horizon_misses(), 1);
+  EXPECT_EQ(AnswerAll(history, 0, 0, PerPathNack(1), late).size(), 1u);
+  EXPECT_EQ(history.pages_allocated(), 1u);
 }
 
 TEST(RtxHistoryTest, ForgetLegKeepsOtherLegsAndDedupRecords) {

@@ -154,6 +154,49 @@ TEST_F(SenderTest, NackTriggersRtxWithDedup) {
   EXPECT_EQ(rtx_seen, 1);
 }
 
+// Both sent histories drop a packet once the path has sent for
+// kSentHistoryHorizon since: a NACK or feedback naming it is declined and
+// counted, while recent packets are still answered.
+TEST_F(SenderTest, HistoriesAgeOutAfterTheHorizon) {
+  Build();
+  FeedHealthyFeedback(Duration::Seconds(1.0));
+  const std::optional<RtpPacket> old = FirstMedia();
+  ASSERT_TRUE(old.has_value());
+  FeedHealthyFeedback(kSentHistoryHorizon);
+  EXPECT_EQ(sender_->nack_horizon_misses(), 0);
+  EXPECT_EQ(sender_->feedback_horizon_misses(), 0);
+
+  auto nack_for = [&](const RtpPacket& p) {
+    RtcpPacket rtcp;
+    rtcp.path_id = p.path_id;
+    rtcp.payload = Nack{0, {p.mp_seq}};
+    sender_->HandleRtcp(rtcp, loop_.now());
+  };
+  nack_for(*old);
+  EXPECT_EQ(sender_->stats().rtx_packets_sent, 0);
+  EXPECT_EQ(sender_->nack_horizon_misses(), 1);
+
+  TransportFeedback fb;
+  fb.arrivals.push_back({old->mp_transport_seq, loop_.now()});
+  RtcpPacket rtcp;
+  rtcp.path_id = old->path_id;
+  rtcp.payload = fb;
+  sender_->HandleRtcp(rtcp, loop_.now());
+  EXPECT_EQ(sender_->feedback_horizon_misses(), 1);
+
+  std::optional<RtpPacket> recent;
+  for (auto it = sent_.rbegin(); it != sent_.rend(); ++it) {
+    if (it->second.kind == PayloadKind::kMedia && !it->second.via_rtx) {
+      recent = it->second;
+      break;
+    }
+  }
+  ASSERT_TRUE(recent.has_value());
+  nack_for(*recent);
+  EXPECT_EQ(sender_->stats().rtx_packets_sent, 1);
+  EXPECT_EQ(sender_->nack_horizon_misses(), 1);
+}
+
 TEST_F(SenderTest, KeyframeRequestForcesKeyframe) {
   Build();
   FeedHealthyFeedback(Duration::Seconds(1.0));

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -176,6 +177,186 @@ TEST(SeqWindowTest, PagesMaterializeOnTouchAndReleaseWhenEmptied) {
   EXPECT_EQ(window.size(), 1024u);
 }
 
+// ---- The age bound -----------------------------------------------------------
+
+struct Sent {
+  int64_t key = 0;  // unwrapped
+  Timestamp time;
+};
+
+// Trim against a std::map reference keyed by the unwrapped key. Keys rise
+// in send order with occasional holes, recent keys are erased at random,
+// and the window is trimmed after most inserts and sometimes after a long
+// pause. The reference models the window exactly: a write evicts every
+// older key of its slot, a trim walks a tail key from the oldest position
+// up to the newest key, erasing the expired entry each slot holds and
+// passing holes until a live unexpired entry. Trimmed(k) holds where the
+// trim erased an entry, no newer key has taken the slot since, and the
+// tail is at most kTrimMemory positions on. `wire` stores 16-bit keys, as
+// the per-path RTX windows do.
+void RunTrimAgainstMap(size_t window_size, bool wire, Duration horizon,
+                       int64_t steps, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "window " << window_size << " wire "
+                                  << wire);
+  const int64_t w = static_cast<int64_t>(window_size);
+  auto stored = [&](int64_t key) { return wire ? (key & 0xFFFF) : key; };
+  SeqWindow<Sent> window(window_size);
+  std::map<int64_t, Sent> reference;
+  constexpr int64_t kNone = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> owner(window_size, kNone);  // live key per slot
+  std::mt19937_64 rng(seed);
+  Timestamp now = Timestamp::Zero();
+  const int64_t start = 5;  // first key
+  int64_t newest = start - 1;
+  int64_t tail = start;     // the model's tail key
+  int64_t trims_passed = 0;
+  int64_t trimmed_probes = 0;
+  int64_t pauses = 0;
+  std::map<int64_t, bool> erased_at;  // by position the tail passed
+  bool full_span_seen = false;
+
+  auto erase_ref = [&](int64_t key) {
+    reference.erase(key);
+    owner[static_cast<size_t>(key & (w - 1))] = kNone;
+  };
+  auto trim = [&] {
+    auto expired = [&](const Sent& s) { return now - s.time > horizon; };
+    window.Trim(expired);
+    while (tail <= newest) {
+      // The slot may hold an older key a skipped key left behind.
+      const int64_t live = owner[static_cast<size_t>(tail & (w - 1))];
+      if (live != kNone) {
+        if (!expired(reference.at(live))) break;
+        erase_ref(live);
+      }
+      erased_at[tail] = live != kNone;
+      ++tail;
+      ++trims_passed;
+    }
+  };
+  // The window's answers for the key whose slot `probe` maps to, against
+  // the reference's.
+  auto check = [&](int64_t probe) {
+    const int64_t slot = probe & (w - 1);
+    const int64_t live = owner[static_cast<size_t>(slot)];
+    const bool held = wire ? live != kNone : live == probe;
+    const Sent* found = window.Find(stored(probe));
+    ASSERT_EQ(found != nullptr, held) << "probe " << probe << " newest "
+                                      << newest;
+    if (held) {
+      ASSERT_EQ(found->key, live);
+    }
+    // The one key of this slot inside the newest window.
+    const int64_t key = newest - ((newest - slot) & (w - 1));
+    if (!wire && key != probe) return;  // Trimmed is positional
+    const int64_t lowest = std::max(
+        {start, newest - w + 1, tail - w + 1,
+         tail - static_cast<int64_t>(SeqWindow<Sent>::kTrimMemory)});
+    const bool trimmed = key >= lowest && key < tail && erased_at[key];
+    ASSERT_EQ(window.Trimmed(stored(probe)), trimmed)
+        << "probe " << probe << " tail " << tail << " newest " << newest;
+    trimmed_probes += trimmed ? 1 : 0;
+  };
+
+  for (int64_t step = 0; step < steps; ++step) {
+    const uint64_t roll = rng() % 100;
+    if (roll < 85) {
+      now = now + Duration::Micros(static_cast<int64_t>(rng() % 2000));
+      const int64_t gap = rng() % 10 == 0 ? static_cast<int64_t>(rng() % 4) : 0;
+      const int64_t key = newest < start ? start : newest + 1 + gap;
+      // The model's span: restarts at the key when empty (the positions
+      // skipped are passed as holes), else keeps at most the newest `w`
+      // positions.
+      if (tail > newest) {
+        for (int64_t skipped = tail; skipped < key; ++skipped) {
+          erased_at[skipped] = false;
+        }
+        tail = key;
+      } else {
+        tail = std::max(tail, key - w + 1);
+      }
+      full_span_seen |= key - tail + 1 == w;
+      newest = key;
+      for (int64_t old = key - w; old >= start; old -= w) {
+        if (reference.erase(old) == 1) break;  // one live key per slot
+      }
+      reference[key] = Sent{key, now};
+      owner[static_cast<size_t>(key & (w - 1))] = key;
+      window.Insert(stored(key), Sent{key, now});
+      if (rng() % 5 != 0) trim();
+    } else if (roll < 93) {
+      // A 16-bit key names whatever its slot holds, a skipped key's
+      // previous wrap included.
+      const int64_t key = newest - static_cast<int64_t>(rng() % 64);
+      const int64_t live = owner[static_cast<size_t>(key & (w - 1))];
+      const bool held = wire ? live != kNone : live == key;
+      ASSERT_EQ(window.Erase(stored(key)), held) << key;
+      if (held) erase_ref(live);
+    } else if (roll < 94 && rng() % 64 == 0) {
+      now = now + horizon + horizon / 2;  // a pause: everything expires
+      trim();
+      ++pauses;
+    } else {
+      trim();
+    }
+    for (int probe = 0; probe < 3; ++probe) {
+      const int64_t back = static_cast<int64_t>(rng() % (w + 16)) - 8;
+      check(rng() % 4 == 0 ? static_cast<int64_t>(rng() % (1 << 20))
+                           : newest - back);
+    }
+    ASSERT_EQ(window.size(), reference.size()) << "step " << step;
+  }
+  EXPECT_GT(pauses, 10);
+  EXPECT_GT(trimmed_probes, steps / 50);
+  EXPECT_GT(trims_passed, steps / 4);
+  EXPECT_GE(newest / 65536, wire ? 3 : 0);
+  if (!wire) {
+    EXPECT_TRUE(full_span_seen);
+  }
+}
+
+TEST(SeqWindowTest, TrimMatchesMapAcrossWrapsAndPages) {
+  // 16-bit keys over three wraps, the span well inside the window.
+  RunTrimAgainstMap(size_t{1} << 16, /*wire=*/true, Duration::Millis(400),
+                    260'000, 41);
+  // Unwrapped keys in a window the horizon overfills: the count cap and
+  // the age bound take turns.
+  RunTrimAgainstMap(1024, /*wire=*/false, Duration::Millis(1500), 120'000,
+                    43);
+}
+
+// A steady sender under the real horizon, trimming on every insert as the
+// RTX and feedback windows do: after a 180-s call the window holds the
+// packets of the last horizon and no more than one page beyond them.
+TEST(SeqWindowTest, TrimmedWindowPagesFollowRateNotCallLength) {
+  for (const int64_t rate : {1000, 4000}) {
+    SeqWindow<Sent> window(size_t{1} << 16);
+    const Duration gap = Duration::Micros(1'000'000 / rate);
+    const int64_t horizon_packets =
+        kSentHistoryHorizon.us() / gap.us();  // horizon * rate
+    const size_t max_pages = static_cast<size_t>(
+        (horizon_packets + SeqWindow<Sent>::kPageSlots - 1) /
+            static_cast<int64_t>(SeqWindow<Sent>::kPageSlots) +
+        1);
+    Timestamp now = Timestamp::Zero();
+    size_t peak = 0;
+    for (int64_t key = 0; now <= Timestamp::Zero() + Duration::Seconds(180);
+         ++key, now = now + gap) {
+      window.Insert(key & 0xFFFF, Sent{key, now});
+      window.Trim([&](const Sent& s) {
+        return now - s.time > kSentHistoryHorizon;
+      });
+      peak = std::max(peak, window.pages_allocated());
+      if (now > Timestamp::Zero() + kSentHistoryHorizon) {
+        ASSERT_EQ(window.size(), static_cast<size_t>(horizon_packets) + 1)
+            << rate << " pkt/s at " << now.seconds() << " s";
+      }
+    }
+    EXPECT_LE(peak, max_pages) << rate << " pkt/s";
+    EXPECT_GE(peak, max_pages - 1) << rate << " pkt/s";
+  }
+}
+
 // The sent history DownlinkCc kept before the window: a map keyed (leg,
 // seq) capped by a FIFO of registrations in order.
 class ReferenceSentHistory {
@@ -250,6 +431,130 @@ TEST(SeqWindowTest, DownlinkCcHistoryMatchesCappedMapAcrossLegRestarts) {
   }
 }
 
+// A leg's records age against the leg's own newest registration: feedback
+// for an aged record is skipped and counted, feedback for a seq never
+// registered is not, and another leg's sends age nothing of this one.
+TEST(SeqWindowTest, DownlinkCcAgesRecordsOutAndCountsLateFeedback) {
+  DownlinkCc cc(DownlinkCc::Config{});
+  const Timestamp t0 = Timestamp::Zero() + Duration::Millis(5);
+  auto feedback = [&](int leg, int64_t seq, Timestamp now) {
+    TransportFeedback fb;
+    fb.arrivals.push_back({seq, now});
+    cc.OnTransportFeedback(leg, fb, now);
+  };
+  cc.OnPacketSent(0, 0, t0, 1200);
+  cc.OnPacketSent(1, 0, t0, 1200);
+  cc.OnPacketSent(0, 1, t0 + kSentHistoryHorizon, 1200);  // exactly 10 s
+  feedback(0, 0, t0 + kSentHistoryHorizon);
+  EXPECT_EQ(cc.packets_acked(), 1);  // still held at the bound itself
+
+  const Timestamp late = t0 + kSentHistoryHorizon + Duration::Micros(1);
+  cc.OnPacketSent(0, 2, late, 1200);  // ages out (0, 0) only
+  feedback(0, 0, late);
+  EXPECT_EQ(cc.packets_acked(), 1);
+  EXPECT_EQ(cc.horizon_misses(), 1);
+  feedback(1, 0, late);
+  EXPECT_EQ(cc.packets_acked(), 2);
+  cc.OnPacketSent(1, 1, late, 1200);  // now (1, 0) too
+  feedback(1, 0, late);
+  EXPECT_EQ(cc.packets_acked(), 2);
+  EXPECT_EQ(cc.horizon_misses(), 2);
+  feedback(0, 7, late);  // never registered
+  EXPECT_EQ(cc.horizon_misses(), 2);
+  feedback(0, 1, late);
+  EXPECT_EQ(cc.packets_acked(), 3);
+
+  cc.OnPacketSent(1, 0, late, 1200);  // leg 1 restarted
+  feedback(1, 0, late);
+  EXPECT_EQ(cc.packets_acked(), 4);
+  EXPECT_EQ(cc.horizon_misses(), 2);
+}
+
+// A leg restarted while its previous life's records are held rewrites
+// them in place. When the previous life's registration ages out, the
+// newer record stays: it goes only when its own registration does.
+TEST(SeqWindowTest, DownlinkCcAgingKeepsARestartedLegsRewrite) {
+  DownlinkCc cc(DownlinkCc::Config{});
+  const Timestamp t0 = Timestamp::Zero();
+  const Timestamp restart = t0 + Duration::Seconds(4);
+  cc.OnPacketSent(0, 0, t0, 1200);
+  cc.OnPacketSent(0, 0, restart, 1200);  // the restarted leg's seq 0
+  const Timestamp later = t0 + kSentHistoryHorizon + Duration::Millis(1);
+  cc.OnPacketSent(0, 1, later, 1200);  // ages out the t0 registration
+  TransportFeedback fb;
+  fb.arrivals.push_back({0, later});
+  cc.OnTransportFeedback(0, fb, later);
+  EXPECT_EQ(cc.packets_acked(), 1);
+
+  const Timestamp last = restart + kSentHistoryHorizon + Duration::Millis(1);
+  cc.OnPacketSent(0, 2, last, 1200);  // now the rewrite's own ages out
+  cc.OnTransportFeedback(0, fb, last);
+  EXPECT_EQ(cc.packets_acked(), 1);
+  EXPECT_EQ(cc.horizon_misses(), 1);
+}
+
+// The age bound against the capped map + FIFO it sits on: a record the
+// cap holds that is no older than the horizon (against its leg's newest
+// registration) is still found; a record the cap dropped is never found.
+// Legs restart at 0 as above, some while their previous life is held.
+TEST(SeqWindowTest, DownlinkCcAgeBoundKeepsWhatTheCapKeepsInsideTheHorizon) {
+  for (size_t max_history : {size_t{1000}, size_t{8192}}) {
+    DownlinkCc::Config config;
+    config.max_history = max_history;
+    DownlinkCc cc(config);
+    ReferenceSentHistory reference(max_history);
+    std::map<std::pair<int, int64_t>, Timestamp> written;  // newest write
+    std::mt19937_64 rng(71 + max_history);
+    constexpr int kLegs = 4;
+    std::vector<int64_t> next(kLegs, 0);
+    std::vector<int64_t> highest(kLegs, 0);
+    std::vector<Timestamp> newest(kLegs, Timestamp::Zero());
+    Timestamp now = Timestamp::Zero();
+    int64_t acked = 0;
+    int64_t aged_out = 0;  // held by the cap, older than the horizon
+    int64_t still_held = 0;
+    for (int step = 0; step < 40'000; ++step) {
+      now = now + Duration::Micros(static_cast<int64_t>(rng() % 4000));
+      const int leg = rng() % 2 == 0 ? 0 : 1 + static_cast<int>(rng() % 3);
+      if (next[leg] > 0 && rng() % 3000 == 0) next[leg] = 0;  // restart
+      const int64_t seq = next[leg]++;
+      highest[leg] = std::max(highest[leg], seq);
+      newest[static_cast<size_t>(leg)] = now;
+      cc.OnPacketSent(leg, seq, now, 1200);
+      reference.Register(leg, seq);
+      written[{leg, seq}] = now;
+
+      const int probe_leg = static_cast<int>(rng() % kLegs);
+      const int64_t probe_seq =
+          static_cast<int64_t>(rng() % static_cast<uint64_t>(
+                                           highest[probe_leg] + 3));
+      TransportFeedback fb;
+      fb.arrivals.push_back({probe_seq, now});
+      cc.OnTransportFeedback(probe_leg, fb, now);
+      const bool found = cc.packets_acked() > acked;
+      acked = cc.packets_acked();
+      if (!reference.Contains(probe_leg, probe_seq)) {
+        ASSERT_FALSE(found) << "leg " << probe_leg << " seq " << probe_seq
+                            << " step " << step;
+        continue;
+      }
+      const Duration age = newest[static_cast<size_t>(probe_leg)] -
+                           written.at({probe_leg, probe_seq});
+      if (age <= kSentHistoryHorizon) {
+        ASSERT_TRUE(found) << "leg " << probe_leg << " seq " << probe_seq
+                           << " age " << age.seconds() << " s, step "
+                           << step;
+      } else {
+        ++(found ? still_held : aged_out);
+      }
+    }
+    if (max_history == 8192) {
+      EXPECT_GT(aged_out, 1000);
+      EXPECT_EQ(still_held, 0);
+    }
+  }
+}
+
 // The corner the random walk above rarely reaches: a restarted leg writes
 // the very key the eviction FIFO is about to drop. The capped map wrote the
 // new record and then erased that key, so the new record went too.
@@ -266,6 +571,17 @@ TEST(SeqWindowTest, DownlinkCcEvictionOfARewrittenKeyDropsTheNewRecord) {
     reference.Register(leg, seq);
   }
   ASSERT_FALSE(reference.Contains(0, 0));
+  // The same with nothing else held: the evicted key was the only one.
+  DownlinkCc::Config one;
+  one.max_history = 1;
+  DownlinkCc single(one);
+  single.OnPacketSent(0, 0, now, 1200);
+  single.OnPacketSent(0, 0, now, 1200);
+  single.OnPacketSent(0, 1, now, 1200);
+  TransportFeedback latest;
+  latest.arrivals.push_back({1, now});
+  single.OnTransportFeedback(0, latest, now);
+  EXPECT_EQ(single.packets_acked(), 1);
   TransportFeedback fb;
   fb.arrivals.push_back({0, now});
   cc.OnTransportFeedback(0, fb, now);
