@@ -350,10 +350,10 @@ HubForwarder::Config EgressConfig(const ConferenceConfig& config,
                                   const char* trace_component) {
   HubForwarder::Config conf;
   conf.per_path_nack = HasMultipathRtpExtension(config.variant);
-  conf.cc.controller.algorithm = config.cc_algorithm;
-  conf.cc.controller.start_rate = start;
-  conf.cc.controller.max_rate = start * 2;
-  conf.cc.controller.trace_component = trace_component;
+  conf.cc.algorithm = config.cc_algorithm;
+  conf.cc.start_rate = start;
+  conf.cc.max_rate = start * 2;
+  conf.cc.trace_component = trace_component;
   return conf;
 }
 
@@ -1242,6 +1242,7 @@ ConferenceStats Conference::Collect() {
   out.num_hubs = config_.num_hubs;
   out.simulcast_rungs = config_.simulcast_rungs;
   out.temporal_layers = config_.temporal_layers;
+  out.clamped_past_events = loop_.clamped_past_events();
   // Per-path egress-engine state shared by downlink and trunk rows.
   auto fill = [](auto& row, const HubForwarder& fwd, PathId path) {
     row.path = path;

@@ -374,6 +374,10 @@ struct ConferenceStats {
   // single-layer calls, whose stats JSON omits every layer field).
   int simulcast_rungs = 1;
   int temporal_layers = 1;
+  // Events scheduled in the past and run at the current time instead
+  // (EventLoop::clamped_past_events). Every modelled call keeps it 0; the
+  // stats JSON carries it only when nonzero.
+  int64_t clamped_past_events = 0;
 };
 
 class Conference {

@@ -126,8 +126,8 @@ HubForwarder::HubForwarder(EventLoop* loop, Config config,
       last_process_(loop->now()),
       last_layer_eval_(loop->now()) {
   for (PathId path : paths) {
-    DownlinkCc::Config cc = config_.cc;
-    cc.controller.trace_path = static_cast<int>(path);
+    CcConfig cc = config_.cc;
+    cc.trace_path = static_cast<int>(path);
     paths_.emplace(path, std::make_unique<PathState>(cc));
   }
   task_ = std::make_unique<RepeatingTask>(loop_, kPacingInterval,
@@ -575,7 +575,6 @@ void HubForwarder::EvictForSpace(PathId path, PathState& ps,
 void HubForwarder::Emit(PathId path, PathState& ps, Queued q,
                         Timestamp now, bool padding) {
   RtpPacket& packet = q.packet;
-  EgressLeg& el = ps.egress[q.leg];
   CONVERGE_INVARIANT("HubForwarder", now, FitsPacketPathId(path),
                      "path " + std::to_string(path));
   packet.path_id = path;
@@ -583,11 +582,8 @@ void HubForwarder::Emit(PathId path, PathState& ps, Queued q,
   // Hub-owned sequence spaces, stamped at queue output so the per-path
   // wire order stays strictly sequential even when retransmissions jump
   // the backlog (mirrors Sender::DispatchPacket).
-  packet.mp_seq = el.next_mp_seq++;
-  packet.mp_transport_seq =
-      static_cast<uint16_t>(el.transport_count & 0xFFFF);
-  ps.cc.OnPacketSent(q.leg, el.transport_count, now, packet.wire_size());
-  ++el.transport_count;
+  ps.egress[q.leg].Stamp(packet);
+  ps.cc.OnPacketSent();
   ps.pad_budget.Spend(packet.wire_size());
 
   rtx_.OnSent(q.leg, path, packet);
@@ -733,9 +729,15 @@ bool HubForwarder::OnReceiverRtcp(int leg, PathId path,
   const Timestamp now = loop_->now();
   if (const auto* fb = std::get_if<TransportFeedback>(&packet.payload)) {
     auto pit = paths_.find(packet.path_id);
-    if (pit != paths_.end()) {
-      pit->second->cc.OnTransportFeedback(leg, *fb, now);
-    }
+    if (pit == paths_.end()) return true;
+    PathState& ps = *pit->second;
+    // No life means the leg never sent here, or left since: nothing of
+    // its feedback can be matched.
+    auto eit = ps.egress.find(leg);
+    if (eit == ps.egress.end()) return true;
+    int64_t misses = 0;
+    const std::vector<PacketResult> results = eit->second.Match(*fb, misses);
+    ps.cc.OnTransportFeedback(results, misses, now);
     return true;
   }
   if (std::get_if<ReceiverReport>(&packet.payload) != nullptr) {
@@ -808,7 +810,11 @@ const DownlinkCc& HubForwarder::cc(PathId path) const {
 
 size_t HubForwarder::history_pages_allocated() const {
   size_t pages = rtx_.pages_allocated();
-  for (const auto& [path, ps] : paths_) pages += ps->cc.pages_allocated();
+  for (const auto& [path, ps] : paths_) {
+    for (const auto& [leg, egress] : ps->egress) {
+      pages += egress.pages_allocated();
+    }
+  }
   return pages;
 }
 

@@ -31,6 +31,7 @@
 #include "cc/pacer.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp_packet.h"
+#include "session/egress_seq.h"
 #include "session/rtx_history.h"
 #include "sim/event_loop.h"
 #include "util/time.h"
@@ -68,9 +69,9 @@ class HubForwarder {
     // the two hops of a cascaded forward. Must outlive the forwarder
     // (string literals only).
     const char* trace_category = "hub";
-    // Template for each path's congestion loop; trace_path is overridden
-    // per path.
-    DownlinkCc::Config cc;
+    // Template for each path's congestion controller; trace_path is
+    // overridden per path.
+    CcConfig cc;
   };
 
   // Highest rung index the selection engine tracks (wire field is 4 bits;
@@ -126,10 +127,11 @@ class HubForwarder {
   bool OnReceiverRtcp(int leg, PathId path, const RtcpPacket& packet);
 
   // Origin `leg`'s sender left the conference. Drops its queued media and
-  // forgets its egress sequence spaces, dependency gates, and RTX history,
-  // so a rejoin (which arrives under a fresh incarnation with brand-new
-  // SSRCs) starts from clean hub state instead of inheriting stamp counters
-  // and half-open gates from the previous life.
+  // forgets its egress lives (sequence spaces and send records),
+  // dependency gates, and RTX history, so a rejoin (which arrives under a
+  // fresh incarnation with brand-new SSRCs) starts from clean hub state
+  // instead of inheriting stamp counters, send records and half-open gates
+  // from the previous life.
   void ResetOrigin(int leg);
   // Quiesces the pacing timer when this forwarder's receiver leaves the
   // call; the retired forwarder stays alive (in-flight deliveries may still
@@ -148,8 +150,8 @@ class HubForwarder {
   int64_t queued_bytes(PathId path) const;
   const DownlinkStats& stats(PathId path) const;
   const DownlinkCc& cc(PathId path) const;
-  // Pages the sent histories hold: the RTX windows and every path's
-  // awaiting-feedback windows.
+  // Pages the sent histories hold: the RTX windows and every egress life's
+  // send records.
   size_t history_pages_allocated() const;
 
   // Layered forwarding introspection. selected_rung: the rung (origin leg,
@@ -166,14 +168,8 @@ class HubForwarder {
     Timestamp enqueued;
     int leg = 0;
   };
-  // Hub-owned egress sequence spaces for one (origin leg, path).
-  struct EgressLeg {
-    uint16_t next_mp_seq = 0;
-    int64_t transport_count = 0;  // unwrapped; low 16 bits go on the wire
-  };
   struct PathState {
-    explicit PathState(const DownlinkCc::Config& cc_config)
-        : cc(cc_config) {}
+    explicit PathState(const CcConfig& cc_config) : cc(cc_config) {}
     DownlinkCc cc;
     std::deque<Queued> queue;
     std::deque<Queued> rtx_queue;  // hub NACK answers jump the backlog
@@ -203,7 +199,8 @@ class HubForwarder {
     Timestamp pad_clean_since = Timestamp::MinusInfinity();
     Duration pad_backoff = Duration::Zero();  // set on first gate trip
     DownlinkStats stats;
-    std::map<int, EgressLeg> egress;
+    // Hub-owned egress life per origin leg on this path.
+    std::map<int, EgressSeq> egress;
   };
   // Dependency gate for one (leg, stream): closed after the hub drops any
   // frame of the stream, reopened by the next keyframe. For layered

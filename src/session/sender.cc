@@ -266,13 +266,7 @@ void Sender::DispatchPacket(PathId path, RtpPacket packet) {
   // Multipath sequence numbers are stamped at pacer *output* so the on-wire
   // order per path is strictly sequential even when retransmissions jump
   // the pacer queue (otherwise the receiver would read reordering as loss).
-  packet.mp_seq = st.next_mp_seq++;
-  packet.mp_transport_seq = static_cast<uint16_t>(st.transport_count & 0xFFFF);
-  st.sent.Insert(st.transport_count++,
-                 SentRecord{packet.send_time, packet.wire_size()});
-  st.sent.Trim([&](const SentRecord& held) {
-    return packet.send_time - held.send_time > kSentHistoryHorizon;
-  });
+  st.egress.Stamp(packet);
   rtx_.OnSent(/*leg=*/0, path, packet);
 
   if (packet.IsMediaLike()) {
@@ -418,24 +412,8 @@ void Sender::HandleTransportFeedback(const TransportFeedback& feedback,
   auto pit = paths_.find(path_id);
   if (pit == paths_.end()) return;
   PathState& st = pit->second;
-
-  std::vector<PacketResult> results;
-  results.reserve(feedback.arrivals.size());
-  for (const TransportFeedback::Arrival& a : feedback.arrivals) {
-    const SentRecord* rec = st.sent.Find(a.mp_transport_seq);
-    if (rec == nullptr) {
-      if (st.sent.Trimmed(a.mp_transport_seq)) ++feedback_horizon_misses_;
-      continue;
-    }
-    PacketResult r;
-    r.transport_seq = a.mp_transport_seq;
-    r.send_time = rec->send_time;
-    r.bytes = rec->bytes;
-    r.received = a.recv_time.IsFinite();
-    r.recv_time = a.recv_time;
-    results.push_back(r);
-  }
-  st.cc->OnTransportFeedback(results, now);
+  st.cc->OnTransportFeedback(
+      st.egress.Match(feedback, feedback_horizon_misses_), now);
 }
 
 void Sender::HandleNack(const Nack& nack, PathId report_path) {
@@ -460,7 +438,7 @@ void Sender::HandleNack(const Nack& nack, PathId report_path) {
 
 size_t Sender::history_pages_allocated() const {
   size_t pages = rtx_.pages_allocated();
-  for (const auto& [id, st] : paths_) pages += st.sent.pages_allocated();
+  for (const auto& [id, st] : paths_) pages += st.egress.pages_allocated();
   return pages;
 }
 

@@ -21,9 +21,9 @@
 #include "net/network.h"
 #include "rtp/rtcp.h"
 #include "schedulers/scheduler.h"
+#include "session/egress_seq.h"
 #include "session/rtx_history.h"
 #include "sim/event_loop.h"
-#include "util/seq_window.h"
 #include "video/camera.h"
 #include "video/encoder.h"
 #include "video/packetizer.h"
@@ -64,8 +64,8 @@ class Sender {
     int64_t keyframes_encoded = 0;
   };
 
-  // Delivery of an RTP packet into the network. The Call wires this to the
-  // path's forward link. By value: the sender moves its last reference in.
+  // Delivery of an RTP packet into the network. The conference wires this
+  // to the path's forward link. By value: the sender moves its last reference in.
   using TransmitRtpFn = std::function<void(PathId path, RtpPacket packet)>;
   // Sender-originated RTCP (SR / SDES) toward the receiver.
   using TransmitRtcpFn =
@@ -99,22 +99,10 @@ class Sender {
   double path_loss(PathId path) const;
 
  private:
-  // One sent-packet record for transport feedback matching.
-  struct SentRecord {
-    Timestamp send_time;
-    int64_t bytes = 0;
-  };
-
   struct PathState {
     std::unique_ptr<CcController> cc;
     std::unique_ptr<Pacer> pacer;
-    uint16_t next_mp_seq = 0;
-    int64_t transport_count = 0;  // unwrapped; low 16 bits go on the wire
-    // Sent history for transport feedback matching, keyed by unwrapped
-    // transport seq (+1 per packet): the last kSentWindow packets, less
-    // those older than kSentHistoryHorizon.
-    static constexpr size_t kSentWindow = 8192;
-    SeqWindow<SentRecord> sent{kSentWindow};
+    EgressSeq egress;
   };
 
   struct StreamState {

@@ -310,6 +310,11 @@ std::string ConferenceStatsToJson(const ConferenceStats& stats, int indent) {
     w.CloseArray();
   }
 
+  // Absent while 0, as every modelled call keeps it (fixture byte-identity).
+  if (stats.clamped_past_events != 0) {
+    w.Field("clamped_past_events", stats.clamped_past_events);
+  }
+
   w.CloseObject();
   return w.str();
 }

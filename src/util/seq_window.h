@@ -1,11 +1,11 @@
 // Paged, direct-mapped history keyed by sequence number.
 //
-// Every per-packet history in the stack (sender retransmission and
-// transport-feedback records, the hub's egress retransmission history, the
-// downlink controller's awaiting-feedback records) is keyed by a sequence
-// number that advances by one per packet. A window of W slots (W a power of
-// two) indexed by `key & (W - 1)` therefore holds the newest W keys with no
-// tree insert, no eviction scan, and no per-packet allocation: writing key
+// Every per-packet history in the stack (the sender's and the hub's
+// retransmission histories, and every egress life's transport-feedback
+// records) is keyed by a sequence number that advances by one per packet.
+// A window of W slots (W a power of two) indexed by `key & (W - 1)`
+// therefore holds the newest W keys with no tree insert, no eviction scan,
+// and no per-packet allocation: writing key
 // k replaces whatever key previously mapped to its slot (k - W, k - 2W, ...
 // or, for a 16-bit space with W = 65536, the same wire value one wrap ago).
 //
@@ -38,7 +38,7 @@
 namespace converge {
 
 // How long every sent-packet history keeps a record (RtxHistory's per-path
-// windows, the sender's transport-feedback window, DownlinkCc's records):
+// windows, EgressSeq's transport-feedback records):
 // an entry is trimmed once a newer send on its window is more than this
 // much later. Longer than any lookup a modelled call makes (DESIGN.md §12).
 inline constexpr Duration kSentHistoryHorizon = Duration::Millis(10'000);
@@ -92,13 +92,6 @@ class SeqWindow {
   }
   T* Find(int64_t key) {
     return const_cast<T*>(std::as_const(*this).Find(key));
-  }
-
-  // True when `key`'s slot holds an entry under a different key, i.e.
-  // Insert(key) would displace it.
-  bool Collides(int64_t key) const {
-    const Slot* slot = SlotOf(key);
-    return slot != nullptr && slot->key != kEmpty && slot->key != key;
   }
 
   // Removes `key` if present (the value is reset, releasing what it held);

@@ -630,9 +630,11 @@ HistoryLoad MeasureHistories(const Conference& conference,
 // Runs `config` second by second and checks, each second, that the sent
 // histories hold no more pages than the packets of the trailing horizon
 // can fill. Each packet enters at most two histories (its RTX window and
-// its feedback window); a window of n entries spans at most n / 256 + 2
-// pages; each flow has at most three windows (a restarted leg's feedback
-// records may open a second). One second of slack covers packets counted
+// its egress life's feedback records); a window of n entries spans at most
+// n / 256 + 2 pages; each flow has two windows (a restarted leg's previous
+// life goes with its records), and two more pages per flow leave room for
+// records a window keeps past the trailing horizon, since it trims only
+// when it takes a new send. One second of slack covers packets counted
 // when queued but sent later. Without the age bound the RTX windows fill
 // toward 256 pages each as the call goes on. Returns the final stats.
 ConferenceStats RunCheckingHistoryPages(const ConferenceConfig& config) {
@@ -693,6 +695,27 @@ TEST(ConferenceHistoryTest, CascadeFailoverStarStaysInsideTheHorizon) {
   ConferenceConfig config = fixtures::FixtureCascadeFailoverConfig();
   config.duration = Duration::Seconds(60);
   EXPECT_EQ(HorizonMisses(RunCheckingHistoryPages(config)), 0);
+}
+
+// An event scheduled behind the clock runs at the current time and is
+// counted. The count reaches the stats, and the JSON carries it only when
+// nonzero, so a call without one serializes as before.
+TEST(ConferenceStatsTest, ReportsClampedPastEventsOnlyWhenNonzero) {
+  EXPECT_EQ(ConferenceStatsToJson(ConferenceStats{}).find("clamped_past"),
+            std::string::npos);
+  ConferenceConfig config = fixtures::FixtureConferenceConfig();
+  config.duration = Duration::Seconds(2);
+  Conference conference(config);
+  conference.Start();
+  conference.AdvanceTo(Timestamp::Zero() + Duration::Seconds(1));
+  bool ran = false;
+  conference.loop().ScheduleAt(Timestamp::Zero(), [&ran] { ran = true; });
+  conference.AdvanceTo(Timestamp::Zero() + config.duration);
+  EXPECT_TRUE(ran);
+  const ConferenceStats stats = conference.Collect();
+  EXPECT_EQ(stats.clamped_past_events, 1);
+  EXPECT_NE(ConferenceStatsToJson(stats, 0).find("\"clamped_past_events\": 1"),
+            std::string::npos);
 }
 
 // Star chaos: a mid-call rate cliff on ONE receiver's downlink. The hub

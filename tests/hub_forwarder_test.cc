@@ -1,7 +1,8 @@
 // HubForwarder unit coverage: hub-owned egress sequence spaces, the
 // frame-aware drop policy (oldest-first, keyframe-protected, dependency
-// gating with PLI relay), local NACK answering from hub history, and the
-// per-downlink congestion loop in DownlinkCc.
+// gating with PLI relay), local NACK answering from hub history, feedback
+// matching across a leg's restart, and the per-downlink congestion loop in
+// DownlinkCc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "cc/downlink_cc.h"
+#include "session/egress_seq.h"
 #include "session/hub_forwarder.h"
 #include "sim/event_loop.h"
 
@@ -66,8 +68,8 @@ void ExpectOneGapFreeSeqSpace(const Harness& h, PathId path) {
 
 HubForwarder::Config FastConfig(double start_mbps) {
   HubForwarder::Config config;
-  config.cc.controller.start_rate = DataRate::MegabitsPerSec(start_mbps);
-  config.cc.controller.max_rate = DataRate::MegabitsPerSec(start_mbps * 4);
+  config.cc.start_rate = DataRate::MegabitsPerSec(start_mbps);
+  config.cc.max_rate = DataRate::MegabitsPerSec(start_mbps * 4);
   return config;
 }
 
@@ -417,9 +419,9 @@ TEST(HubForwarderTest, ResetOriginStopsPaddingForThatOrigin) {
 TEST(HubForwarderTest, EvictionIsOldestFirstAndKeyframeProtected) {
   // Rate so low nothing drains: eviction policy alone shapes the queue.
   HubForwarder::Config config;
-  config.cc.controller.start_rate = DataRate::KilobitsPerSec(50);
-  config.cc.controller.min_rate = DataRate::KilobitsPerSec(50);
-  config.cc.controller.max_rate = DataRate::KilobitsPerSec(100);
+  config.cc.start_rate = DataRate::KilobitsPerSec(50);
+  config.cc.min_rate = DataRate::KilobitsPerSec(50);
+  config.cc.max_rate = DataRate::KilobitsPerSec(100);
   Harness h(config);
   // Keyframe (protected) + two delta frames. At 62.5 kbps paced one
   // 828-byte packet queues ~106 ms, so each delta's first packet arrives
@@ -450,9 +452,9 @@ TEST(HubForwarderTest, EvictionIsOldestFirstAndKeyframeProtected) {
 // queued behind frame 2's), both frames still count once each.
 TEST(HubForwarderTest, EvictionCountsInterleavedFramesOnce) {
   HubForwarder::Config config;
-  config.cc.controller.start_rate = DataRate::KilobitsPerSec(50);
-  config.cc.controller.min_rate = DataRate::KilobitsPerSec(50);
-  config.cc.controller.max_rate = DataRate::KilobitsPerSec(100);
+  config.cc.start_rate = DataRate::KilobitsPerSec(50);
+  config.cc.min_rate = DataRate::KilobitsPerSec(50);
+  config.cc.max_rate = DataRate::KilobitsPerSec(100);
   Harness h(config);
   // The same byte budget as above: every packet is admitted below the
   // 350-ms thinning bound or belongs to an admitted frame, and the queue
@@ -589,21 +591,75 @@ TEST(HubForwarderTest, ConsumesDownlinkFeedbackKinds) {
   EXPECT_FALSE(h.forwarder.OnReceiverRtcp(0, 0, qoe));
 }
 
+// A restarted leg's egress counter starts again at 0, and its send records
+// start again with it. Registrations of the previous life, even one that
+// filled the path's 8,192-packet window, must not drop the new life's
+// records while their feedback is awaited.
+TEST(HubForwarderTest, RestartedLegFeedbackSurvivesPreviousLife) {
+  Harness h(FastConfig(10.0));
+  uint16_t seq = 0;
+  auto send_frame = [&](uint32_t ssrc, int64_t frame, int packets) {
+    const FrameKind kind = frame == 0 ? FrameKind::kKey : FrameKind::kDelta;
+    for (int i = 0; i < packets; ++i) {
+      h.forwarder.OnMediaFromUplink(
+          0, 0, MediaPacket(ssrc, seq++, frame, kind, /*bytes=*/200));
+    }
+    h.loop.RunUntil(h.loop.now() + Duration::Millis(40));
+  };
+  // The previous life: 8,192 packets over 10.24 s.
+  for (int64_t frame = 0; frame < 256; ++frame) send_frame(0x10, frame, 32);
+  ASSERT_EQ(h.forwarder.stats(0).packets_forwarded, 8192);
+
+  h.forwarder.ResetOrigin(0);
+  h.delivered.clear();
+  send_frame(0x11, 0, 8);  // the rejoin, under a new SSRC
+  ASSERT_EQ(h.delivered.size(), 8u);
+  TransportFeedback fb;
+  for (const Delivered& d : h.delivered) {
+    fb.arrivals.push_back({d.packet.mp_transport_seq, h.loop.now()});
+  }
+  EXPECT_EQ(fb.arrivals.front().mp_transport_seq, 0);
+  EXPECT_TRUE(h.forwarder.OnReceiverRtcp(0, 0, RtcpPacket{0, fb}));
+  EXPECT_EQ(h.forwarder.cc(0).feedback_batches(), 1);
+  EXPECT_EQ(h.forwarder.cc(0).packets_acked(), 8);
+  EXPECT_EQ(h.forwarder.cc(0).horizon_misses(), 0);
+}
+
+// Stamps `count` packets sent `gap` apart from `start` onto `egress`.
+void SendPackets(EgressSeq& egress, DownlinkCc& cc, Timestamp start,
+                 Duration gap, int count) {
+  for (int i = 0; i < count; ++i) {
+    RtpPacket p;
+    p.payload_bytes = 1200;
+    p.send_time = start + gap * i;
+    egress.Stamp(p);
+    cc.OnPacketSent();
+  }
+}
+
+void Feedback(const EgressSeq& egress, DownlinkCc& cc,
+              const TransportFeedback& fb, Timestamp now) {
+  int64_t misses = 0;
+  const std::vector<PacketResult> results = egress.Match(fb, misses);
+  cc.OnTransportFeedback(results, misses, now);
+}
+
 TEST(DownlinkCcTest, LossyFeedbackDropsTargetBelowStart) {
-  DownlinkCc::Config config;
-  config.controller.start_rate = DataRate::MegabitsPerSec(5);
-  config.controller.max_rate = DataRate::MegabitsPerSec(10);
+  CcConfig config;
+  config.start_rate = DataRate::MegabitsPerSec(5);
+  config.max_rate = DataRate::MegabitsPerSec(10);
   DownlinkCc cc(config);
+  EgressSeq egress;
   const DataRate start = cc.target_rate();
 
   // 2 s of 50 ms feedback batches with 30% loss and growing delay.
   Timestamp now = Timestamp::Zero();
   int64_t seq = 0;
   for (int batch = 0; batch < 40; ++batch) {
+    SendPackets(egress, cc, now, Duration::Millis(2), 20);
     TransportFeedback fb;
     for (int i = 0; i < 20; ++i) {
       const Timestamp sent = now + Duration::Millis(i * 2);
-      cc.OnPacketSent(/*leg=*/0, seq, sent, 1200);
       TransportFeedback::Arrival a;
       a.mp_transport_seq = seq;
       // Delay grows with the batch index: a building queue.
@@ -613,7 +669,7 @@ TEST(DownlinkCcTest, LossyFeedbackDropsTargetBelowStart) {
       ++seq;
     }
     now = now + Duration::Millis(50);
-    cc.OnTransportFeedback(/*leg=*/0, fb, now);
+    Feedback(egress, cc, fb, now);
   }
   EXPECT_LT(cc.target_rate().bps(), start.bps() / 2);
   EXPECT_GT(cc.packets_lost(), 0);
@@ -621,15 +677,18 @@ TEST(DownlinkCcTest, LossyFeedbackDropsTargetBelowStart) {
 }
 
 TEST(DownlinkCcTest, SkipsArrivalsOutsideSentHistory) {
-  DownlinkCc cc(DownlinkCc::Config{});
+  DownlinkCc cc(CcConfig{});
+  EgressSeq egress;
+  SendPackets(egress, cc, Timestamp::Zero(), Duration::Millis(1), 3);
   TransportFeedback fb;
   TransportFeedback::Arrival a;
-  a.mp_transport_seq = 7;  // never registered via OnPacketSent
+  a.mp_transport_seq = 7;  // never stamped
   a.recv_time = Timestamp::Zero() + Duration::Millis(10);
   fb.arrivals.push_back(a);
-  cc.OnTransportFeedback(0, fb, Timestamp::Zero() + Duration::Millis(20));
+  Feedback(egress, cc, fb, Timestamp::Zero() + Duration::Millis(20));
   EXPECT_EQ(cc.feedback_batches(), 0);
   EXPECT_EQ(cc.packets_acked(), 0);
+  EXPECT_EQ(cc.packets_registered(), 3);
 }
 
 }  // namespace

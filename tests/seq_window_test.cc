@@ -2,21 +2,19 @@
 // std::map references for each way the stack uses it — the 16-bit
 // retransmission histories across several wraps, the capped unwrapped
 // transport-feedback history, arbitrary keys, and page materialization and
-// release — plus DownlinkCc's registration-order eviction across legs
-// against the capped map + FIFO it replaced.
+// release — plus the age bound as the downlink controller sees it through
+// per-leg egress lives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <random>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "cc/downlink_cc.h"
+#include "session/egress_seq.h"
 #include "util/seq_window.h"
 
 namespace converge {
@@ -128,13 +126,6 @@ TEST(SeqWindowTest, ArbitraryKeysEvictOnlyTheirSlot) {
         if (found != nullptr) {
           ASSERT_EQ(*found, it->second);
         }
-        ASSERT_EQ(window.Collides(key),
-                  found == nullptr &&
-                      std::any_of(reference.begin(), reference.end(),
-                                  [&](const auto& entry) {
-                                    return ((entry.first - key) &
-                                            (kWindow - 1)) == 0;
-                                  }));
       }
     }
     ASSERT_EQ(window.size(), reference.size());
@@ -357,237 +348,56 @@ TEST(SeqWindowTest, TrimmedWindowPagesFollowRateNotCallLength) {
   }
 }
 
-// The sent history DownlinkCc kept before the window: a map keyed (leg,
-// seq) capped by a FIFO of registrations in order.
-class ReferenceSentHistory {
- public:
-  explicit ReferenceSentHistory(size_t max_history)
-      : max_history_(max_history) {}
-  void Register(int leg, int64_t seq) {
-    sent_.insert({leg, seq});
-    order_.emplace_back(leg, seq);
-    while (order_.size() > max_history_) {
-      sent_.erase(order_.front());
-      order_.pop_front();
-    }
-  }
-  bool Contains(int leg, int64_t seq) const {
-    return sent_.count({leg, seq}) > 0;
-  }
-
- private:
-  size_t max_history_;
-  std::set<std::pair<int, int64_t>> sent_;
-  std::deque<std::pair<int, int64_t>> order_;
-};
-
-// Registration-order eviction across legs, including legs whose egress
-// counter restarts at 0 (the hub's ResetOrigin) while entries of their
-// previous life are still held. Membership is observed through the
-// controller's acked counter: one received arrival per feedback batch
-// counts iff its (leg, seq) is still in the history.
-TEST(SeqWindowTest, DownlinkCcHistoryMatchesCappedMapAcrossLegRestarts) {
-  for (size_t max_history : {size_t{8}, size_t{100}, size_t{1000}}) {
-    DownlinkCc::Config config;
-    config.max_history = max_history;
-    DownlinkCc cc(config);
-    ReferenceSentHistory reference(max_history);
-    std::mt19937_64 rng(29 + max_history);
-    constexpr int kLegs = 4;
-    std::vector<int64_t> next(kLegs, 0);
-    std::vector<int64_t> highest(kLegs, 0);  // across lives, for probes
-    Timestamp now = Timestamp::Zero();
-    int64_t expected_acked = 0;
-    int restarts = 0;
-    for (int step = 0; step < 30'000; ++step) {
-      now = now + Duration::Micros(500);
-      // Legs send at different rates; leg 0 carries half the traffic.
-      const int leg = rng() % 2 == 0 ? 0 : 1 + static_cast<int>(rng() % 3);
-      // A leg restarts every so often: sometimes long after its last
-      // packet, sometimes while most of its entries are still held.
-      if (next[leg] > 0 && rng() % (max_history * 2) == 0) {
-        next[leg] = 0;
-        ++restarts;
-      }
-      const int64_t seq = next[leg]++;
-      highest[leg] = std::max(highest[leg], seq);
-      cc.OnPacketSent(leg, seq, now, 1200);
-      reference.Register(leg, seq);
-
-      const int probe_leg = static_cast<int>(rng() % kLegs);
-      const int64_t probe_seq =
-          static_cast<int64_t>(rng() % static_cast<uint64_t>(
-                                           highest[probe_leg] + 3));
-      TransportFeedback fb;
-      fb.arrivals.push_back({probe_seq, now});
-      cc.OnTransportFeedback(probe_leg, fb, now);
-      if (reference.Contains(probe_leg, probe_seq)) ++expected_acked;
-      ASSERT_EQ(cc.packets_acked(), expected_acked)
-          << "leg " << probe_leg << " seq " << probe_seq << " step " << step
-          << " max_history " << max_history;
-    }
-    EXPECT_GT(restarts, 3) << max_history;
-    EXPECT_EQ(cc.packets_registered(), 30'000);
-  }
-}
-
-// A leg's records age against the leg's own newest registration: feedback
-// for an aged record is skipped and counted, feedback for a seq never
-// registered is not, and another leg's sends age nothing of this one.
+// A leg's records age against the leg's own newest send: feedback for an
+// aged record is skipped and counted in the downlink's horizon misses,
+// feedback for a seq never sent is not, and another leg's sends age nothing
+// of this one. A restarted leg starts a new egress life.
 TEST(SeqWindowTest, DownlinkCcAgesRecordsOutAndCountsLateFeedback) {
-  DownlinkCc cc(DownlinkCc::Config{});
-  const Timestamp t0 = Timestamp::Zero() + Duration::Millis(5);
+  DownlinkCc cc(CcConfig{});
+  std::vector<EgressSeq> legs(2);
+  auto send = [&](int leg, Timestamp at) {
+    RtpPacket p;
+    p.payload_bytes = 1200;
+    p.send_time = at;
+    legs[static_cast<size_t>(leg)].Stamp(p);
+    cc.OnPacketSent();
+  };
   auto feedback = [&](int leg, int64_t seq, Timestamp now) {
     TransportFeedback fb;
     fb.arrivals.push_back({seq, now});
-    cc.OnTransportFeedback(leg, fb, now);
+    int64_t misses = 0;
+    const std::vector<PacketResult> results =
+        legs[static_cast<size_t>(leg)].Match(fb, misses);
+    cc.OnTransportFeedback(results, misses, now);
   };
-  cc.OnPacketSent(0, 0, t0, 1200);
-  cc.OnPacketSent(1, 0, t0, 1200);
-  cc.OnPacketSent(0, 1, t0 + kSentHistoryHorizon, 1200);  // exactly 10 s
+  const Timestamp t0 = Timestamp::Zero() + Duration::Millis(5);
+  send(0, t0);                        // (0, 0)
+  send(1, t0);                        // (1, 0)
+  send(0, t0 + kSentHistoryHorizon);  // (0, 1), exactly 10 s later
   feedback(0, 0, t0 + kSentHistoryHorizon);
   EXPECT_EQ(cc.packets_acked(), 1);  // still held at the bound itself
 
   const Timestamp late = t0 + kSentHistoryHorizon + Duration::Micros(1);
-  cc.OnPacketSent(0, 2, late, 1200);  // ages out (0, 0) only
+  send(0, late);  // (0, 2) ages out (0, 0) only
   feedback(0, 0, late);
   EXPECT_EQ(cc.packets_acked(), 1);
   EXPECT_EQ(cc.horizon_misses(), 1);
   feedback(1, 0, late);
   EXPECT_EQ(cc.packets_acked(), 2);
-  cc.OnPacketSent(1, 1, late, 1200);  // now (1, 0) too
+  send(1, late);  // (1, 1): now (1, 0) too
   feedback(1, 0, late);
   EXPECT_EQ(cc.packets_acked(), 2);
   EXPECT_EQ(cc.horizon_misses(), 2);
-  feedback(0, 7, late);  // never registered
+  feedback(0, 7, late);  // never sent
   EXPECT_EQ(cc.horizon_misses(), 2);
   feedback(0, 1, late);
   EXPECT_EQ(cc.packets_acked(), 3);
 
-  cc.OnPacketSent(1, 0, late, 1200);  // leg 1 restarted
+  legs[1] = EgressSeq();  // leg 1 restarted
+  send(1, late);
   feedback(1, 0, late);
   EXPECT_EQ(cc.packets_acked(), 4);
   EXPECT_EQ(cc.horizon_misses(), 2);
-}
-
-// A leg restarted while its previous life's records are held rewrites
-// them in place. When the previous life's registration ages out, the
-// newer record stays: it goes only when its own registration does.
-TEST(SeqWindowTest, DownlinkCcAgingKeepsARestartedLegsRewrite) {
-  DownlinkCc cc(DownlinkCc::Config{});
-  const Timestamp t0 = Timestamp::Zero();
-  const Timestamp restart = t0 + Duration::Seconds(4);
-  cc.OnPacketSent(0, 0, t0, 1200);
-  cc.OnPacketSent(0, 0, restart, 1200);  // the restarted leg's seq 0
-  const Timestamp later = t0 + kSentHistoryHorizon + Duration::Millis(1);
-  cc.OnPacketSent(0, 1, later, 1200);  // ages out the t0 registration
-  TransportFeedback fb;
-  fb.arrivals.push_back({0, later});
-  cc.OnTransportFeedback(0, fb, later);
-  EXPECT_EQ(cc.packets_acked(), 1);
-
-  const Timestamp last = restart + kSentHistoryHorizon + Duration::Millis(1);
-  cc.OnPacketSent(0, 2, last, 1200);  // now the rewrite's own ages out
-  cc.OnTransportFeedback(0, fb, last);
-  EXPECT_EQ(cc.packets_acked(), 1);
-  EXPECT_EQ(cc.horizon_misses(), 1);
-}
-
-// The age bound against the capped map + FIFO it sits on: a record the
-// cap holds that is no older than the horizon (against its leg's newest
-// registration) is still found; a record the cap dropped is never found.
-// Legs restart at 0 as above, some while their previous life is held.
-TEST(SeqWindowTest, DownlinkCcAgeBoundKeepsWhatTheCapKeepsInsideTheHorizon) {
-  for (size_t max_history : {size_t{1000}, size_t{8192}}) {
-    DownlinkCc::Config config;
-    config.max_history = max_history;
-    DownlinkCc cc(config);
-    ReferenceSentHistory reference(max_history);
-    std::map<std::pair<int, int64_t>, Timestamp> written;  // newest write
-    std::mt19937_64 rng(71 + max_history);
-    constexpr int kLegs = 4;
-    std::vector<int64_t> next(kLegs, 0);
-    std::vector<int64_t> highest(kLegs, 0);
-    std::vector<Timestamp> newest(kLegs, Timestamp::Zero());
-    Timestamp now = Timestamp::Zero();
-    int64_t acked = 0;
-    int64_t aged_out = 0;  // held by the cap, older than the horizon
-    int64_t still_held = 0;
-    for (int step = 0; step < 40'000; ++step) {
-      now = now + Duration::Micros(static_cast<int64_t>(rng() % 4000));
-      const int leg = rng() % 2 == 0 ? 0 : 1 + static_cast<int>(rng() % 3);
-      if (next[leg] > 0 && rng() % 3000 == 0) next[leg] = 0;  // restart
-      const int64_t seq = next[leg]++;
-      highest[leg] = std::max(highest[leg], seq);
-      newest[static_cast<size_t>(leg)] = now;
-      cc.OnPacketSent(leg, seq, now, 1200);
-      reference.Register(leg, seq);
-      written[{leg, seq}] = now;
-
-      const int probe_leg = static_cast<int>(rng() % kLegs);
-      const int64_t probe_seq =
-          static_cast<int64_t>(rng() % static_cast<uint64_t>(
-                                           highest[probe_leg] + 3));
-      TransportFeedback fb;
-      fb.arrivals.push_back({probe_seq, now});
-      cc.OnTransportFeedback(probe_leg, fb, now);
-      const bool found = cc.packets_acked() > acked;
-      acked = cc.packets_acked();
-      if (!reference.Contains(probe_leg, probe_seq)) {
-        ASSERT_FALSE(found) << "leg " << probe_leg << " seq " << probe_seq
-                            << " step " << step;
-        continue;
-      }
-      const Duration age = newest[static_cast<size_t>(probe_leg)] -
-                           written.at({probe_leg, probe_seq});
-      if (age <= kSentHistoryHorizon) {
-        ASSERT_TRUE(found) << "leg " << probe_leg << " seq " << probe_seq
-                           << " age " << age.seconds() << " s, step "
-                           << step;
-      } else {
-        ++(found ? still_held : aged_out);
-      }
-    }
-    if (max_history == 8192) {
-      EXPECT_GT(aged_out, 1000);
-      EXPECT_EQ(still_held, 0);
-    }
-  }
-}
-
-// The corner the random walk above rarely reaches: a restarted leg writes
-// the very key the eviction FIFO is about to drop. The capped map wrote the
-// new record and then erased that key, so the new record went too.
-TEST(SeqWindowTest, DownlinkCcEvictionOfARewrittenKeyDropsTheNewRecord) {
-  DownlinkCc::Config config;
-  config.max_history = 4;
-  DownlinkCc cc(config);
-  ReferenceSentHistory reference(config.max_history);
-  const Timestamp now = Timestamp::Zero() + Duration::Millis(10);
-  const std::vector<std::pair<int, int64_t>> registrations = {
-      {0, 0}, {1, 0}, {1, 1}, {1, 2}, {0, 0} /* leg 0 restarted */};
-  for (const auto& [leg, seq] : registrations) {
-    cc.OnPacketSent(leg, seq, now, 1200);
-    reference.Register(leg, seq);
-  }
-  ASSERT_FALSE(reference.Contains(0, 0));
-  // The same with nothing else held: the evicted key was the only one.
-  DownlinkCc::Config one;
-  one.max_history = 1;
-  DownlinkCc single(one);
-  single.OnPacketSent(0, 0, now, 1200);
-  single.OnPacketSent(0, 0, now, 1200);
-  single.OnPacketSent(0, 1, now, 1200);
-  TransportFeedback latest;
-  latest.arrivals.push_back({1, now});
-  single.OnTransportFeedback(0, latest, now);
-  EXPECT_EQ(single.packets_acked(), 1);
-  TransportFeedback fb;
-  fb.arrivals.push_back({0, now});
-  cc.OnTransportFeedback(0, fb, now);
-  EXPECT_EQ(cc.packets_acked(), 0);
-  cc.OnTransportFeedback(1, fb, now);  // (1, 0) is still held
-  EXPECT_EQ(cc.packets_acked(), 1);
 }
 
 }  // namespace
