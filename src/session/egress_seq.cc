@@ -19,7 +19,10 @@ std::vector<PacketResult> EgressSeq::Match(const TransportFeedback& feedback,
   for (const TransportFeedback::Arrival& a : feedback.arrivals) {
     const SentRecord* rec = sent_.Find(a.mp_transport_seq);
     if (rec == nullptr) {
-      if (sent_.Trimmed(a.mp_transport_seq)) ++horizon_misses;
+      // A seq above the newest send was never sent on this life, whatever
+      // its slot remembers.
+      horizon_misses += a.mp_transport_seq < transport_count_ &&
+                        sent_.Trimmed(a.mp_transport_seq);
       continue;
     }
     PacketResult r;

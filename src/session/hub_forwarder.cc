@@ -586,7 +586,7 @@ void HubForwarder::Emit(PathId path, PathState& ps, Queued q,
   ps.cc.OnPacketSent();
   ps.pad_budget.Spend(packet.wire_size());
 
-  rtx_.OnSent(q.leg, path, packet);
+  rtx_.OnSent(q.leg, packet);
   if (packet.IsMediaLike() && config_.layered && !packet.via_rtx) {
     ps.last_media = q;
     if (!ps.first_media_at.IsFinite()) ps.first_media_at = now;
@@ -769,10 +769,10 @@ bool HubForwarder::OnReceiverRtcp(int leg, PathId path,
           tp.rtx_queue.push_back({std::move(rtx), now, leg});
           return true;
         });
-    if (rtx_.horizon_misses() != misses) {
-      // Only a per-path NACK can miss, and its window is the report path's.
-      Path(report_path).stats.nack_horizon_misses +=
-          rtx_.horizon_misses() - misses;
+    // Counted per report path, for either flavour.
+    auto rit = paths_.find(report_path);
+    if (rit != paths_.end()) {
+      rit->second->stats.nack_horizon_misses += rtx_.horizon_misses() - misses;
     }
     return true;
   }

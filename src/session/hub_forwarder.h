@@ -96,8 +96,8 @@ class HubForwarder {
     int64_t layer_switches = 0;
     int64_t layer_packets_filtered = 0;
     int64_t padding_packets = 0;  // ALR probe duplicates (layered only)
-    // NACKed seqs on this report path the RTX history's age bound had
-    // already dropped (RtxHistory::horizon_misses).
+    // NACKed seqs of either flavour on this report path the RTX history's
+    // age bound had already dropped (RtxHistory::horizon_misses).
     int64_t nack_horizon_misses = 0;
   };
 

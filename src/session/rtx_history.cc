@@ -1,42 +1,37 @@
 #include "session/rtx_history.h"
 
+#include <limits>
 #include <string>
 
 #include "util/invariants.h"
 
 namespace converge {
 
-void RtxHistory::OnSent(int leg, PathId path, const RtpPacket& packet) {
+void RtxHistory::OnSent(int leg, const RtpPacket& packet) {
   // Only media-like packets are retransmittable (FEC and probes are not
-  // worth recovering).
+  // worth recovering). A legacy window takes originals only: an RTX copy
+  // keeps its original's (ssrc, seq), which already holds the entry.
   const bool media_like = packet.IsMediaLike();
-  if (per_path_nack_) {
-    SeqWindow<RtpPacket>& window =
-        windows_.try_emplace(MpFlow(leg, path), size_t{1} << 16)
-            .first->second;
-    if (media_like) {
-      window.Insert(packet.mp_seq, packet);
-    } else {
-      window.Erase(packet.mp_seq);  // stale wrap-around entry
-    }
-    window.Trim([&](const RtpPacket& held) {
-      return packet.send_time - held.send_time > kSentHistoryHorizon;
-    });
-  } else if (media_like && !packet.via_rtx) {
-    // An RTX copy keeps its original's (ssrc, seq), which already holds the
-    // entry.
-    legacy_[{LegacyFlow(leg, packet.ssrc), packet.seq}] = {packet, path};
-    while (legacy_.size() > kLegacyCapacity) legacy_.erase(legacy_.begin());
+  if (!per_path_nack_ && (!media_like || packet.via_rtx)) return;
+  const Flow flow{leg, per_path_nack_ ? int64_t{packet.path_id}
+                                      : int64_t{packet.ssrc}};
+  const uint16_t seq = per_path_nack_ ? packet.mp_seq : packet.seq;
+  SeqWindow<RtpPacket>& window =
+      windows_.try_emplace(flow, size_t{1} << 16).first->second;
+  if (media_like) {
+    window.Insert(seq, packet);
+  } else {
+    window.Erase(seq);  // stale wrap-around entry
   }
+  window.Trim([&](const RtpPacket& held) {
+    return packet.send_time - held.send_time > kSentHistoryHorizon;
+  });
 }
 
 void RtxHistory::ForgetLeg(int leg) {
-  // Every flow of `leg` lies in [leg << 33, (leg + 1) << 33).
-  const int64_t begin = LegacyFlow(leg, 0);
-  const int64_t end = LegacyFlow(leg + 1, 0);
-  windows_.erase(windows_.lower_bound(begin), windows_.lower_bound(end));
-  legacy_.erase(legacy_.lower_bound({begin, 0}),
-                legacy_.lower_bound({end, 0}));
+  constexpr int64_t kLowest = std::numeric_limits<int64_t>::min();
+  windows_.erase(windows_.lower_bound({leg, kLowest}),
+                 windows_.lower_bound({leg + 1, kLowest}));
 }
 
 size_t RtxHistory::pages_allocated() const {

@@ -7,16 +7,17 @@
 //
 // Flavours (DESIGN.md §12). A per-path NACK names (path, mp_seq) holes of
 // one leg's per-path sequence space (the Appendix B multipath extension);
-// its history is one SeqWindow per (leg, path) over the 16-bit mp_seq that
-// keeps a packet for kSentHistoryHorizon after newer sends on its window
-// (and never past the next wrap). A legacy NACK names (ssrc, seq); its
-// history is one map over (leg, ssrc, seq) capped at kLegacyCapacity
-// entries. An engine keeps the history of the flavour its call negotiated
-// and ignores NACKs of the other.
+// a legacy NACK names (ssrc, seq). Either way the history is one SeqWindow
+// per (leg, flow) over the 16-bit seq, the flow being the path or the
+// SSRC, that keeps a packet for kSentHistoryHorizon after newer sends on
+// its window (and never past the next wrap). An engine keeps the history
+// of the flavour its call negotiated and ignores NACKs of the other.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <utility>
 
@@ -30,20 +31,15 @@ namespace converge {
 
 class RtxHistory {
  public:
-  // Legacy packets and dedup records kept. Both maps evict their smallest
-  // key first, which is not the oldest entry after a seq wrap or across
-  // streams (ROADMAP).
-  static constexpr size_t kLegacyCapacity = 4096;
-  static constexpr size_t kDedupCapacity = 4096;
   // A NACK repeated within this window is not answered again (receivers
   // duplicate NACKs on every live path).
   static constexpr Duration kDedupWindow = Duration::Millis(40);
 
   explicit RtxHistory(bool per_path_nack) : per_path_nack_(per_path_nack) {}
 
-  // Records `packet`, already stamped with its mp_seq, as sent by `leg`'s
-  // origin on `path`.
-  void OnSent(int leg, PathId path, const RtpPacket& packet);
+  // Records `packet`, already stamped with its path_id and mp_seq, as sent
+  // by `leg`'s origin.
+  void OnSent(int leg, const RtpPacket& packet);
 
   // Answers a NACK about `leg`'s media reported for `report_path`. For each
   // named packet still held and not answered within kDedupWindow, calls
@@ -56,39 +52,32 @@ class RtxHistory {
   void AnswerNack(int leg, PathId report_path, const Nack& nack,
                   Timestamp now, SendFn&& send);
 
-  // `leg`'s origin left: its per-path windows and legacy entries go (a
-  // rejoin restarts its sequence spaces), its dedup records stay.
+  // `leg`'s origin left: its windows go (a rejoin restarts its sequence
+  // spaces), its dedup records stay.
   void ForgetLeg(int leg);
 
-  // Per-path NACKed seqs declined because the age bound had trimmed them
-  // from their window (SeqWindow::Trimmed), over the module's life.
+  // NACKed seqs of either flavour declined because the age bound had
+  // trimmed them from their window (SeqWindow::Trimmed), over the module's
+  // life.
   int64_t horizon_misses() const { return horizon_misses_; }
-  // Pages the per-path windows hold (SeqWindow::pages_allocated).
+  // Pages the windows hold (SeqWindow::pages_allocated).
   size_t pages_allocated() const;
 
  private:
-  // (flow, seq). Flows put the leg above bit 32 and mark per-path flows
-  // with bit 32, so keys order by leg, then path or ssrc, then seq.
-  using Key = std::pair<int64_t, uint16_t>;
-  struct LegacyEntry {
-    RtpPacket packet;
-    PathId path = kInvalidPathId;  // the path it originally left on
+  // (leg, path) for per-path NACK, (leg, ssrc) for legacy NACK.
+  using Flow = std::pair<int, int64_t>;
+  struct Answer {
+    Flow flow;
+    uint16_t seq = 0;
+    Timestamp at;
   };
 
-  static int64_t MpFlow(int leg, PathId path) {
-    return (static_cast<int64_t>(leg) << 33) | (int64_t{1} << 32) |
-           static_cast<int64_t>(static_cast<uint32_t>(path));
-  }
-  static int64_t LegacyFlow(int leg, uint32_t ssrc) {
-    return (static_cast<int64_t>(leg) << 33) | static_cast<int64_t>(ssrc);
-  }
   static RtpPacket Stamp(const RtpPacket& original, bool per_path,
                          PathId report_path, uint16_t seq);
 
   bool per_path_nack_;
-  std::map<int64_t, SeqWindow<RtpPacket>> windows_;  // by MpFlow
-  std::map<Key, LegacyEntry> legacy_;
-  std::map<Key, Timestamp> recent_;  // last answer per NACKed key
+  std::map<Flow, SeqWindow<RtpPacket>> windows_;
+  std::deque<Answer> answered_;  // the last kDedupWindow's, oldest first
   int64_t horizon_misses_ = 0;
 };
 
@@ -97,33 +86,28 @@ void RtxHistory::AnswerNack(int leg, PathId report_path, const Nack& nack,
                             Timestamp now, SendFn&& send) {
   const bool per_path = nack.ssrc == 0;
   if (per_path != per_path_nack_) return;
-  const int64_t flow =
-      per_path ? MpFlow(leg, report_path) : LegacyFlow(leg, nack.ssrc);
-  const SeqWindow<RtpPacket>* window = nullptr;
-  if (per_path) {
-    auto it = windows_.find(flow);
-    if (it == windows_.end()) return;
-    window = &it->second;
+  const Flow flow{leg, per_path ? int64_t{report_path} : int64_t{nack.ssrc}};
+  auto it = windows_.find(flow);
+  if (it == windows_.end()) return;
+  while (!answered_.empty() && now - answered_.front().at >= kDedupWindow) {
+    answered_.pop_front();
   }
   for (uint16_t seq : nack.seqs) {
-    const Key key{flow, seq};
-    const RtpPacket* original = nullptr;
-    PathId origin = report_path;
-    if (per_path) {
-      original = window->Find(seq);  // null: not media, never sent, or aged
-      if (original == nullptr && window->Trimmed(seq)) ++horizon_misses_;
-    } else if (auto it = legacy_.find(key); it != legacy_.end()) {
-      // Cross-path reordering makes receivers NACK packets that are merely
-      // late (§2.3); those answers are simply wasted.
-      original = &it->second.packet;
-      origin = it->second.path;
+    // Null: not media, never sent, or aged. Cross-path reordering makes
+    // receivers NACK packets that are merely late (§2.3); those answers are
+    // simply wasted.
+    const RtpPacket* original = it->second.Find(seq);
+    if (original == nullptr) {
+      if (it->second.Trimmed(seq)) ++horizon_misses_;
+      continue;
     }
-    if (original == nullptr) continue;
-    auto last = recent_.find(key);
-    if (last != recent_.end() && now - last->second < kDedupWindow) continue;
+    auto repeat = [&](const Answer& a) {
+      return a.seq == seq && a.flow == flow;
+    };
+    if (std::any_of(answered_.begin(), answered_.end(), repeat)) continue;
+    const PathId origin = per_path ? report_path : original->path_id;
     if (send(Stamp(*original, per_path, report_path, seq), origin, seq)) {
-      recent_[key] = now;
-      while (recent_.size() > kDedupCapacity) recent_.erase(recent_.begin());
+      answered_.push_back({flow, seq, now});
     }
   }
 }

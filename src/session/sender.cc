@@ -267,7 +267,7 @@ void Sender::DispatchPacket(PathId path, RtpPacket packet) {
   // order per path is strictly sequential even when retransmissions jump
   // the pacer queue (otherwise the receiver would read reordering as loss).
   st.egress.Stamp(packet);
-  rtx_.OnSent(/*leg=*/0, path, packet);
+  rtx_.OnSent(/*leg=*/0, packet);
 
   if (packet.IsMediaLike()) {
     // Min-srtt path computed directly (strict less, first wins, in

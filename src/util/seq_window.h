@@ -16,13 +16,19 @@
 // marker); negative keys index like their two's-complement bit pattern.
 //
 // Histories are also bounded by age. A tail cursor follows the slot
-// positions in insert order: Trim walks it from the oldest position toward
+// positions in key order: Trim walks it from the oldest position toward
 // the newest insert, erasing entries its predicate calls expired and
 // stepping over holes, and stops at the first live entry that is not. Each
 // position is passed once per time an insert brings it into the span, so
 // trimming on every insert costs amortized O(1). The last kTrimMemory
 // positions the cursor passed remember whether it erased an entry there,
 // so a lookup that missed can tell an aged-out key from one never held.
+//
+// Keys may arrive a little out of order: a flow whose packets leave through
+// two pacers inserts some keys a few positions behind its newest one. Such
+// an insert leaves the newest position alone (the span reaches back to it
+// if the tail had passed its position), and Trim reaches it in key order:
+// it goes once it and every live entry before it have expired.
 #pragma once
 
 #include <algorithm>
@@ -109,8 +115,9 @@ class SeqWindow {
   // Walks the tail cursor toward the newest insert, erasing every entry
   // `expired(value)` holds for and stepping over holes, until the first
   // live entry it does not hold for. Called with a cutoff that only moves
-  // forward, over entries inserted in time order, it keeps exactly the
-  // entries that have not expired.
+  // forward, over keys inserted in time order, it keeps exactly the
+  // entries that have not expired; an out-of-order key stays until the
+  // live entries before it have expired too.
   template <typename Expired>
   void Trim(Expired&& expired) {
     while (span_ > 0) {
@@ -134,7 +141,11 @@ class SeqWindow {
   // True when Trim erased `key`'s entry and no newer key has taken its slot
   // since: a lookup that misses such a key fell behind the age bound rather
   // than naming something never kept (or erased). Remembered for the last
-  // kTrimMemory positions the tail passed.
+  // kTrimMemory positions the tail passed. Decided by slot position: keys
+  // of a window as wide as their space (16-bit seqs in 65,536 slots) name
+  // their slot's entry whatever its wrap, but where keys are wider than the
+  // window, a key above the newest insert maps to an older key's slot, and
+  // the caller must rule it out (EgressSeq::Match does).
   bool Trimmed(int64_t key) const {
     const size_t index = Index(key);
     const size_t back = (tail_ - index) & mask_;
@@ -179,12 +190,11 @@ class SeqWindow {
     if (--live_[page] == 0) pages_[page].reset();
   }
 
-  // Moves the cursor span forward to take in an insert at `index`. An
-  // insert anywhere but the newest position is taken as the new newest:
-  // the span grows forward to reach it and, once it covers the whole
-  // window, rolls its tail along. An out-of-order insert is kept, but the
-  // cursor reaches it only when it comes round, so Trim expects keys to
-  // rise.
+  // Takes an insert at `index` into the cursor span. One at the newest
+  // position or less than half the window behind it is out of order: the
+  // newest stays, and the tail moves back to it if it had passed it. Any other
+  // insert is the new newest: the span grows forward to reach it and, once
+  // it covers the whole window, rolls its tail along.
   void Advance(size_t index) {
     if (span_ == 0) {
       // Everything was trimmed: the positions up to `index` were passed.
@@ -196,7 +206,20 @@ class SeqWindow {
       return;
     }
     const size_t newest = (tail_ + span_ - 1) & mask_;
-    const size_t span = span_ + ((index - newest) & mask_);
+    const size_t back = (newest - index) & mask_;
+    if (2 * back < window()) {
+      if (back >= span_) {
+        // Passing the positions it takes back overwrote the memory of as
+        // many older ones.
+        const size_t kept = std::min<size_t>(behind_, TrimMemory());
+        const size_t grow = back + 1 - span_;
+        behind_ = static_cast<uint32_t>(kept > grow ? kept - grow : 0);
+        tail_ = static_cast<uint32_t>(index);
+        span_ = static_cast<uint32_t>(back + 1);
+      }
+      return;
+    }
+    const size_t span = span_ + window() - back;
     if (span >= window()) {
       span_ = static_cast<uint32_t>(window());
       tail_ = static_cast<uint32_t>((index + 1) & mask_);

@@ -56,9 +56,9 @@ TEST(EgressSeqTest, MatchesReferenceAcrossWrapsAndAgeBound) {
       return it != sent.end() && i - seq < kWindow &&
              now - it->second.send_time <= kSentHistoryHorizon;
     };
-    // One probe batch: recent and far-back seqs, some reported lost, and
-    // the seq just behind the oldest held record. Feedback names only seqs
-    // that were sent.
+    // One probe batch: recent and far-back seqs, some reported lost, the
+    // seq just behind the oldest held record, and the three seqs after the
+    // newest, which were never sent (a stale life's feedback can name them).
     TransportFeedback fb;
     for (int k = 0; k < 4; ++k) {
       const int64_t back =
@@ -73,6 +73,9 @@ TEST(EgressSeqTest, MatchesReferenceAcrossWrapsAndAgeBound) {
     // It left by age, not by the window: its trim is remembered.
     const bool aged_edge = oldest > 0 && i - (oldest - 1) < kWindow;
     if (aged_edge) fb.arrivals.push_back({oldest - 1, now});
+    for (int64_t ahead = 1; ahead <= 3; ++ahead) {
+      fb.arrivals.push_back({i + ahead, now});
+    }
 
     int64_t aged_probes = 0;
     for (const TransportFeedback::Arrival& a : fb.arrivals) {
@@ -98,8 +101,9 @@ TEST(EgressSeqTest, MatchesReferenceAcrossWrapsAndAgeBound) {
       ++(result.received ? matched : lost);
     }
     ASSERT_EQ(r, results.size()) << "step " << i;
-    // Only records older than the horizon count as horizon misses, and the
-    // one just behind the held range always does.
+    // Only records older than the horizon count as horizon misses (never a
+    // seq not sent yet), and the one just behind the held range always
+    // does.
     ASSERT_LE(misses - misses_before, aged_probes) << "step " << i;
     if (aged_edge) {
       ASSERT_GE(misses - misses_before, 1) << "step " << i;

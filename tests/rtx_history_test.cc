@@ -1,14 +1,15 @@
 // RtxHistory differential coverage: the shared retransmission module
-// against verbatim copies of the std::map bookkeeping the sender and the hub
+// against copies of the std::map bookkeeping the sender and the hub
 // forwarding engines each kept before it (per-path mp_sent windows, the
 // legacy ssrc_sent_/legacy_sent_ maps, the recent_rtx_ dedup maps and the
-// RTX stamping). Random send/NACK/leave workloads drive both sides in both
-// NACK flavours; every answer must match packet for packet. The references
-// keep per-path packets until the 16-bit wrap, the module only for
-// kSentHistoryHorizon: per-path NACKs for older packets go to the module
-// alone, which must decline them and count each as a horizon miss. Directed
-// tests pin the dedup boundary, the stamping, the flavour filter and the
-// age bound.
+// RTX stamping), less the 4,096-entry caps on the legacy and dedup maps.
+// Random send/NACK/leave workloads drive both sides in both NACK flavours;
+// every answer must match packet for packet. The references keep packets
+// until their seq is reused, the module only for kSentHistoryHorizon: NACKs
+// for older packets, of either flavour, go to the module alone, which must
+// decline them and count each as a horizon miss. Directed tests pin the
+// dedup boundary, the stamping, the flavour filter, the age bound, and
+// what the caps used to drop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <deque>
 #include <map>
 #include <random>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -59,10 +61,10 @@ PathId ChooseRtxPath(const RtpPacket& rtx) {
   return static_cast<PathId>(rtx.seq % 2);
 }
 
-// ---- References: the pre-RtxHistory engine code, verbatim ----------------
+// ---- References: the pre-RtxHistory engine code, uncapped -----------------
 
 // Sender: DispatchPacket's history write and HandleNack's retransmit
-// lambda (ChooseRtxPath as above).
+// lambda (ChooseRtxPath as above), verbatim but for the count caps.
 class ReferenceSender {
  public:
   ReferenceSender(bool per_path_nack, const std::vector<PathId>& paths) {
@@ -83,10 +85,6 @@ class ReferenceSender {
       }
     } else if (media_like && !packet.via_rtx) {
       ssrc_sent_[{packet.ssrc, packet.seq}] = {packet, path};
-      while (ssrc_sent_.size() > config_.rtx_history) {
-        ssrc_sent_.erase(ssrc_sent_.begin());
-        ++legacy_evictions;
-      }
     }
   }
 
@@ -115,10 +113,6 @@ class ReferenceSender {
       const PathId target = ChooseRtxPath(rtx);
       if (target == kInvalidPathId) return;
       recent_rtx_[key] = now;
-      if (recent_rtx_.size() > 4096) {
-        recent_rtx_.erase(recent_rtx_.begin());
-        ++dedup_evictions;
-      }
       out.push_back({target, origin, dedup_seq, rtx});
     };
 
@@ -144,13 +138,9 @@ class ReferenceSender {
     return out;
   }
 
-  int64_t legacy_evictions = 0;
-  int64_t dedup_evictions = 0;
-
  private:
   struct Config {
     bool per_path_nack = true;
-    size_t rtx_history = 4096;
   } config_;
   struct PathState {
     SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
@@ -162,7 +152,8 @@ class ReferenceSender {
 };
 
 // HubForwarder: Emit's history write, HandleNack's answer lambda (the
-// target path must be one of the engine's paths) and ResetOrigin's erases.
+// target path must be one of the engine's paths) and ResetOrigin's erases,
+// verbatim but for the count caps.
 class ReferenceHub {
  public:
   ReferenceHub(bool per_path_nack, const std::vector<PathId>& paths) {
@@ -181,10 +172,6 @@ class ReferenceHub {
       }
     } else if (media_like && !packet.via_rtx) {
       legacy_sent_[{{leg, packet.ssrc}, packet.seq}] = {path, packet};
-      while (legacy_sent_.size() > config_.legacy_rtx_history) {
-        legacy_sent_.erase(legacy_sent_.begin());
-        ++legacy_evictions;
-      }
     }
   }
 
@@ -210,10 +197,6 @@ class ReferenceHub {
       auto tit = paths_.find(target);
       if (tit == paths_.end()) return;
       recent_rtx_[key] = now;
-      while (recent_rtx_.size() > kRtxDedupCap) {
-        recent_rtx_.erase(recent_rtx_.begin());
-        ++dedup_evictions;
-      }
       RtpPacket rtx = original;
       rtx.via_rtx = true;
       rtx.priority = Priority::kRetransmit;
@@ -251,11 +234,7 @@ class ReferenceHub {
     return out;
   }
 
-  int64_t legacy_evictions = 0;
-  int64_t dedup_evictions = 0;
-
  private:
-  static constexpr size_t kRtxDedupCap = 4096;
   static bool MediaLike(const RtpPacket& p) {
     return p.kind == PayloadKind::kMedia || p.kind == PayloadKind::kPps ||
            p.kind == PayloadKind::kSps;
@@ -271,7 +250,6 @@ class ReferenceHub {
   struct Config {
     Duration rtx_dedup_window = Duration::Millis(40);
     bool per_path_nack = true;
-    size_t legacy_rtx_history = 4096;
   } config_;
   struct EgressLeg {
     SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
@@ -288,24 +266,40 @@ class ReferenceHub {
 
 // ---- The age bound -----------------------------------------------------------
 
-// Which per-path packets the module's age bound has dropped while a
-// reference still holds them: the send time of each held media-like packet
-// per (leg, path, mp_seq), and the newest send per (leg, path), which is
-// what the module trims against. Engines of the legacy flavour keep no
-// per-path history, so nothing ages for them.
+// Which packets the module's age bound has dropped while a reference still
+// holds them: the send time of each held packet per (leg, flow, seq), and
+// the newest send per (leg, flow), which is what the module trims against.
+// A flow is the path and the seq the mp_seq for per-path NACK; for legacy
+// NACK they are the SSRC and its seq, and only media-like originals (not
+// RTX copies) are sent on a flow. A legacy seq that an FEC or probe packet
+// took is not sent on its flow: the reference still holds the previous
+// wrap's packet under it, while the module passed it as a hole and does not
+// count it.
 class HorizonShadow {
  public:
   explicit HorizonShadow(bool per_path_nack) : per_path_nack_(per_path_nack) {}
 
   void OnSent(int leg, PathId path, const RtpPacket& packet) {
-    Flow& flow = flows_[{leg, path}];
+    uint16_t seq = packet.mp_seq;
+    int64_t id = path;
+    if (!per_path_nack_) {
+      if (packet.via_rtx) return;
+      seq = packet.seq;
+      id = packet.ssrc;
+      if (!packet.IsMediaLike()) {
+        flows_[{leg, id}].reused.insert(seq);
+        return;
+      }
+    }
+    Flow& flow = flows_[{leg, id}];
     flow.newest = packet.send_time;
     if (packet.IsMediaLike()) {
-      flow.held[packet.mp_seq] = packet.send_time;
-      flow.media.emplace_back(packet.mp_seq, packet.send_time);
-      flow.after_media = static_cast<uint16_t>(packet.mp_seq + 1);
+      flow.held[seq] = packet.send_time;
+      flow.reused.erase(seq);
+      flow.media.emplace_back(seq, packet.send_time);
+      flow.after_media = static_cast<uint16_t>(seq + 1);
     } else {
-      flow.held.erase(packet.mp_seq);
+      flow.held.erase(seq);
     }
   }
   void Forget(int leg) {
@@ -316,11 +310,13 @@ class HorizonShadow {
   // The NACK with every held seq older than the horizon left out. `aged`
   // counts those left out; `counted` those of them the module still
   // remembers trimming (SeqWindow::kTrimMemory positions behind its
-  // tail). Legacy NACKs pass whole.
+  // tail). A NACK of the other flavour passes whole.
   Nack InsideHorizon(int leg, PathId report_path, const Nack& nack,
                      int64_t* aged, int64_t* counted) {
-    auto it = flows_.find({leg, report_path});
-    if (!per_path_nack_ || nack.ssrc != 0 || it == flows_.end()) return nack;
+    const bool per_path = nack.ssrc == 0;
+    auto it = flows_.find(
+        {leg, per_path ? int64_t{report_path} : int64_t{nack.ssrc}});
+    if (per_path != per_path_nack_ || it == flows_.end()) return nack;
     Flow& flow = it->second;
     const uint16_t tail = flow.Tail();
     Nack inside{nack.ssrc, {}};
@@ -329,7 +325,8 @@ class HorizonShadow {
       if (held != flow.held.end() && flow.Expired(held->second)) {
         ++*aged;
         const uint16_t back = static_cast<uint16_t>(tail - seq);
-        if (back >= 1 && back <= SeqWindow<RtpPacket>::kTrimMemory) {
+        if (back >= 1 && back <= SeqWindow<RtpPacket>::kTrimMemory &&
+            flow.reused.count(seq) == 0) {
           ++*counted;
         }
       } else {
@@ -362,11 +359,12 @@ class HorizonShadow {
 
     Timestamp newest;
     std::map<uint16_t, Timestamp> held;
+    std::set<uint16_t> reused;  // legacy seqs an FEC or probe packet took
     std::deque<std::pair<uint16_t, Timestamp>> media;  // in send order
     uint16_t after_media = 0;
   };
   bool per_path_nack_;
-  std::map<std::pair<int, PathId>, Flow> flows_;
+  std::map<std::pair<int, int64_t>, Flow> flows_;
 };
 
 // The module's verdict on the seqs the reference did not see: each aged
@@ -543,7 +541,7 @@ struct SenderPair {
 
   void OnSent(int leg, PathId path, const RtpPacket& packet) {
     reference.OnSent(path, packet);
-    history.OnSent(leg, path, packet);
+    history.OnSent(leg, packet);
     shadow.OnSent(leg, path, packet);
   }
   void Nack(int leg, PathId report_path, const converge::Nack& nack,
@@ -589,7 +587,7 @@ struct HubPair {
 
   void OnSent(int leg, PathId path, const RtpPacket& packet) {
     reference.OnSent(leg, path, packet);
-    history.OnSent(leg, path, packet);
+    history.OnSent(leg, packet);
     shadow.OnSent(leg, path, packet);
   }
   void Nack(int leg, PathId report_path, const converge::Nack& nack,
@@ -638,7 +636,6 @@ TEST(RtxHistoryTest, PerPathSenderMatchesReference) {
   workload.Run(kSenderSteps, /*resets=*/false, pair);
   EXPECT_GE(workload.max_wraps(), 3);
   EXPECT_GT(pair.answers, 5'000);
-  EXPECT_GT(pair.reference.dedup_evictions, 0);
   EXPECT_GT(pair.aged, 1'000);
   EXPECT_GT(pair.history.horizon_misses(), 100);
 }
@@ -649,8 +646,8 @@ TEST(RtxHistoryTest, LegacySenderMatchesReference) {
   workload.Run(kSenderSteps, /*resets=*/false, pair);
   EXPECT_GE(workload.max_wraps(), 3);
   EXPECT_GT(pair.answers, 5'000);
-  EXPECT_GT(pair.reference.legacy_evictions, 0);
-  EXPECT_GT(pair.reference.dedup_evictions, 0);
+  EXPECT_GT(pair.aged, 1'000);
+  EXPECT_GT(pair.history.horizon_misses(), 50);
 }
 
 TEST(RtxHistoryTest, PerPathHubMatchesReferenceAcrossResets) {
@@ -659,7 +656,6 @@ TEST(RtxHistoryTest, PerPathHubMatchesReferenceAcrossResets) {
   workload.Run(kHubSteps, /*resets=*/true, pair);
   EXPECT_GE(workload.max_wraps(), 3);
   EXPECT_GT(pair.answers, 5'000);
-  EXPECT_GT(pair.reference.dedup_evictions, 0);
   EXPECT_GT(pair.aged, 1'000);
   EXPECT_GT(pair.history.horizon_misses(), 100);
 }
@@ -670,8 +666,8 @@ TEST(RtxHistoryTest, LegacyHubMatchesReferenceAcrossResets) {
   workload.Run(kHubSteps, /*resets=*/true, pair);
   EXPECT_GE(workload.max_wraps(), 3);
   EXPECT_GT(pair.answers, 5'000);
-  EXPECT_GT(pair.reference.legacy_evictions, 0);
-  EXPECT_GT(pair.reference.dedup_evictions, 0);
+  EXPECT_GT(pair.aged, 1'000);
+  EXPECT_GT(pair.history.horizon_misses(), 50);
 }
 
 // ---- Directed ---------------------------------------------------------------
@@ -705,7 +701,7 @@ std::vector<Answer> AnswerAll(RtxHistory& history, int leg, PathId report,
 TEST(RtxHistoryTest, DedupWindowEndsAtFortyMilliseconds) {
   for (const bool per_path : {true, false}) {
     RtxHistory history(per_path);
-    history.OnSent(0, 1, Media(0x1000, 5, 1, 7));
+    history.OnSent(0, Media(0x1000, 5, 1, 7));
     const Nack nack = per_path ? PerPathNack(7) : Nack{0x1000, {5}};
     const Timestamp t0 = Timestamp::Millis(100);
     // A declined answer does not open the window.
@@ -723,7 +719,7 @@ TEST(RtxHistoryTest, DedupWindowEndsAtFortyMilliseconds) {
 
 TEST(RtxHistoryTest, StampsBothFlavours) {
   RtxHistory per_path(true);
-  per_path.OnSent(3, 1, Media(0x1000, 5, 1, 7));
+  per_path.OnSent(3, Media(0x1000, 5, 1, 7));
   const std::vector<Answer> mp =
       AnswerAll(per_path, 3, 1, PerPathNack(7), Timestamp::Zero());
   ASSERT_EQ(mp.size(), 1u);
@@ -736,7 +732,7 @@ TEST(RtxHistoryTest, StampsBothFlavours) {
   EXPECT_EQ(mp[0].rtx.seq, 5);
 
   RtxHistory legacy(false);
-  legacy.OnSent(3, 2, Media(0x1000, 5, 2, 7));
+  legacy.OnSent(3, Media(0x1000, 5, 2, 7));
   const std::vector<Answer> ls =
       AnswerAll(legacy, 3, 0, Nack{0x1000, {5}}, Timestamp::Zero());
   ASSERT_EQ(ls.size(), 1u);
@@ -755,7 +751,7 @@ TEST(RtxHistoryTest, IgnoresTheOtherFlavour) {
   RtxHistory per_path(true);
   RtxHistory legacy(false);
   for (RtxHistory* h : {&per_path, &legacy}) {
-    h->OnSent(0, 0, Media(0x1000, 5, 0, 5));
+    h->OnSent(0, Media(0x1000, 5, 0, 5));
   }
   EXPECT_TRUE(
       AnswerAll(per_path, 0, 0, Nack{0x1000, {5}}, Timestamp::Zero()).empty());
@@ -772,7 +768,7 @@ TEST(RtxHistoryTest, PerPathWindowAgesOutAndCountsMisses) {
   auto send = [&](uint16_t mp_seq, Timestamp at) {
     RtpPacket p = Media(0x1000, mp_seq, 0, mp_seq);
     p.send_time = at;
-    history.OnSent(0, 0, p);
+    history.OnSent(0, p);
   };
   send(0, t0);
   send(1, t0 + kSentHistoryHorizon);  // exactly the horizon later
@@ -790,8 +786,8 @@ TEST(RtxHistoryTest, PerPathWindowAgesOutAndCountsMisses) {
 
 TEST(RtxHistoryTest, ForgetLegKeepsOtherLegsAndDedupRecords) {
   RtxHistory history(true);
-  history.OnSent(1, 0, Media(0x1000, 5, 0, 0));
-  history.OnSent(2, 0, Media(0x2000, 5, 0, 0));
+  history.OnSent(1, Media(0x1000, 5, 0, 0));
+  history.OnSent(2, Media(0x2000, 5, 0, 0));
   const Timestamp t0 = Timestamp::Millis(10);
   ASSERT_EQ(AnswerAll(history, 1, 0, PerPathNack(0), t0).size(), 1u);
   history.ForgetLeg(1);
@@ -799,7 +795,7 @@ TEST(RtxHistoryTest, ForgetLegKeepsOtherLegsAndDedupRecords) {
   EXPECT_EQ(AnswerAll(history, 2, 0, PerPathNack(0), t0).size(), 1u);
   // The rejoined leg restarts at mp_seq 0; the dedup record of its previous
   // life still suppresses a repeat inside the window.
-  history.OnSent(1, 0, Media(0x3000, 1, 0, 0));
+  history.OnSent(1, Media(0x3000, 1, 0, 0));
   EXPECT_TRUE(AnswerAll(history, 1, 0, PerPathNack(0),
                         t0 + Duration::Millis(39))
                   .empty());
@@ -807,6 +803,102 @@ TEST(RtxHistoryTest, ForgetLegKeepsOtherLegsAndDedupRecords) {
       AnswerAll(history, 1, 0, PerPathNack(0), t0 + Duration::Millis(40));
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].rtx.ssrc, 0x3000u);
+}
+
+// ---- What the 4,096-entry caps dropped ------------------------------------
+// The legacy and dedup maps were capped by count and evicted their smallest
+// key, so the lower SSRC lost its packets first and a wrapped seq was
+// dropped as soon as it was written. The windows keep every packet of the
+// horizon and the dedup list every answer of the window.
+
+TEST(RtxHistoryTest, LegacyKeepsTheLowerSsrcsNewestPacket) {
+  RtxHistory history(/*per_path_nack=*/false);
+  Timestamp now = Timestamp::Millis(1);
+  // 10,000 held over 5 s; the upper SSRC alone fills the old cap.
+  constexpr uint16_t kPerSsrc = 5000;
+  for (uint16_t seq = 0; seq < kPerSsrc; ++seq) {
+    for (const uint32_t ssrc : {0x1000u, 0x2000u}) {
+      RtpPacket p = Media(ssrc, seq, static_cast<PathId>(seq % 2), seq);
+      p.send_time = now;
+      history.OnSent(0, p);
+      now = now + Duration::Micros(500);
+    }
+  }
+  const std::vector<Answer> newest =
+      AnswerAll(history, 0, 0, Nack{0x1000, {kPerSsrc - 1}}, now);
+  ASSERT_EQ(newest.size(), 1u);
+  EXPECT_EQ(newest[0].rtx.ssrc, 0x1000u);
+  EXPECT_EQ(newest[0].origin, 1);  // the path the original left on
+  EXPECT_EQ(AnswerAll(history, 0, 0, Nack{0x1000, {0}}, now).size(), 1u);
+  EXPECT_EQ(history.horizon_misses(), 0);
+}
+
+TEST(RtxHistoryTest, LegacyKeepsThePacketJustSentAfterAWrap) {
+  RtxHistory history(/*per_path_nack=*/false);
+  Timestamp now = Timestamp::Millis(1);
+  uint16_t seq = 65536 - 5000;
+  for (int i = 0; i < 5003; ++i, ++seq) {  // ends three packets past 65535
+    RtpPacket p = Media(0x1000, seq, 0, static_cast<uint16_t>(i));
+    p.send_time = now;
+    history.OnSent(0, p);
+    now = now + Duration::Millis(1);
+  }
+  const uint16_t just_sent = static_cast<uint16_t>(seq - 1);
+  ASSERT_EQ(just_sent, 2);
+  const std::vector<Answer> answers =
+      AnswerAll(history, 0, 0, Nack{0x1000, {just_sent, 65535}}, now);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[0].rtx.seq, just_sent);
+  EXPECT_EQ(answers[1].rtx.seq, 65535);
+}
+
+TEST(RtxHistoryTest, DedupDeclinesARepeatAfterManyAnswersAcrossAWrap) {
+  RtxHistory history(/*per_path_nack=*/true);
+  Timestamp now = Timestamp::Millis(1);
+  Nack all{0, {}};
+  uint16_t mp_seq = 65536 - 5000;
+  for (int i = 0; i < 5010; ++i, ++mp_seq) {
+    RtpPacket p = Media(0x1000, static_cast<uint16_t>(i), 0, mp_seq);
+    p.send_time = now;
+    history.OnSent(0, p);
+    all.seqs.push_back(mp_seq);
+    now = now + Duration::Millis(1);
+  }
+  ASSERT_EQ(AnswerAll(history, 0, 0, all, now).size(), all.seqs.size());
+  const uint16_t newest = all.seqs.back();
+  ASSERT_LT(newest, 16);  // past the wrap
+  EXPECT_TRUE(AnswerAll(history, 0, 0, PerPathNack(newest),
+                        now + Duration::Micros(39'999))
+                  .empty());
+  EXPECT_TRUE(AnswerAll(history, 0, 0, PerPathNack(all.seqs.front()),
+                        now + Duration::Micros(39'999))
+                  .empty());
+  EXPECT_EQ(AnswerAll(history, 0, 0, PerPathNack(newest),
+                      now + Duration::Millis(40))
+                .size(),
+            1u);
+}
+
+// A legacy window ages like a per-path one: a NACK for a packet more than
+// the horizon older than the flow's newest send is declined and counted.
+TEST(RtxHistoryTest, LegacyWindowAgesOutAndCountsMisses) {
+  RtxHistory history(/*per_path_nack=*/false);
+  const Timestamp t0 = Timestamp::Millis(3);
+  auto send = [&](uint32_t ssrc, uint16_t seq, Timestamp at) {
+    RtpPacket p = Media(ssrc, seq, 0, seq);
+    p.send_time = at;
+    history.OnSent(0, p);
+  };
+  send(0x1000, 10, t0);
+  send(0x2000, 10, t0);
+  send(0x1000, 11, t0 + kSentHistoryHorizon + Duration::Micros(1));
+  const Timestamp late = t0 + kSentHistoryHorizon + Duration::Seconds(1);
+  EXPECT_TRUE(AnswerAll(history, 0, 0, Nack{0x1000, {10}}, late).empty());
+  EXPECT_EQ(history.horizon_misses(), 1);
+  // The other SSRC's window ages against its own sends only.
+  EXPECT_EQ(AnswerAll(history, 0, 0, Nack{0x2000, {10}}, late).size(), 1u);
+  EXPECT_TRUE(AnswerAll(history, 0, 0, Nack{0x1000, {12}}, late).empty());
+  EXPECT_EQ(history.horizon_misses(), 1);
 }
 
 }  // namespace

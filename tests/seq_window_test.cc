@@ -2,12 +2,14 @@
 // std::map references for each way the stack uses it — the 16-bit
 // retransmission histories across several wraps, the capped unwrapped
 // transport-feedback history, arbitrary keys, and page materialization and
-// release — plus the age bound as the downlink controller sees it through
-// per-leg egress lives.
+// release — plus the age bound, with keys in order and a few positions
+// out of order (two pacers), and as the downlink controller sees it
+// through per-leg egress lives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <random>
@@ -314,6 +316,196 @@ TEST(SeqWindowTest, TrimMatchesMapAcrossWrapsAndPages) {
   // the age bound take turns.
   RunTrimAgainstMap(1024, /*wire=*/false, Duration::Millis(1500), 120'000,
                     43);
+}
+
+// Keys of one flow leave through two FIFO pacers, so some are inserted a few
+// positions behind the newest (the legacy RTX windows of the multipath
+// baselines). Reference: a std::map and a model cursor in unwrapped keys.
+// An insert behind the newest leaves the newest alone (the tail moves back
+// to it if it had passed it); any other insert is the new newest, and the
+// tail rolls along once the span covers the window. Checked: every key
+// inside the horizon and the newest window is found, a key past the horizon
+// is gone unless an unexpired key a few positions before it holds the
+// tail, Trimmed matches the model, and each page is allocated exactly
+// while it holds an entry. Pauses drain both pacers first, so no key is
+// still queued when the whole span has expired.
+void RunInterleavedAgainstMap(size_t window_size, bool wire, Duration horizon,
+                              Duration max_gap, int64_t steps, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "window " << window_size << " wire "
+                                  << wire);
+  const int64_t w = static_cast<int64_t>(window_size);
+  const int64_t page_slots =
+      std::min<int64_t>(w, SeqWindow<Sent>::kPageSlots);
+  auto stored = [&](int64_t key) { return wire ? (key & 0xFFFF) : key; };
+  auto slot_of = [&](int64_t key) {
+    return static_cast<size_t>(key & (w - 1));
+  };
+  SeqWindow<Sent> window(window_size);
+  std::map<int64_t, Sent> reference;
+  std::map<int64_t, Timestamp> sent_at;  // every key inserted
+  constexpr int64_t kNone = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> owner(window_size, kNone);  // live key per slot
+  std::vector<int64_t> page_live(window_size / page_slots, 0);
+  std::deque<int64_t> pacers[2];
+  std::mt19937_64 rng(seed);
+  Timestamp now = Timestamp::Zero();
+  const int64_t start = 5;  // first key
+  int64_t next_key = start;
+  int64_t newest = start - 1;  // the model cursor's newest key
+  int64_t tail = start;        // its tail key; tail > newest: empty span
+  // What the tail remembers of the last positions it passed: the key it
+  // passed at each and whether it erased an entry there.
+  const int64_t memory = std::min<int64_t>(w, SeqWindow<Sent>::kTrimMemory);
+  std::vector<std::pair<int64_t, bool>> passed(static_cast<size_t>(memory),
+                                               {kNone, false});
+  auto pass = [&](int64_t key, bool erased) {
+    passed[static_cast<size_t>(key & (memory - 1))] = {key, erased};
+  };
+  Timestamp trimmed_at = now;  // the cutoff of the last trim
+  int64_t behind_inserts = 0;
+  int64_t behind_in_full_span = 0;
+  int64_t tail_moved_back = 0;
+  int64_t trims_passed = 0;
+  int64_t trimmed_probes = 0;
+  int64_t pauses = 0;
+
+  auto expired = [&](const Sent& s) { return trimmed_at - s.time > horizon; };
+  auto set_owner = [&](int64_t key, int64_t live) {
+    int64_t& slot = owner[slot_of(key)];
+    const size_t page = slot_of(key) / static_cast<size_t>(page_slots);
+    page_live[page] += (live != kNone) - (slot != kNone);
+    if (slot != kNone) reference.erase(slot);
+    slot = live;
+  };
+  auto trim = [&] {
+    trimmed_at = now;
+    window.Trim(expired);
+    while (tail <= newest) {
+      const int64_t live = owner[slot_of(tail)];
+      if (live != kNone) {
+        if (!expired(reference.at(live))) break;
+        set_owner(live, kNone);
+      }
+      pass(tail, live != kNone);
+      ++tail;
+      ++trims_passed;
+    }
+  };
+  auto insert = [&](int64_t key) {
+    if (tail > newest) {
+      ASSERT_GE(key, tail) << "a key still queued when its span emptied";
+      for (int64_t skipped = std::max(tail, key - memory); skipped < key;
+           ++skipped) {
+        pass(skipped, false);
+      }
+      tail = key;
+      newest = key;
+    } else if (key <= newest) {
+      ASSERT_LT(2 * (newest - key), w);
+      ++behind_inserts;
+      behind_in_full_span += newest - tail + 1 == w ? 1 : 0;
+      if (key < tail) {
+        tail = key;
+        ++tail_moved_back;
+      }
+    } else {
+      newest = key;
+      tail = std::max(tail, key - w + 1);
+    }
+    set_owner(key, key);
+    reference[key] = Sent{key, now};
+    sent_at[key] = now;
+    window.Insert(stored(key), Sent{key, now});
+    trim();
+  };
+  auto check = [&](int64_t key) {
+    const int64_t live = owner[slot_of(key)];
+    const bool held = wire ? live != kNone : live == key;
+    const Sent* found = window.Find(stored(key));
+    ASSERT_EQ(found != nullptr, held) << "key " << key << " newest "
+                                      << newest << " tail " << tail;
+    if (held) {
+      ASSERT_EQ(found->key, live);
+    }
+    auto sent = sent_at.find(key);
+    if (sent != sent_at.end() && key > newest - w) {
+      if (trimmed_at - sent->second <= horizon) {
+        ASSERT_TRUE(held) << "key " << key << " inside the horizon";
+      } else if (held) {
+        // Only an unexpired key a few positions before it holds it.
+        bool blocked = false;
+        for (int64_t j = key - 16; j < key && !blocked; ++j) {
+          blocked = owner[slot_of(j)] == j && !expired(reference.at(j));
+        }
+        ASSERT_TRUE(blocked) << "key " << key << " past the horizon";
+      }
+    }
+    const size_t bit = static_cast<size_t>(key & (memory - 1));
+    const bool trimmed = key > newest - w && key > tail - w && key < tail &&
+                         passed[bit].first == key && passed[bit].second;
+    ASSERT_EQ(window.Trimmed(stored(key)), trimmed)
+        << "key " << key << " tail " << tail << " newest " << newest;
+    trimmed_probes += trimmed ? 1 : 0;
+  };
+
+  for (int64_t step = 0; step < steps; ++step) {
+    // Alternating 10,000-step stretches, the second four times sparser.
+    const int64_t gap = max_gap.us() * ((step / 10'000) % 2 == 0 ? 1 : 4);
+    now = now + Duration::Micros(static_cast<int64_t>(
+                    rng() % static_cast<uint64_t>(gap + 1)));
+    if (rng() % 4 != 0) {
+      // A new key joins one pacer's queue.
+      pacers[rng() % 2].push_back(next_key++);
+    }
+    // One pacer sends its head; a backlog forces both out.
+    const size_t queued = pacers[0].size() + pacers[1].size();
+    for (int p = 0; p < 2; ++p) {
+      std::deque<int64_t>& q = pacers[(p + step) % 2];
+      if (!q.empty() && (rng() % 3 == 0 || queued > 6)) {
+        insert(q.front());
+        q.pop_front();
+      }
+    }
+    if (rng() % 2048 == 0) {
+      // A pause: both pacers drain, then everything expires.
+      for (std::deque<int64_t>& q : pacers) {
+        for (int64_t key : q) insert(key);
+        q.clear();
+      }
+      now = now + horizon + horizon / 2;
+      trim();
+      ++pauses;
+    }
+    for (int probe = 0; probe < 3; ++probe) {
+      check(newest - static_cast<int64_t>(rng() % static_cast<uint64_t>(w)));
+    }
+    ASSERT_EQ(window.size(), reference.size()) << "step " << step;
+    if (step % 16 == 0) {
+      const size_t pages = static_cast<size_t>(std::count_if(
+          page_live.begin(), page_live.end(), [](int64_t n) { return n > 0; }));
+      ASSERT_EQ(window.pages_allocated(), pages) << "step " << step;
+    }
+  }
+  EXPECT_GT(pauses, 10);
+  EXPECT_GT(behind_inserts, steps / 10);
+  EXPECT_GT(trimmed_probes, steps / 50);
+  EXPECT_GT(trims_passed, steps / 4);
+  EXPECT_GE(newest / 65536, wire ? 3 : 0);
+  EXPECT_GT(tail_moved_back, 0);
+  if (!wire) {
+    EXPECT_GT(behind_in_full_span, steps / 100);
+  }
+}
+
+TEST(SeqWindowTest, InterleavedInsertsMatchMapInsideAndAtTheFullWindow) {
+  // 16-bit keys over three wraps, the span well inside the window.
+  RunInterleavedAgainstMap(size_t{1} << 16, /*wire=*/true,
+                           Duration::Millis(400), Duration::Micros(1500),
+                           400'000, 51);
+  // Unwrapped keys in a window the horizon overfills between pauses: the
+  // span often equals the window.
+  RunInterleavedAgainstMap(256, /*wire=*/false, Duration::Millis(300),
+                           Duration::Micros(1500), 120'000, 53);
 }
 
 // A steady sender under the real horizon, trimming on every insert as the
