@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
               "overload a path\n(freezes grow with headroom); slow alpha "
               "decay (~0.05/s) strands capacity\nafter transient events "
               "(most freezes), while faster decay recovers it.\nA higher "
-              "beta ceiling buys FEC utilization at slightly more "
-              "overhead.\n");
+              "beta ceiling adds FEC overhead without raising its "
+              "utilization.\n");
   return 0;
 }

@@ -2,21 +2,39 @@
 
 #include <utility>
 
+#include "rtp/sequence_number.h"
+
 namespace converge {
 namespace {
-constexpr size_t kMaxSeen = 4096;
 constexpr size_t kMaxPending = 256;
 constexpr int64_t kPendingMaxAge = 512;  // in media-packet ticks
 }  // namespace
 
 FecRecoverer::FecRecoverer(RecoveredCallback on_recovered, PoolArena* arena)
     : on_recovered_(std::move(on_recovered)),
-      seen_(arena != nullptr ? arena : &own_arena_),
       pending_(arena != nullptr ? arena : &own_arena_) {}
 
+bool FecRecoverer::Seen(uint16_t seq) const {
+  const int64_t key = UnwrapNear(newest_, seq);
+  return seen_any_ && key <= newest_ && newest_ - key < kSeenWindow &&
+         seen_[key % kSeenWindow];
+}
+
+void FecRecoverer::MarkSeen(uint16_t seq) {
+  // The first key sits one wrap up, so no key is negative.
+  const int64_t key = seen_any_ ? UnwrapNear(newest_, seq) : seq + 0x10000;
+  if (!seen_any_ || key - newest_ >= kSeenWindow) {
+    seen_.reset();
+    newest_ = key;
+    seen_any_ = true;
+  }
+  if (newest_ - key >= kSeenWindow) return;  // older than the record holds
+  while (newest_ < key) seen_.reset(++newest_ % kSeenWindow);
+  seen_.set(key % kSeenWindow);
+}
+
 void FecRecoverer::OnMediaPacket(const RtpPacket& packet) {
-  seen_.insert({packet.ssrc, packet.seq});
-  while (seen_.size() > kMaxSeen) seen_.erase(seen_.begin());
+  MarkSeen(packet.seq);
   ++tick_;
 
   // A new arrival may complete a pending parity group.
@@ -54,7 +72,7 @@ bool FecRecoverer::TryRecover(const RtpPacket& fec) {
   int missing = 0;
   const ProtectedPacketMeta* missing_meta = nullptr;
   for (const ProtectedPacketMeta& meta : fec.fec->covered) {
-    if (!seen_.count({fec.ssrc, meta.seq})) {
+    if (!Seen(meta.seq)) {
       ++missing;
       missing_meta = &meta;
     }
@@ -64,7 +82,7 @@ bool FecRecoverer::TryRecover(const RtpPacket& fec) {
 
   RtpPacket recovered = PacketFromMeta(*missing_meta, fec.ssrc);
   recovered.via_fec = true;
-  seen_.insert({recovered.ssrc, recovered.seq});
+  MarkSeen(recovered.seq);
   ++stats_.fec_used;
   ++stats_.packets_recovered;
   on_recovered_(std::move(recovered));

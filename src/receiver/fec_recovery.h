@@ -5,11 +5,18 @@
 // rebuilt and handed back to the caller. Also reports the utilization
 // statistics the paper evaluates (fraction of received FEC that actually
 // repaired something, Figures 3c/12).
+//
+// The arrival record is the stream's one answer to "has this seq arrived?".
+// It holds the newest kSeenWindow seqs of the stream's SSRC: a wire seq is
+// unwrapped next to the newest key, and bit `key % kSeenWindow` is set when
+// that key arrived or was rebuilt, for keys in (newest - kSeenWindow,
+// newest]. Advancing the newest clears the positions it passes, so the
+// record is wrap-correct and age-ordered; keys outside it read as unseen.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "fec/xor_fec.h"
 #include "rtp/rtp_packet.h"
@@ -29,14 +36,19 @@ class FecRecoverer {
   // By value: the freshly rebuilt packet is moved out to the caller.
   using RecoveredCallback = std::function<void(RtpPacket)>;
 
-  // `arena` backs the seen-set / pending-list nodes; null => private arena.
+  static constexpr int64_t kSeenWindow = 4096;
+
+  // `arena` backs the pending-list nodes; null => private arena.
   explicit FecRecoverer(RecoveredCallback on_recovered,
                         PoolArena* arena = nullptr);
 
-  // Media path: remember the sequence and re-check pending parity packets.
+  // Media path: record the sequence and re-check pending parity packets.
   void OnMediaPacket(const RtpPacket& packet);
   // Parity path: attempt recovery now, else park the parity packet.
   void OnFecPacket(const RtpPacket& packet);
+
+  // True if `seq` arrived or was rebuilt among the newest kSeenWindow keys.
+  bool Seen(uint16_t seq) const;
 
   const Stats& stats() const { return stats_; }
   size_t pending() const { return pending_.size(); }
@@ -50,11 +62,14 @@ class FecRecoverer {
   // Returns true if the parity packet is now spent (recovered or complete).
   bool TryRecover(const RtpPacket& fec);
   void Sweep();
+  void MarkSeen(uint16_t seq);
 
   RecoveredCallback on_recovered_;
   Stats stats_;
-  PoolArena own_arena_;  // declared before the containers: destruction order
-  ArenaSet<std::pair<uint32_t, uint16_t>> seen_;  // (ssrc, seq), bounded
+  std::bitset<kSeenWindow> seen_;
+  int64_t newest_ = 0;  // newest unwrapped key, once `seen_any_`
+  bool seen_any_ = false;
+  PoolArena own_arena_;  // declared before the list: destruction order
   ArenaList<PendingFec> pending_;
   int64_t tick_ = 0;
 };

@@ -71,10 +71,7 @@ void NackGenerator::OnRecovered(int64_t flow, uint16_t seq) {
   // entry; the exact key lookup cannot. This must not go through
   // st.unwrapper: recovery notifications are not in-order arrivals and
   // advancing the unwrapper here would corrupt gap detection.
-  const int64_t key =
-      st.highest + static_cast<int16_t>(static_cast<uint16_t>(
-                       seq - static_cast<uint16_t>(st.highest & 0xFFFF)));
-  auto it = st.missing.find(key);
+  auto it = st.missing.find(UnwrapNear(st.highest, seq));
   if (it != st.missing.end()) {
     ++stats_.recovered;
     st.missing.erase(it);

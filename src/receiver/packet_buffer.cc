@@ -145,8 +145,4 @@ void PacketBuffer::PurgeFramesUpTo(int stream_id, int64_t upto) {
   }
 }
 
-bool PacketBuffer::Has(uint32_t ssrc, int64_t unwrapped_seq) const {
-  return entries_.count(std::make_pair(ssrc, unwrapped_seq)) > 0;
-}
-
 }  // namespace converge

@@ -65,8 +65,9 @@ class PacketBuffer {
   // `stream` with frame_id <= `upto` (missing/purged frames, §2.1).
   void PurgeFramesUpTo(int stream_id, int64_t upto);
 
-  // True if the (unwrapped) sequence number is present.
-  bool Has(uint32_t ssrc, int64_t unwrapped_seq) const;
+  // Counts a copy the stream's arrival record already holds and so never
+  // reaches Insert.
+  void CountDuplicate() { ++stats_.duplicates; }
 
   const Stats& stats() const { return stats_; }
   size_t size() const { return entries_.size(); }

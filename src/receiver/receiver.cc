@@ -82,7 +82,15 @@ void VideoReceiveStream::OnRtpPacket(RtpPacket packet, Timestamp arrival,
 
 void VideoReceiveStream::OnMediaLikePacket(RtpPacket packet,
                                            Timestamp arrival, PathId path) {
-  if (!packet.via_fec) fec_.OnMediaPacket(packet);
+  // A rebuilt packet was recorded when FEC rebuilt it; any other copy of a
+  // recorded seq is a duplicate, also after its frame left the buffer.
+  if (!packet.via_fec) {
+    if (fec_.Seen(packet.seq)) {
+      packet_buffer_.CountDuplicate();
+      return;
+    }
+    fec_.OnMediaPacket(packet);
+  }
   packet_buffer_.Insert(std::move(packet), arrival, path);
 }
 

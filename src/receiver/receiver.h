@@ -27,9 +27,9 @@ class VideoReceiveStream {
     Decoder::Config decoder;
     Duration min_keyframe_request_interval = Duration::Millis(1000);
     bool enable_qoe_feedback = true;  // Converge on; baselines off
-    // Shared node arena for the stream's buffers and FEC history; flows into
-    // packet_buffer/frame_buffer configs unless those carry their own.
-    // Null => each component keeps a private arena.
+    // Shared node arena for the stream's buffers and pending FEC parity;
+    // flows into packet_buffer/frame_buffer configs unless those carry
+    // their own. Null => each component keeps a private arena.
     PoolArena* arena = nullptr;
   };
 

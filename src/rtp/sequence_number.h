@@ -20,6 +20,13 @@ inline uint16_t SeqDistance(uint16_t from, uint16_t to) {
   return static_cast<uint16_t>(to - from);
 }
 
+// The unwrapped key of the wire `seq` nearest to the unwrapped `reference`:
+// the one in [reference - 0x8000, reference + 0x7FFF].
+inline int64_t UnwrapNear(int64_t reference, uint16_t seq) {
+  return reference + static_cast<int16_t>(static_cast<uint16_t>(
+                         seq - static_cast<uint16_t>(reference)));
+}
+
 // Extends uint16 sequence numbers into a monotone 64-bit space. Handles
 // reordering around the wrap point.
 class SeqUnwrapper {
@@ -30,9 +37,7 @@ class SeqUnwrapper {
       initialized_ = true;
       return last_unwrapped_;
     }
-    const uint16_t last_wrapped = static_cast<uint16_t>(last_unwrapped_);
-    int64_t delta = static_cast<int16_t>(static_cast<uint16_t>(seq - last_wrapped));
-    last_unwrapped_ += delta;
+    last_unwrapped_ = UnwrapNear(last_unwrapped_, seq);
     if (last_unwrapped_ < 0) last_unwrapped_ += 0x10000;
     return last_unwrapped_;
   }

@@ -31,8 +31,9 @@ class ReceiverEndpoint {
     bool per_path_nack = true;
     Duration feedback_interval = Duration::Millis(50);
     // Shared node arena for the endpoint's path state and everything below
-    // it (streams, NACK chase lists, FEC history). The conference passes its
-    // per-call arena; null => each component keeps a private arena.
+    // it (streams, NACK chase lists, pending FEC parity). The conference
+    // passes its per-call arena; null => each component keeps a private
+    // arena.
     PoolArena* arena = nullptr;
   };
 

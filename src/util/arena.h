@@ -1,13 +1,13 @@
 // Per-call slab/pool arena for hot-path node containers.
 //
 // Every simulated call churns through map/set/list nodes — packet-buffer
-// entries, frame-progress records, NACK chase lists, FEC history — at packet
-// rate. With the global allocator each node is a malloc/free pair, and at
-// fleet scale (thousands of concurrent calls) the allocator lock becomes the
-// bottleneck. PoolArena carves nodes out of private 64 KiB slabs and recycles
-// freed nodes through per-size-class free lists, so a call's steady state
-// allocates nothing after warm-up and frees everything wholesale when the
-// call is destroyed.
+// entries, frame-progress records, NACK chase lists, pending FEC parity —
+// at packet rate. With the global allocator each node is a malloc/free pair,
+// and at fleet scale (thousands of concurrent calls) the allocator lock
+// becomes the bottleneck. PoolArena carves nodes out of private 64 KiB slabs
+// and recycles freed nodes through per-size-class free lists, so a call's
+// steady state allocates nothing after warm-up and frees everything
+// wholesale when the call is destroyed.
 //
 // Not thread-safe by design: a call/conference runs single-threaded on one
 // worker, and each owns (or shares within itself) exactly one arena.

@@ -689,6 +689,80 @@ TEST(ConferenceHistoryTest, FaultedDrivingCallStaysInsideTheHorizon) {
   EXPECT_EQ(HorizonMisses(RunCheckingHistoryPages(config)), 0);
 }
 
+// Twice the paper's call length on its harshest scenario, invariants
+// armed: the two per-SSRC media seqs wrap at least three times between
+// them (four on this seed), and FEC keeps repairing after the wraps as it
+// did before them. A sender's media count reaches 65,536 at or after its
+// seq's first wrap, so count / 65,536 is a lower bound on wraps.
+TEST(ConferenceChaosTest, LongDrivingCallKeepsFecWorkingAcrossSeqWraps) {
+  constexpr int64_t kSeqSpace = 65536;
+  CallConfig call;
+  call.variant = Variant::kConverge;
+  call.duration = Duration::Seconds(360);
+  call.seed = 1000;
+  TraceParams params;
+  params.length = call.duration;
+  call.paths = MakeScenarioPathsWithFaults(Scenario::kDriving, call.seed,
+                                           params);
+  ScopedInvariants invariants;
+  Conference conference(ToConferenceConfig(call));
+  conference.Start();
+  // Per leg: FEC received and used, read for the last time before the
+  // leg's sender reached 65,536 media packets.
+  struct FecCounts {
+    int64_t received = 0;
+    int64_t used = 0;
+    bool wrapped = false;
+  };
+  auto read = [&conference](size_t leg) {
+    FecCounts counts;
+    const ReceiverEndpoint& rx = conference.leg_receiver(leg);
+    for (size_t i = 0; i < rx.num_streams(); ++i) {
+      const FecRecoverer::Stats& fec =
+          rx.stream(static_cast<int>(i)).fec().stats();
+      counts.received += fec.fec_received;
+      counts.used += fec.fec_used;
+    }
+    return counts;
+  };
+  std::vector<FecCounts> pre(conference.num_legs());
+  for (int s = 1; s <= 360; ++s) {
+    conference.AdvanceTo(Timestamp::Zero() + Duration::Seconds(s));
+    for (size_t leg = 0; leg < pre.size(); ++leg) {
+      if (pre[leg].wrapped) continue;
+      if (conference.leg_sender(leg).stats().media_packets_sent >= kSeqSpace) {
+        pre[leg].wrapped = true;
+      } else {
+        pre[leg] = read(leg);
+      }
+    }
+  }
+  conference.Collect();
+  EXPECT_EQ(InvariantRegistry::violation_count(), 0)
+      << InvariantRegistry::Describe();
+
+  int64_t wraps = 0;
+  FecCounts before;
+  FecCounts after;
+  for (size_t leg = 0; leg < pre.size(); ++leg) {
+    wraps += conference.leg_sender(leg).stats().media_packets_sent / kSeqSpace;
+    ASSERT_TRUE(pre[leg].wrapped) << "leg " << leg;
+    const FecCounts total = read(leg);
+    before.received += pre[leg].received;
+    before.used += pre[leg].used;
+    after.received += total.received - pre[leg].received;
+    after.used += total.used - pre[leg].used;
+  }
+  EXPECT_GE(wraps, 3);
+  ASSERT_GT(before.received, 0);
+  ASSERT_GT(after.received, 0);
+  const double util_before = static_cast<double>(before.used) /
+                             static_cast<double>(before.received);
+  const double util_after = static_cast<double>(after.used) /
+                            static_cast<double>(after.received);
+  EXPECT_GE(util_after, util_before / 2);
+}
+
 // Three hubs, a 2-s hub outage with re-homing, and a leave/rejoin, run
 // for six horizons.
 TEST(ConferenceHistoryTest, CascadeFailoverStarStaysInsideTheHorizon) {
@@ -792,7 +866,9 @@ TEST(ConferenceChaosTest, StarRateCliffOnOneDownlinkIsolatesOthers) {
 // packet per duplicate, so the copies reach the next node — the hub's
 // feedback endpoint and forwarders, a trunk's far-end agent and remote
 // forwarders — and surface as packet-buffer duplicates at exactly the
-// receivers downstream of the faulted edge.
+// receivers downstream of the faulted edge. Each case also runs without
+// the plan: a late RTX copy of a finished frame is a duplicate too, so a
+// leg's baseline need not be zero, but only downstream legs may exceed it.
 TEST(ConferenceChaosTest, DuplicationFaultsReachReceiversOnEveryEdgeKind) {
   FaultPlan duplication;
   duplication.Add(FaultEvent::Reorder(Timestamp::Zero() + Duration::Seconds(1),
@@ -827,59 +903,65 @@ TEST(ConferenceChaosTest, DuplicationFaultsReachReceiversOnEveryEdgeKind) {
     }
     return legs;
   };
+  // Compares the faulted run of a case with its un-faulted baseline.
+  auto expect_downstream = [&run](const ConferenceConfig& baseline,
+                                  const ConferenceConfig& faulted,
+                                  auto downstream) {
+    const auto base = run(baseline);
+    const auto legs = run(faulted);
+    ASSERT_EQ(legs.size(), base.size());
+    for (size_t i = 0; i < legs.size(); ++i) {
+      const auto& [from, to, dups] = legs[i];
+      ASSERT_EQ(std::get<0>(base[i]), from);
+      ASSERT_EQ(std::get<1>(base[i]), to);
+      const int64_t base_dups = std::get<2>(base[i]);
+      if (downstream(from, to)) {
+        EXPECT_GT(dups, base_dups) << from << "->" << to;
+      } else {
+        EXPECT_EQ(dups, base_dups) << from << "->" << to;
+      }
+    }
+  };
 
   {
     SCOPED_TRACE("mesh pair");
-    ConferenceConfig config = MeshConfig(2, Duration::Seconds(4), 61);
+    const ConferenceConfig baseline = MeshConfig(2, Duration::Seconds(4), 61);
+    ConferenceConfig config = baseline;
     for (PathSpec& p : config.paths) p.fault_plan = duplication;
-    for (const auto& [from, to, dups] : run(config)) {
-      EXPECT_GT(dups, 0) << from << "->" << to;
-    }
+    expect_downstream(baseline, config, [](int, int) { return true; });
   }
   {
     SCOPED_TRACE("star uplink");
-    ConferenceConfig config = StarConfig(3, Duration::Seconds(4), 62);
+    const ConferenceConfig baseline = StarConfig(3, Duration::Seconds(4), 62);
+    ConferenceConfig config = baseline;
     config.paths_for_edge = with_faults(
         config.paths_for_edge,
         [](int from, int to) { return from == 0 && to == kHubId; });
-    for (const auto& [from, to, dups] : run(config)) {
-      if (from == 0) {
-        EXPECT_GT(dups, 0) << from << "->" << to;
-      } else {
-        EXPECT_EQ(dups, 0) << from << "->" << to;
-      }
-    }
+    expect_downstream(baseline, config,
+                      [](int from, int) { return from == 0; });
   }
   {
     SCOPED_TRACE("star downlink");
-    ConferenceConfig config = StarConfig(3, Duration::Seconds(4), 63);
+    const ConferenceConfig baseline = StarConfig(3, Duration::Seconds(4), 63);
+    ConferenceConfig config = baseline;
     config.paths_for_edge = with_faults(
         config.paths_for_edge,
         [](int from, int to) { return from == kHubId && to == 2; });
-    for (const auto& [from, to, dups] : run(config)) {
-      if (to == 2) {
-        EXPECT_GT(dups, 0) << from << "->" << to;
-      } else {
-        EXPECT_EQ(dups, 0) << from << "->" << to;
-      }
-    }
+    expect_downstream(baseline, config, [](int, int to) { return to == 2; });
   }
   {
     SCOPED_TRACE("trunk");
-    ConferenceConfig config = StarConfig(3, Duration::Seconds(4), 64);
-    config.num_hubs = 2;
-    config.home_hub = {0, 0, 1};
-    config.trunk_paths = {StablePath("t0", 16.0, 10),
-                          StablePath("t1", 12.0, 20)};
+    ConferenceConfig baseline = StarConfig(3, Duration::Seconds(4), 64);
+    baseline.num_hubs = 2;
+    baseline.home_hub = {0, 0, 1};
+    baseline.trunk_paths = {StablePath("t0", 16.0, 10),
+                            StablePath("t1", 12.0, 20)};
+    ConferenceConfig config = baseline;
     for (PathSpec& p : config.trunk_paths) p.fault_plan = duplication;
     const std::vector<int> home = config.home_hub;
-    for (const auto& [from, to, dups] : run(config)) {
-      if (home[static_cast<size_t>(from)] != home[static_cast<size_t>(to)]) {
-        EXPECT_GT(dups, 0) << from << "->" << to;
-      } else {
-        EXPECT_EQ(dups, 0) << from << "->" << to;
-      }
-    }
+    expect_downstream(baseline, config, [&home](int from, int to) {
+      return home[static_cast<size_t>(from)] != home[static_cast<size_t>(to)];
+    });
   }
 }
 

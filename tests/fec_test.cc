@@ -148,6 +148,53 @@ TEST(FecRecoveryTest, TwoParityPacketsRecoverTwoLossesInDistinctGroups) {
   EXPECT_EQ(rec.stats().fec_used, 2);
 }
 
+// After the 16-bit seq wraps, the newest arrivals must still count as
+// seen: a record that keeps the lowest keys forgets them at once.
+TEST(FecRecoveryTest, RecoversLossAfterSeqWrap) {
+  std::vector<RtpPacket> recovered;
+  FecRecoverer rec([&](const RtpPacket& p) { recovered.push_back(p); });
+  RtpPacket p = MakeMedia(1).front();
+  for (int i = 0; i < 0x10000 + 96; ++i) {
+    p.seq = static_cast<uint16_t>(i);
+    rec.OnMediaPacket(p);
+  }
+  const auto media = MakeMedia(4, 96);
+  const auto parity = XorFecEncoder::Generate(Ptrs(media), 1, 7);
+  for (const auto& m : media) {
+    if (m.seq != 98) rec.OnMediaPacket(m);
+  }
+  rec.OnFecPacket(parity[0]);
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0].seq, 98);
+  EXPECT_EQ(rec.stats().fec_used, 1);
+  EXPECT_TRUE(rec.Seen(98));
+}
+
+// The record holds the newest kSeenWindow keys: keys older than that or
+// ahead of the newest read as unseen, and advancing the newest clears the
+// positions it passes.
+TEST(FecRecoveryTest, SeenHoldsTheNewestWindowOnly) {
+  FecRecoverer rec([](const RtpPacket&) { FAIL() << "unexpected recovery"; });
+  RtpPacket p = MakeMedia(1).front();
+  for (uint16_t seq : {0, 1, 3}) {
+    p.seq = seq;
+    rec.OnMediaPacket(p);
+  }
+  EXPECT_TRUE(rec.Seen(1));
+  EXPECT_FALSE(rec.Seen(2));
+  EXPECT_FALSE(rec.Seen(4));
+  p.seq = FecRecoverer::kSeenWindow + 1;  // shares key 1's position
+  rec.OnMediaPacket(p);
+  EXPECT_FALSE(rec.Seen(0));
+  EXPECT_FALSE(rec.Seen(1));
+  EXPECT_TRUE(rec.Seen(3));
+  EXPECT_FALSE(rec.Seen(4));  // passed by the advance
+  EXPECT_TRUE(rec.Seen(FecRecoverer::kSeenWindow + 1));
+  p.seq = 2;  // a late arrival inside the window still counts
+  rec.OnMediaPacket(p);
+  EXPECT_TRUE(rec.Seen(2));
+}
+
 TEST(FecRecoveryTest, NothingMissingCountsAsUnused) {
   const auto media = MakeMedia(4);
   const auto parity = XorFecEncoder::Generate(Ptrs(media), 1, 7);

@@ -108,6 +108,23 @@ TEST_F(ReceiveStreamTest, RtxHealsLostPacket) {
   EXPECT_EQ(stream_->GetStats().FrameDrops(), 0);
 }
 
+// A copy that arrives after its frame left the packet buffer must not
+// re-create the frame there (where it would wait to be counted destroyed):
+// the stream's arrival record still holds its seq.
+TEST_F(ReceiveStreamTest, LateCopyOfFinishedFrameIsADuplicate) {
+  const auto key = BuildFrame(0, FrameKind::kKey, 4, 0);
+  Deliver(key);
+  loop_.RunUntil(loop_.now() + Duration::Millis(33));
+  ASSERT_EQ(stream_->packet_buffer().stats().frames_assembled, 1);
+  ASSERT_EQ(stream_->packet_buffer().size(), 0u);
+
+  RtpPacket rtx = key[2];
+  rtx.via_rtx = true;
+  stream_->OnRtpPacket(rtx, loop_.now(), 1);
+  EXPECT_EQ(stream_->packet_buffer().stats().duplicates, 1);
+  EXPECT_EQ(stream_->packet_buffer().size(), 0u);
+}
+
 TEST_F(ReceiveStreamTest, FecRecoveryCompletesFrame) {
   Deliver(BuildFrame(0, FrameKind::kKey, 4, 0));
   const auto frame1 = BuildFrame(1, FrameKind::kDelta, 4, 0);
