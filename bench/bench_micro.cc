@@ -306,8 +306,8 @@ void BM_TraceProbeDisabled(benchmark::State& state) {
 BENCHMARK(BM_TraceProbeDisabled);
 
 // End-to-end cost of one short 2-party call: the fleet-scale figure of
-// merit. Everything this PR pools — timer wheel dispatch, link ring
-// buffers, the per-call arena — lands in this number.
+// merit. Timer wheel dispatch, link ring buffers and the receive stores
+// (one stream's sorted packet vector per buffer) all land in this number.
 void BM_SingleCallSimulate(benchmark::State& state) {
   int64_t frames = 0;
   for (auto _ : state) {

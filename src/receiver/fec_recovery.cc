@@ -10,9 +10,8 @@ constexpr size_t kMaxPending = 256;
 constexpr int64_t kPendingMaxAge = 512;  // in media-packet ticks
 }  // namespace
 
-FecRecoverer::FecRecoverer(RecoveredCallback on_recovered, PoolArena* arena)
-    : on_recovered_(std::move(on_recovered)),
-      pending_(arena != nullptr ? arena : &own_arena_) {}
+FecRecoverer::FecRecoverer(RecoveredCallback on_recovered)
+    : on_recovered_(std::move(on_recovered)) {}
 
 bool FecRecoverer::Seen(uint16_t seq) const {
   const int64_t key = UnwrapNear(newest_, seq);
@@ -40,7 +39,7 @@ void FecRecoverer::OnMediaPacket(const RtpPacket& packet) {
   // A new arrival may complete a pending parity group.
   for (auto it = pending_.begin(); it != pending_.end();) {
     bool relevant = false;
-    if (it->packet.fec && it->packet.ssrc == packet.ssrc) {
+    if (it->packet.fec) {
       for (const ProtectedPacketMeta& meta : it->packet.fec->covered) {
         if (meta.seq == packet.seq) {
           relevant = true;

@@ -16,11 +16,11 @@
 
 #include <bitset>
 #include <cstdint>
+#include <deque>
 #include <functional>
 
 #include "fec/xor_fec.h"
 #include "rtp/rtp_packet.h"
-#include "util/arena.h"
 
 namespace converge {
 
@@ -38,9 +38,7 @@ class FecRecoverer {
 
   static constexpr int64_t kSeenWindow = 4096;
 
-  // `arena` backs the pending-list nodes; null => private arena.
-  explicit FecRecoverer(RecoveredCallback on_recovered,
-                        PoolArena* arena = nullptr);
+  explicit FecRecoverer(RecoveredCallback on_recovered);
 
   // Media path: record the sequence and re-check pending parity packets.
   void OnMediaPacket(const RtpPacket& packet);
@@ -69,8 +67,7 @@ class FecRecoverer {
   std::bitset<kSeenWindow> seen_;
   int64_t newest_ = 0;  // newest unwrapped key, once `seen_any_`
   bool seen_any_ = false;
-  PoolArena own_arena_;  // declared before the list: destruction order
-  ArenaList<PendingFec> pending_;
+  std::deque<PendingFec> pending_;
   int64_t tick_ = 0;
 };
 

@@ -15,12 +15,9 @@ FrameBuffer::FrameBuffer(EventLoop* loop, Config config,
       config_(config),
       on_release_(std::move(on_release)),
       on_keyframe_request_(std::move(on_keyframe_request)),
-      on_purge_(std::move(on_purge)),
-      buffer_(config.arena != nullptr ? config.arena : &own_arena_) {}
+      on_purge_(std::move(on_purge)) {}
 
 void FrameBuffer::Insert(AssembledFrame frame) {
-  if (stream_id_ < 0) stream_id_ = frame.stream_id;
-
   const Timestamp now = loop_->now();
   if (last_insert_time_.IsFinite()) last_ifd_ = now - last_insert_time_;
   last_insert_time_ = now;
@@ -132,7 +129,7 @@ void FrameBuffer::JumpForward() {
   }
   stats_.frames_dropped += jump_to - next_expected_;
 
-  on_purge_(stream_id_, jump_to - 1);
+  on_purge_(jump_to - 1);
   next_expected_ = jump_to;
   if (keyframe_restart) {
     ++stats_.keyframe_jumps;

@@ -7,11 +7,11 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 
 #include "receiver/packet_buffer.h"
 #include "sim/event_loop.h"
-#include "util/arena.h"
 #include "video/frame.h"
 
 namespace converge {
@@ -21,8 +21,6 @@ class FrameBuffer {
   struct Config {
     size_t capacity_frames = 16;
     Duration max_wait = Duration::Millis(300);  // head-of-line gap patience
-    // Node storage for the ordered frame map; null => private arena.
-    PoolArena* arena = nullptr;
   };
 
   struct Stats {
@@ -36,7 +34,7 @@ class FrameBuffer {
   // Asks the sender for a fresh keyframe (PLI).
   using KeyframeRequestCallback = std::function<void()>;
   // Purge instruction toward the packet buffer.
-  using PurgeCallback = std::function<void(int stream_id, int64_t upto_frame)>;
+  using PurgeCallback = std::function<void(int64_t upto_frame)>;
 
   FrameBuffer(EventLoop* loop, Config config, ReleaseCallback on_release,
               KeyframeRequestCallback on_keyframe_request,
@@ -62,9 +60,7 @@ class FrameBuffer {
   PurgeCallback on_purge_;
   Stats stats_;
 
-  int stream_id_ = -1;
-  PoolArena own_arena_;  // declared before buffer_: destruction order
-  ArenaMap<int64_t, AssembledFrame> buffer_;  // keyed by frame_id
+  std::map<int64_t, AssembledFrame> buffer_;  // keyed by frame_id
   int64_t next_expected_ = 0;
   // Set after a jump restarted at a delta frame: the decode chain is broken,
   // so delta frames are dropped (not released) until a keyframe arrives.

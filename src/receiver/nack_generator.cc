@@ -10,9 +10,7 @@ namespace converge {
 NackGenerator::NackGenerator(EventLoop* loop, Config config, SendNackFn send)
     : loop_(loop),
       config_(config),
-      send_(std::move(send)),
-      arena_(config.arena != nullptr ? config.arena : &own_arena_),
-      flows_(arena_) {
+      send_(std::move(send)) {
   task_ = std::make_unique<RepeatingTask>(loop_, Duration::Millis(5),
                                           [this] { Process(); });
 }
@@ -20,7 +18,7 @@ NackGenerator::NackGenerator(EventLoop* loop, Config config, SendNackFn send)
 NackGenerator::~NackGenerator() = default;
 
 void NackGenerator::OnPacket(int64_t flow, uint16_t seq) {
-  FlowState& st = flows_.try_emplace(flow, arena_).first->second;
+  FlowState& st = flows_[flow];
   const int64_t useq = st.unwrapper.Unwrap(seq);
 
   if (!st.initialized) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "rtp/rtp_packet.h"
 #include "rtp/sequence_number.h"
 #include "sim/event_loop.h"
-#include "util/arena.h"
 
 namespace converge {
 
@@ -35,8 +35,6 @@ class NackGenerator {
     // than the frame buffer would wait anyway.
     size_t max_outstanding_per_path = 64;
     Duration max_age = Duration::Millis(450);
-    // Node storage for the chase lists; null => private arena.
-    PoolArena* arena = nullptr;
   };
 
   struct Stats {
@@ -73,11 +71,10 @@ class NackGenerator {
     int retries = 0;
   };
   struct FlowState {
-    explicit FlowState(PoolArena* arena) : missing(arena) {}
     SeqUnwrapper unwrapper;
     bool initialized = false;
     int64_t highest = 0;
-    ArenaMap<int64_t, Missing> missing;  // keyed by unwrapped mp_seq
+    std::map<int64_t, Missing> missing;  // keyed by unwrapped mp_seq
   };
 
   void Process();
@@ -86,9 +83,7 @@ class NackGenerator {
   Config config_;
   SendNackFn send_;
   Stats stats_;
-  PoolArena own_arena_;  // declared before flows_: destruction order
-  PoolArena* arena_;
-  ArenaMap<int64_t, FlowState> flows_;
+  std::map<int64_t, FlowState> flows_;
   std::unique_ptr<RepeatingTask> task_;
 };
 

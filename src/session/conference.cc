@@ -311,10 +311,8 @@ Sender::Config MakeSenderConfig(const ConferenceConfig& config,
 // feedback/NACK for the uplink but never decodes media.
 ReceiverEndpoint::Config MakeReceiverConfig(const ConferenceConfig& config,
                                             int from, int incarnation,
-                                            bool subscribe,
-                                            PoolArena* arena) {
+                                            bool subscribe) {
   ReceiverEndpoint::Config rconf;
-  rconf.arena = arena;
   if (subscribe) {
     const ParticipantSpec& spec =
         config.participants[static_cast<size_t>(from)];
@@ -443,7 +441,7 @@ void Conference::BuildLegReceiver(Leg* leg,
   leg->receiver = std::make_unique<ReceiverEndpoint>(
       &loop_,
       MakeReceiverConfig(config_, leg->from, leg->incarnation,
-                         /*subscribe=*/true, &arena_),
+                         /*subscribe=*/true),
       leg->metrics.get(), std::move(transmit));
 }
 
@@ -503,8 +501,7 @@ std::unique_ptr<ReceiverEndpoint> Conference::BuildFeedbackEndpoint(
     int origin, int incarnation, ReceiverEndpoint::TransmitRtcpFn transmit) {
   return std::make_unique<ReceiverEndpoint>(
       &loop_,
-      MakeReceiverConfig(config_, origin, incarnation, /*subscribe=*/false,
-                         &arena_),
+      MakeReceiverConfig(config_, origin, incarnation, /*subscribe=*/false),
       /*metrics=*/nullptr, std::move(transmit));
 }
 

@@ -55,7 +55,6 @@
 #include "session/receiver_endpoint.h"
 #include "session/sender.h"
 #include "signaling/negotiation.h"
-#include "util/arena.h"
 #include "util/invariants.h"
 #include "util/trace_recorder.h"
 
@@ -613,10 +612,6 @@ class Conference {
   ConferenceConfig config_;
   EventLoop loop_;
   std::unique_ptr<TraceRecorder> trace_;
-  // Per-conference node arena shared by every receive pipeline below (all on
-  // this one loop/thread). Declared before routes_/uplinks_/legs_ so it
-  // outlives the containers handing nodes back on destruction.
-  PoolArena arena_;
   // Indexed by participant; sized once at construction.
   std::vector<Route> routes_;
   // Owned behind unique_ptr so routing callbacks capture pointers that stay

@@ -4,7 +4,9 @@
 // SR echo needed for RTT measurement.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "receiver/nack_generator.h"
@@ -13,7 +15,6 @@
 #include "rtp/sequence_number.h"
 #include "session/metrics.h"
 #include "sim/event_loop.h"
-#include "util/arena.h"
 
 namespace converge {
 
@@ -30,11 +31,6 @@ class ReceiverEndpoint {
     // the spurious-retransmission behaviour §2.3 reports.
     bool per_path_nack = true;
     Duration feedback_interval = Duration::Millis(50);
-    // Shared node arena for the endpoint's path state and everything below
-    // it (streams, NACK chase lists, pending FEC parity). The conference
-    // passes its per-call arena; null => each component keeps a private
-    // arena.
-    PoolArena* arena = nullptr;
   };
 
   struct Stats {
@@ -73,10 +69,10 @@ class ReceiverEndpoint {
 
  private:
   struct PathReceiveState {
-    explicit PathReceiveState(PoolArena* arena) : pending_arrivals(arena) {}
     SeqUnwrapper transport_unwrapper;
-    // Arrivals since the last transport feedback: seq -> time.
-    ArenaMap<int64_t, Timestamp> pending_arrivals;
+    // Arrivals since the last transport feedback, (seq, time) sorted by seq
+    // with each seq once. Cleared, not freed, after each feedback.
+    std::vector<std::pair<int64_t, Timestamp>> pending_arrivals;
     int64_t highest_reported = -1;
     // Per-path media loss accounting (mp_seq space).
     SeqUnwrapper mp_unwrapper;
@@ -104,11 +100,9 @@ class ReceiverEndpoint {
   TransmitRtcpFn transmit_rtcp_;
   Stats stats_;
 
-  PoolArena own_arena_;  // declared before the containers: destruction order
-  PoolArena* arena_;
   std::vector<std::unique_ptr<VideoReceiveStream>> streams_;
   std::unique_ptr<NackGenerator> nack_;
-  ArenaMap<PathId, PathReceiveState> path_state_;
+  std::map<PathId, PathReceiveState> path_state_;
   std::unique_ptr<RepeatingTask> feedback_task_;
 };
 

@@ -5,7 +5,7 @@
 // seeded Random. A fleet run shards N such islands over worker threads and,
 // within each shard, interleaves them in fixed time quanta: every call is
 // advanced to the same fleet-time boundary before any call crosses it, so
-// all calls in a shard are genuinely concurrent (live state, live arenas)
+// all calls in a shard are genuinely concurrent (live state, live buffers)
 // rather than run back to back. This is the workload that sizes the
 // simulator for capacity studies: how many simultaneous 3-party calls fit a
 // core, and what the steady-state memory per call is.

@@ -21,15 +21,13 @@ class FrameBufferTest : public testing::Test {
       : buffer_(&loop_, {.capacity_frames = 4, .max_wait = Duration::Millis(100)},
                 [this](const AssembledFrame& f) { released_.push_back(f.frame_id); },
                 [this] { ++keyframe_requests_; },
-                [this](int stream, int64_t upto) {
-                  purges_.emplace_back(stream, upto);
-                }) {}
+                [this](int64_t upto) { purges_.push_back(upto); }) {}
 
   EventLoop loop_;
   FrameBuffer buffer_;
   std::vector<int64_t> released_;
   int keyframe_requests_ = 0;
-  std::vector<std::pair<int, int64_t>> purges_;
+  std::vector<int64_t> purges_;
 };
 
 TEST_F(FrameBufferTest, ReleasesInOrder) {
@@ -63,7 +61,7 @@ TEST_F(FrameBufferTest, WaitTimeoutSkipsMissingFrame) {
   EXPECT_EQ(buffer_.stats().frames_dropped, 2);
   EXPECT_GE(keyframe_requests_, 1);  // re-requested while dropping
   ASSERT_EQ(purges_.size(), 1u);
-  EXPECT_EQ(purges_[0].second, 1);
+  EXPECT_EQ(purges_[0], 1);
 }
 
 TEST_F(FrameBufferTest, FullBufferForcesJumpWithoutWaiting) {

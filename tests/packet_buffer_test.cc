@@ -5,12 +5,11 @@
 namespace converge {
 namespace {
 
-RtpPacket MakePacket(uint16_t seq, int64_t frame_id, bool first, bool last,
-                     int stream = 0) {
+RtpPacket MakePacket(uint16_t seq, int64_t frame_id, bool first, bool last) {
   RtpPacket p;
   p.ssrc = 0x1000;
   p.seq = seq;
-  p.stream_id = stream;
+  p.stream_id = 0;
   p.frame_id = frame_id;
   p.gop_id = 0;
   p.kind = PayloadKind::kMedia;
@@ -91,7 +90,7 @@ TEST_F(PacketBufferTest, PurgeDropsFramesUpToId) {
   buffer_.Insert(MakePacket(0, 0, true, false), Timestamp::Millis(1), 0);
   buffer_.Insert(MakePacket(3, 1, true, false), Timestamp::Millis(2), 0);
   buffer_.Insert(MakePacket(6, 2, true, false), Timestamp::Millis(3), 0);
-  buffer_.PurgeFramesUpTo(0, 1);
+  buffer_.PurgeFramesUpTo(1);
   EXPECT_EQ(buffer_.stats().purged, 2);
   EXPECT_EQ(buffer_.size(), 1u);
   // Frame 2 can still complete.
@@ -102,7 +101,7 @@ TEST_F(PacketBufferTest, PurgeDropsFramesUpToId) {
 
 TEST_F(PacketBufferTest, PurgedFrameCannotAssembleLater) {
   buffer_.Insert(MakePacket(0, 0, true, false), Timestamp::Millis(1), 0);
-  buffer_.PurgeFramesUpTo(0, 0);
+  buffer_.PurgeFramesUpTo(0);
   buffer_.Insert(MakePacket(1, 0, false, true), Timestamp::Millis(2), 0);
   EXPECT_TRUE(frames_.empty());
 }
@@ -126,13 +125,49 @@ TEST_F(PacketBufferTest, SingleShotFrame) {
   EXPECT_EQ(frames_[0].frame.fcd, Duration::Zero());
 }
 
-TEST_F(PacketBufferTest, MultipleStreamsSeparateFrames) {
-  RtpPacket a = MakePacket(0, 0, true, true, /*stream=*/0);
-  RtpPacket b = MakePacket(0, 0, true, true, /*stream=*/1);
-  b.ssrc = 0x2000;
-  buffer_.Insert(a, Timestamp::Millis(1), 0);
-  buffer_.Insert(b, Timestamp::Millis(2), 0);
-  EXPECT_EQ(frames_.size(), 2u);
+TEST_F(PacketBufferTest, FullBufferEvictsTheFirstInsertedNotTheLowestSeq) {
+  // Frame 50's first packet arrives before fifteen lower seqs, each the
+  // first packet of its own incomplete frame: the buffer is full.
+  buffer_.Insert(MakePacket(100, 50, true, false), Timestamp::Millis(1), 0);
+  for (uint16_t seq = 0; seq < 15; ++seq) {
+    buffer_.Insert(MakePacket(seq, seq, true, false), Timestamp::Millis(2), 0);
+  }
+  ASSERT_EQ(buffer_.size(), 16u);
+  EXPECT_EQ(buffer_.stats().evicted, 0);
+
+  buffer_.Insert(MakePacket(15, 15, true, false), Timestamp::Millis(3), 0);
+  EXPECT_EQ(buffer_.size(), 16u);
+  EXPECT_EQ(buffer_.stats().evicted, 1);
+  EXPECT_EQ(buffer_.stats().frames_destroyed, 1);
+  // The lowest seq is still held; seq 100 is gone.
+  buffer_.Insert(MakePacket(0, 0, true, false), Timestamp::Millis(4), 0);
+  EXPECT_EQ(buffer_.stats().duplicates, 1);
+  EXPECT_EQ(buffer_.stats().evicted, 1);
+  buffer_.Insert(MakePacket(100, 50, true, false), Timestamp::Millis(5), 0);
+  EXPECT_EQ(buffer_.stats().duplicates, 1);
+  EXPECT_EQ(buffer_.stats().inserted, 18);
+  // Frame 50 was destroyed: its packets never gather.
+  buffer_.Insert(MakePacket(101, 50, false, true), Timestamp::Millis(6), 0);
+  EXPECT_TRUE(frames_.empty());
+}
+
+TEST_F(PacketBufferTest, FrameAcrossSeqWrapAssembles) {
+  buffer_.Insert(MakePacket(65534, 7, true, false), Timestamp::Millis(1), 0);
+  buffer_.Insert(MakePacket(0, 7, false, false), Timestamp::Millis(2), 1);
+  buffer_.Insert(MakePacket(1, 7, false, true), Timestamp::Millis(3), 0);
+  EXPECT_TRUE(frames_.empty());
+  buffer_.Insert(MakePacket(65535, 7, false, false), Timestamp::Millis(4), 1);
+  ASSERT_EQ(frames_.size(), 1u);
+  const GatheredFrame& g = frames_[0];
+  EXPECT_EQ(g.frame.frame_id, 7);
+  EXPECT_EQ(g.frame.packets, 4);
+  EXPECT_EQ(g.frame.fcd, Duration::Millis(3));
+  ASSERT_EQ(g.arrivals.size(), 4u);
+  for (size_t i = 0; i < g.arrivals.size(); ++i) {
+    EXPECT_EQ(g.arrivals[i].seq, 65534 + static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(g.arrivals[1].arrival, Timestamp::Millis(4));
+  EXPECT_EQ(buffer_.size(), 0u);
 }
 
 }  // namespace

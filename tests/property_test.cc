@@ -383,7 +383,7 @@ TEST(ReceiverBufferPropertyTest, FrameBufferReleasesInOrderUnderReorderFault) {
         ++released;
       },
       /*on_keyframe_request=*/[] {},
-      /*on_purge=*/[](int, int64_t) {});
+      /*on_purge=*/[](int64_t) {});
 
   Random gen(31);
   Timestamp at = Timestamp::Zero();
