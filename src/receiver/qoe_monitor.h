@@ -56,7 +56,6 @@ class QoeMonitor {
   void OnFrameInserted(Duration ifd);
 
   Duration expected_ifd() const { return ifd_exp_; }
-  Duration last_fcd() const { return last_fcd_; }
   Duration last_ifd() const { return last_ifd_; }
   const Stats& stats() const { return stats_; }
 
