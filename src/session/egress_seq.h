@@ -50,7 +50,7 @@ class EgressSeq {
 
   uint16_t next_mp_seq_ = 0;
   int64_t transport_count_ = 0;  // unwrapped; low 16 bits go on the wire
-  SeqWindow<SentRecord> sent_{kSentWindow};
+  SeqWindow<SentRecord, int64_t> sent_{kSentWindow};
 };
 
 }  // namespace converge

@@ -136,7 +136,14 @@ HubForwarder::HubForwarder(EventLoop* loop, Config config,
 
 HubForwarder::~HubForwarder() = default;
 
-void HubForwarder::Stop() { task_.reset(); }
+void HubForwarder::Stop() {
+  task_.reset();
+  // The conference routes no RTCP to a stopped engine (feedback reaches
+  // live legs and live trunks only), so nothing asks its sent histories
+  // again: release them. Collect() reads only stats, controllers and gates.
+  rtx_ = RtxHistory(config_.per_path_nack);
+  for (auto& [path, ps] : paths_) ps->egress.clear();
+}
 
 void HubForwarder::ResetOrigin(int leg) {
   for (auto& [path, ps] : paths_) {
@@ -464,6 +471,9 @@ void HubForwarder::EvaluateLayerSelection(Timestamp now) {
 void HubForwarder::OnMediaFromUplink(int leg, PathId path,
                                      RtpPacket packet) {
   const Timestamp now = loop_->now();
+  CONVERGE_INVARIANT("HubForwarder", now, task_ != nullptr,
+                     "media from origin " + std::to_string(leg) +
+                         " reached a stopped engine");
   auto pit = paths_.find(path);
   if (pit == paths_.end()) return;
   PathState& ps = *pit->second;
@@ -727,6 +737,10 @@ void HubForwarder::Process() {
 bool HubForwarder::OnReceiverRtcp(int leg, PathId path,
                                   const RtcpPacket& packet) {
   const Timestamp now = loop_->now();
+  // Stop() released the histories this would be answered from.
+  CONVERGE_INVARIANT("HubForwarder", now, task_ != nullptr,
+                     "RTCP from leg " + std::to_string(leg) +
+                         " reached a stopped engine");
   if (const auto* fb = std::get_if<TransportFeedback>(&packet.payload)) {
     auto pit = paths_.find(packet.path_id);
     if (pit == paths_.end()) return true;

@@ -134,8 +134,11 @@ class HubForwarder {
   // from the previous life.
   void ResetOrigin(int leg);
   // Quiesces the pacing timer when this forwarder's receiver leaves the
-  // call; the retired forwarder stays alive (in-flight deliveries may still
-  // reference it) but emits nothing further.
+  // call, or its trunk retires, and releases the sent histories (RTX
+  // windows and send records). The retired forwarder stays alive
+  // (in-flight deliveries may still reference it, and Collect() reads its
+  // stats, controllers and gates) but emits nothing further, and neither
+  // media nor RTCP may reach it again.
   void Stop();
 
   // Paths this engine paces over, in ascending PathId order (stable across

@@ -16,7 +16,7 @@ void RtxHistory::OnSent(int leg, const RtpPacket& packet) {
   const Flow flow{leg, per_path_nack_ ? int64_t{packet.path_id}
                                       : int64_t{packet.ssrc}};
   const uint16_t seq = per_path_nack_ ? packet.mp_seq : packet.seq;
-  SeqWindow<RtpPacket>& window =
+  SeqWindow<RtpPacket, uint16_t>& window =
       windows_.try_emplace(flow, size_t{1} << 16).first->second;
   if (media_like) {
     window.Insert(seq, packet);

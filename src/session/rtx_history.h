@@ -76,7 +76,7 @@ class RtxHistory {
                          PathId report_path, uint16_t seq);
 
   bool per_path_nack_;
-  std::map<Flow, SeqWindow<RtpPacket>> windows_;
+  std::map<Flow, SeqWindow<RtpPacket, uint16_t>> windows_;
   std::deque<Answer> answered_;  // the last kDedupWindow's, oldest first
   int64_t horizon_misses_ = 0;
 };

@@ -5,15 +5,24 @@
 // records) is keyed by a sequence number that advances by one per packet.
 // A window of W slots (W a power of two) indexed by `key & (W - 1)`
 // therefore holds the newest W keys with no tree insert, no eviction scan,
-// and no per-packet allocation: writing key
-// k replaces whatever key previously mapped to its slot (k - W, k - 2W, ...
-// or, for a 16-bit space with W = 65536, the same wire value one wrap ago).
+// and no per-packet allocation.
 //
-// The slots live in fixed-size pages (kPageSlots) materialized on first
-// touch and released once their last entry is erased, so a short or sparse
-// history costs only the pages it uses and a full one never grows by
-// doubling-and-copying. Keys may be any int64_t except INT64_MIN (the empty
-// marker); negative keys index like their two's-complement bit pattern.
+// A slot holds a value and an occupancy bit, not its key: the key type
+// names the key space, and the space implies each slot's key.
+//   * SeqWindow<T, uint16_t>: 16-bit wire seqs in 65,536 slots, one slot
+//     per wire value. A slot's key is its index, so writing a value again
+//     one wrap later replaces its entry.
+//   * SeqWindow<T, int64_t>: an unwrapped counter that advances by one per
+//     insert. A slot's key is the one key in (newest - W, newest] with its
+//     index, newest being the highest key inserted. An insert that jumps
+//     ahead clears the positions it skips, so an occupied slot always holds
+//     its implied key; a key below the newest must be less than W / 2
+//     below it.
+//
+// The slots live in pages of kPageSlots values plus their occupancy bits,
+// one allocation each, materialized on first touch and released once
+// their last entry is erased, so a short or sparse history costs only the
+// pages it uses and a full one never grows by doubling-and-copying.
 //
 // Histories are also bounded by age. A tail cursor follows the slot
 // positions in key order: Trim walks it from the oldest position toward
@@ -34,8 +43,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,66 +58,79 @@ namespace converge {
 // much later. Longer than any lookup a modelled call makes (DESIGN.md §12).
 inline constexpr Duration kSentHistoryHorizon = Duration::Millis(10'000);
 
-template <typename T>
+template <typename T, typename Key>
 class SeqWindow {
+  static_assert(std::is_same_v<Key, uint16_t> || std::is_same_v<Key, int64_t>,
+                "keys are 16-bit wire seqs or an unwrapped int64_t counter");
+  static constexpr bool kWire = std::is_same_v<Key, uint16_t>;
+
  public:
-  // Slots per page (a window smaller than this is a single page).
+  // Slots per page.
   static constexpr size_t kPageSlots = 256;
   // Positions behind the tail that remember a trim (a window smaller than
   // this remembers all of them).
   static constexpr size_t kTrimMemory = 1024;
 
-  // `window` must be a power of two, at most 2^31.
-  explicit SeqWindow(size_t window)
-      : mask_(window - 1),
-        page_slots_(window < kPageSlots ? window : kPageSlots),
-        page_shift_(Log2(page_slots_)) {}
+  // `window` must be a power of two from kPageSlots to 2^31; 16-bit keys
+  // take exactly 2^16.
+  explicit SeqWindow(size_t window) : mask_(window - 1) {}
 
-  // Stores `value` under `key`, replacing the slot's previous entry
-  // whatever its key. Forwards straight into the slot, so an lvalue is
-  // copied once and an rvalue moved once.
+  // Stores `value` under `key`, replacing the slot's previous entry.
+  // Forwards straight into the slot, so an lvalue is copied once and an
+  // rvalue moved once.
   template <typename U>
-  T& Insert(int64_t key, U&& value) {
+  T& Insert(Key key, U&& value) {
     const size_t index = Index(key);
-    const size_t page = index >> page_shift_;
     if (pages_.empty()) {
       // The page table itself is sized on first use, so an unused window
-      // costs two empty vectors.
-      pages_.resize(window() / page_slots_);
-      live_.resize(pages_.size(), 0);
+      // costs an empty vector.
+      pages_.resize(window() / kPageSlots);
       tail_ = static_cast<uint32_t>(index);
+      newest_ = key;
     }
-    Advance(index);
-    if (pages_[page] == nullptr) {
-      pages_[page] = std::make_unique<Slot[]>(page_slots_);
+    // Positions `key` lies past the newest insert; 0 at or behind it.
+    uint64_t ahead = 0;
+    if constexpr (kWire) {
+      const size_t back = (tail_ + span_ - 1 - index) & mask_;
+      ahead = 2 * back < window() ? 0 : window() - back;
+    } else if (key > newest_) {
+      ahead = static_cast<uint64_t>(key) - static_cast<uint64_t>(newest_);
+      // The skipped keys' slots hold keys that leave the window now.
+      const uint64_t skipped = std::min<uint64_t>(ahead - 1, window());
+      for (uint64_t i = 1; i <= skipped; ++i) {
+        const size_t at = Index(newest_ + static_cast<int64_t>(i));
+        if (Has(at)) EraseAt(at);
+      }
+      newest_ = key;
     }
-    Slot& slot = pages_[page][index & (page_slots_ - 1)];
-    if (slot.key == kEmpty) {
-      ++live_[page];
+    Advance(index, ahead);
+    std::unique_ptr<Page>& page = pages_[index / kPageSlots];
+    if (page == nullptr) page = std::make_unique<Page>();
+    const size_t offset = index % kPageSlots;
+    if (!page->Has(offset)) {
+      page->occupied[offset / 64] |= uint64_t{1} << (offset % 64);
+      ++page->live;
       ++size_;
     }
-    slot.key = key;
-    slot.value = std::forward<U>(value);
-    return slot.value;
+    T& slot = page->values[offset];
+    slot = std::forward<U>(value);
+    return slot;
   }
 
-  const T* Find(int64_t key) const {
-    const Slot* slot = SlotOf(key);
-    return slot != nullptr && slot->key == key ? &slot->value : nullptr;
+  const T* Find(Key key) const {
+    if (!Holds(key)) return nullptr;
+    const size_t index = Index(key);
+    return &pages_[index / kPageSlots]->values[index % kPageSlots];
   }
-  T* Find(int64_t key) {
+  T* Find(Key key) {
     return const_cast<T*>(std::as_const(*this).Find(key));
   }
 
   // Removes `key` if present (the value is reset, releasing what it held);
   // a page whose last entry goes is released with it.
-  bool Erase(int64_t key) {
-    const size_t index = Index(key);
-    const size_t page = index >> page_shift_;
-    if (page >= pages_.size() || pages_[page] == nullptr) return false;
-    Slot& slot = pages_[page][index & (page_slots_ - 1)];
-    if (slot.key != key) return false;
-    EraseSlot(page, slot);
+  bool Erase(Key key) {
+    if (!Holds(key)) return false;
+    EraseAt(Index(key));
     return true;
   }
 
@@ -121,18 +143,18 @@ class SeqWindow {
   template <typename Expired>
   void Trim(Expired&& expired) {
     while (span_ > 0) {
-      const size_t page = tail_ >> page_shift_;
-      const size_t offset = tail_ & (page_slots_ - 1);
-      if (pages_[page] == nullptr) {
+      const Page* page = pages_[tail_ / kPageSlots].get();
+      if (page == nullptr) {
         // A released page holds nothing: step over the rest of it at once.
-        StepTail(std::min<size_t>(page_slots_ - offset, span_), false);
+        StepTail(std::min<size_t>(kPageSlots - tail_ % kPageSlots, span_),
+                 false);
         continue;
       }
-      Slot& slot = pages_[page][offset];
-      const bool live = slot.key != kEmpty;
+      const size_t offset = tail_ % kPageSlots;
+      const bool live = page->Has(offset);
       if (live) {
-        if (!expired(std::as_const(slot.value))) return;
-        EraseSlot(page, slot);
+        if (!expired(std::as_const(page->values[offset]))) return;
+        EraseAt(tail_);
       }
       StepTail(1, live);
     }
@@ -141,12 +163,11 @@ class SeqWindow {
   // True when Trim erased `key`'s entry and no newer key has taken its slot
   // since: a lookup that misses such a key fell behind the age bound rather
   // than naming something never kept (or erased). Remembered for the last
-  // kTrimMemory positions the tail passed. Decided by slot position: keys
-  // of a window as wide as their space (16-bit seqs in 65,536 slots) name
-  // their slot's entry whatever its wrap, but where keys are wider than the
-  // window, a key above the newest insert maps to an older key's slot, and
-  // the caller must rule it out (EgressSeq::Match does).
-  bool Trimmed(int64_t key) const {
+  // kTrimMemory positions the tail passed. Decided by slot position: a
+  // 16-bit key names its slot's entry whatever its wrap, but an unwrapped
+  // key above the newest insert maps to an older key's slot, and the
+  // caller must rule it out (EgressSeq::Match does).
+  bool Trimmed(Key key) const {
     const size_t index = Index(key);
     const size_t back = (tail_ - index) & mask_;
     if (back < 1 || back > std::min<size_t>(behind_, TrimMemory())) {
@@ -166,48 +187,66 @@ class SeqWindow {
   }
 
  private:
-  static constexpr int64_t kEmpty = std::numeric_limits<int64_t>::min();
-
-  struct Slot {
-    int64_t key = kEmpty;
-    T value{};
+  // The values of kPageSlots consecutive slots and which of them are
+  // occupied, in one allocation.
+  struct Page {
+    T values[kPageSlots]{};
+    uint64_t occupied[kPageSlots / 64] = {};
+    uint32_t live = 0;  // occupied slots
+    bool Has(size_t offset) const {
+      return (occupied[offset / 64] >> (offset % 64)) & 1;
+    }
   };
 
-  static int Log2(size_t v) {
-    int shift = 0;
-    while ((size_t{1} << shift) < v) ++shift;
-    return shift;
-  }
-
-  size_t Index(int64_t key) const {
+  size_t Index(Key key) const {
     return static_cast<size_t>(static_cast<uint64_t>(key)) & mask_;
   }
 
-  void EraseSlot(size_t page, Slot& slot) {
-    slot.key = kEmpty;
-    slot.value = T();
-    --size_;
-    if (--live_[page] == 0) pages_[page].reset();
+  bool Has(size_t index) const {
+    const Page* page =
+        pages_.empty() ? nullptr : pages_[index / kPageSlots].get();
+    return page != nullptr && page->Has(index % kPageSlots);
   }
 
-  // Takes an insert at `index` into the cursor span. One at the newest
-  // position or less than half the window behind it is out of order: the
-  // newest stays, and the tail moves back to it if it had passed it. Any other
-  // insert is the new newest: the span grows forward to reach it and, once
-  // it covers the whole window, rolls its tail along.
-  void Advance(size_t index) {
+  // Whether `key`'s entry is present: its slot is occupied and, for an
+  // unwrapped key, it is the slot's implied key.
+  bool Holds(Key key) const {
+    if constexpr (!kWire) {
+      const uint64_t back =
+          static_cast<uint64_t>(newest_) - static_cast<uint64_t>(key);
+      if (back > mask_) return false;
+    }
+    return Has(Index(key));
+  }
+
+  void EraseAt(size_t index) {
+    std::unique_ptr<Page>& page = pages_[index / kPageSlots];
+    const size_t offset = index % kPageSlots;
+    page->occupied[offset / 64] &= ~(uint64_t{1} << (offset % 64));
+    page->values[offset] = T();
+    --size_;
+    if (--page->live == 0) page.reset();
+  }
+
+  // Takes an insert at `index`, `ahead` positions past the newest, into
+  // the cursor span. One at the newest position or less than half the
+  // window behind it (`ahead` 0) is out of order: the newest stays, and the
+  // tail moves back to it if it had passed it. Any other insert is the new
+  // newest: the span grows forward to reach it and, once it covers the
+  // whole window, rolls its tail along.
+  void Advance(size_t index, uint64_t ahead) {
     if (span_ == 0) {
       // Everything was trimmed: the positions up to `index` were passed.
-      const size_t skipped = (index - tail_) & mask_;
+      const size_t skipped =
+          ahead > window() ? window() : (index - tail_) & mask_;
       Remember(tail_, skipped, false);
       behind_ = static_cast<uint32_t>(std::min(behind_ + skipped, mask_));
       tail_ = static_cast<uint32_t>(index);
       span_ = 1;
       return;
     }
-    const size_t newest = (tail_ + span_ - 1) & mask_;
-    const size_t back = (newest - index) & mask_;
-    if (2 * back < window()) {
+    if (ahead == 0) {
+      const size_t back = (tail_ + span_ - 1 - index) & mask_;
       if (back >= span_) {
         // Passing the positions it takes back overwrote the memory of as
         // many older ones.
@@ -219,7 +258,7 @@ class SeqWindow {
       }
       return;
     }
-    const size_t span = span_ + window() - back;
+    const uint64_t span = span_ + ahead;
     if (span >= window()) {
       span_ = static_cast<uint32_t>(window());
       tail_ = static_cast<uint32_t>((index + 1) & mask_);
@@ -256,16 +295,7 @@ class SeqWindow {
     }
   }
 
-  const Slot* SlotOf(int64_t key) const {
-    const size_t index = Index(key);
-    const size_t page = index >> page_shift_;
-    if (page >= pages_.size() || pages_[page] == nullptr) return nullptr;
-    return &pages_[page][index & (page_slots_ - 1)];
-  }
-
   size_t mask_;
-  size_t page_slots_;
-  int page_shift_;
   // Tail cursor: every live entry lies in the `span_` positions from
   // `tail_` (the oldest) to the newest insert; the `behind_` positions
   // just behind `tail_` were passed by Trim.
@@ -273,10 +303,11 @@ class SeqWindow {
   uint32_t span_ = 0;
   uint32_t behind_ = 0;
   size_t size_ = 0;
+  // The highest key inserted (what unwrapped keys' slots are implied by).
+  int64_t newest_ = 0;
   // One bit per remembered position: Trim erased an entry there.
   std::unique_ptr<uint64_t[]> trimmed_;
-  std::vector<std::unique_ptr<Slot[]>> pages_;
-  std::vector<uint32_t> live_;  // occupied slots per page
+  std::vector<std::unique_ptr<Page>> pages_;
 };
 
 }  // namespace converge

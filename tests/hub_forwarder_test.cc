@@ -1,8 +1,8 @@
 // HubForwarder unit coverage: hub-owned egress sequence spaces, the
 // frame-aware drop policy (oldest-first, keyframe-protected, dependency
 // gating with PLI relay), local NACK answering from hub history, feedback
-// matching across a leg's restart, and the per-downlink congestion loop in
-// DownlinkCc.
+// matching across a leg's restart, release of the sent histories at
+// retirement, and the per-downlink congestion loop in DownlinkCc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "session/egress_seq.h"
 #include "session/hub_forwarder.h"
 #include "sim/event_loop.h"
+#include "util/invariants.h"
 
 namespace converge {
 namespace {
@@ -623,6 +624,76 @@ TEST(HubForwarderTest, RestartedLegFeedbackSurvivesPreviousLife) {
   EXPECT_EQ(h.forwarder.cc(0).feedback_batches(), 1);
   EXPECT_EQ(h.forwarder.cc(0).packets_acked(), 8);
   EXPECT_EQ(h.forwarder.cc(0).horizon_misses(), 0);
+}
+
+// The conference routes nothing to a stopped engine, so Stop() releases
+// its sent histories (RTX windows and send records); what Collect() reads
+// of a retired engine (per-path stats, controllers, rung selection) stays
+// as it was. A route that still reached the engine would be reported.
+TEST(HubForwarderTest, StopReleasesSentHistoriesAndKeepsWhatCollectReads) {
+  HubForwarder::Config config = FastConfig(0.5);
+  config.layered = true;
+  Harness h(config, {0, 1});
+  uint16_t seq = 0;
+  for (int64_t frame = 0; frame < 30; ++frame) {
+    const FrameKind kind = (frame == 0 || (frame == 10 && !h.plis.empty()))
+                               ? FrameKind::kKey
+                               : FrameKind::kDelta;
+    for (PathId path : {0, 1}) {
+      h.forwarder.OnMediaFromUplink(
+          0, path, LayeredPacket(0x10, seq++, frame, kind, 0, 2, 2917));
+      h.forwarder.OnMediaFromUplink(
+          0, path, LayeredPacket(0x10, seq++, frame, kind, 1, 2, 200));
+    }
+    h.loop.RunUntil(h.loop.now() + Duration::Millis(33));
+  }
+  h.loop.RunUntil(h.loop.now() + Duration::Millis(300));
+  // Feedback for path 0's packets, and a NACK answered on path 1.
+  TransportFeedback fb;
+  for (const Delivered& d : h.delivered) {
+    if (d.path == 0) {
+      fb.arrivals.push_back({d.packet.mp_transport_seq, h.loop.now()});
+    }
+  }
+  EXPECT_TRUE(h.forwarder.OnReceiverRtcp(0, 0, RtcpPacket{0, fb}));
+  EXPECT_TRUE(h.forwarder.OnReceiverRtcp(0, 1, RtcpPacket{1, Nack{0, {2}}}));
+  h.loop.RunUntil(h.loop.now() + Duration::Millis(50));
+
+  ASSERT_GT(h.forwarder.history_pages_allocated(), 0u);
+  ASSERT_EQ(h.forwarder.max_selected_rung(), 1);
+  ASSERT_EQ(h.forwarder.stats(1).rtx_answered, 1);
+  ASSERT_GT(h.forwarder.cc(0).packets_acked(), 0);
+  std::vector<HubForwarder::DownlinkStats> stats;
+  std::vector<DataRate> targets;
+  std::vector<int64_t> acked;
+  for (PathId path : {0, 1}) {
+    stats.push_back(h.forwarder.stats(path));
+    targets.push_back(h.forwarder.downlink_target(path));
+    acked.push_back(h.forwarder.cc(path).packets_acked());
+  }
+
+  h.forwarder.Stop();
+  EXPECT_EQ(h.forwarder.history_pages_allocated(), 0u);
+  EXPECT_EQ(h.forwarder.max_selected_rung(), 1);
+  EXPECT_EQ(h.forwarder.selected_rung(0, 0), 1);
+  for (PathId path : {0, 1}) {
+    const HubForwarder::DownlinkStats& now = h.forwarder.stats(path);
+    const HubForwarder::DownlinkStats& before = stats[path];
+    EXPECT_EQ(now.packets_forwarded, before.packets_forwarded);
+    EXPECT_EQ(now.bytes_forwarded, before.bytes_forwarded);
+    EXPECT_EQ(now.rtx_answered, before.rtx_answered);
+    EXPECT_EQ(now.layer_switches, before.layer_switches);
+    EXPECT_EQ(now.layer_packets_filtered, before.layer_packets_filtered);
+    EXPECT_EQ(now.max_queue_bytes, before.max_queue_bytes);
+    EXPECT_EQ(h.forwarder.downlink_target(path), targets[path]);
+    EXPECT_EQ(h.forwarder.cc(path).packets_acked(), acked[path]);
+  }
+
+  ScopedInvariants guard;
+  h.forwarder.OnReceiverRtcp(0, 1, RtcpPacket{1, Nack{0, {3}}});
+  h.forwarder.OnMediaFromUplink(
+      0, 0, LayeredPacket(0x10, seq++, 30, FrameKind::kDelta, 1, 2, 200));
+  EXPECT_EQ(InvariantRegistry::violation_count(), 2);
 }
 
 // Stamps `count` packets sent `gap` apart from `start` onto `egress`.

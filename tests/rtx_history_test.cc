@@ -143,7 +143,7 @@ class ReferenceSender {
     bool per_path_nack = true;
   } config_;
   struct PathState {
-    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
+    SeqWindow<RtpPacket, uint16_t> mp_sent{size_t{1} << 16};
   };
   std::map<PathId, PathState> paths_;
   std::map<std::pair<int64_t, uint16_t>, Timestamp> recent_rtx_;
@@ -252,7 +252,7 @@ class ReferenceHub {
     bool per_path_nack = true;
   } config_;
   struct EgressLeg {
-    SeqWindow<RtpPacket> mp_sent{size_t{1} << 16};
+    SeqWindow<RtpPacket, uint16_t> mp_sent{size_t{1} << 16};
   };
   struct PathState {
     std::map<int, EgressLeg> egress;
@@ -325,7 +325,7 @@ class HorizonShadow {
       if (held != flow.held.end() && flow.Expired(held->second)) {
         ++*aged;
         const uint16_t back = static_cast<uint16_t>(tail - seq);
-        if (back >= 1 && back <= SeqWindow<RtpPacket>::kTrimMemory &&
+        if (back >= 1 && back <= SeqWindow<RtpPacket, uint16_t>::kTrimMemory &&
             flow.reused.count(seq) == 0) {
           ++*counted;
         }

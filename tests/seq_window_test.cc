@@ -1,10 +1,10 @@
 // SeqWindow differential coverage: the paged direct-mapped window against
 // std::map references for each way the stack uses it — the 16-bit
 // retransmission histories across several wraps, the capped unwrapped
-// transport-feedback history, arbitrary keys, and page materialization and
-// release — plus the age bound, with keys in order and a few positions
-// out of order (two pacers), and as the downlink controller sees it
-// through per-leg egress lives.
+// transport-feedback history, the unwrapped key space's implied keys, and
+// page materialization and release — plus the age bound, with keys in
+// order and a few positions out of order (two pacers), and as the downlink
+// controller sees it through per-leg egress lives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,10 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
+#include <set>
+#include <type_traits>
 #include <vector>
 
 #include "cc/downlink_cc.h"
@@ -26,7 +29,7 @@ namespace {
 // packet in send order, erased when a non-media packet takes the value,
 // looked up by NACKs naming any value. Reference: std::map<uint16_t, T>.
 TEST(SeqWindowTest, SixteenBitHistoryMatchesMapAcrossWraps) {
-  SeqWindow<int64_t> window(size_t{1} << 16);
+  SeqWindow<int64_t, uint16_t> window(size_t{1} << 16);
   std::map<uint16_t, int64_t> reference;
   std::mt19937_64 rng(7);
   uint16_t next = 0;
@@ -73,7 +76,7 @@ TEST(SeqWindowTest, SixteenBitHistoryMatchesMapAcrossWraps) {
 // to the newest `capacity` keys.
 TEST(SeqWindowTest, MonotoneKeysKeepExactlyTheNewestWindow) {
   constexpr size_t kCapacity = 1024;
-  SeqWindow<int64_t> window(kCapacity);
+  SeqWindow<int64_t, int64_t> window(kCapacity);
   std::map<int64_t, int64_t> reference;
   std::mt19937_64 rng(11);
   for (int64_t seq = 0; seq < 70'000; ++seq) {
@@ -99,44 +102,79 @@ TEST(SeqWindowTest, MonotoneKeysKeepExactlyTheNewestWindow) {
   EXPECT_EQ(window.size(), kCapacity);
 }
 
-// Arbitrary keys: the window is exactly a map in which writing a key first
-// evicts every key congruent to it modulo the window.
-TEST(SeqWindowTest, ArbitraryKeysEvictOnlyTheirSlot) {
+// Unwrapped keys imply their slot's key: the window holds exactly the
+// keys in (newest - W, newest] inserted and not erased since. A key that
+// jumps ahead, by up to two windows at once, clears the slots it skips; a
+// key less than W / 2 behind the newest takes its own slot. Every value
+// the window drops (replaced, erased or skipped) is released: a token each
+// value shares counts exactly the entries held.
+TEST(SeqWindowTest, UnwrappedKeysHoldExactlyTheNewestWindow) {
   constexpr int64_t kWindow = 1024;
-  SeqWindow<int> window(kWindow);
-  std::map<int64_t, int> reference;
+  struct Held {
+    int64_t value = 0;
+    std::shared_ptr<int> token;
+  };
+  SeqWindow<Held, int64_t> window(kWindow);
+  std::map<int64_t, int64_t> reference;
+  const auto token = std::make_shared<int>(0);
   std::mt19937_64 rng(3);
-  for (int i = 0; i < 50'000; ++i) {
-    const int64_t key = static_cast<int64_t>(rng() % 16384) - 8192;
-    switch (rng() % 3) {
-      case 0: {
-        for (auto it = reference.begin(); it != reference.end();) {
-          const bool same_slot = ((it->first - key) & (kWindow - 1)) == 0;
-          it = same_slot ? reference.erase(it) : std::next(it);
-        }
-        reference[key] = i;
-        window.Insert(key, i);
-        break;
+  int64_t newest = -5000;  // negative keys index like any other
+  window.Insert(newest, Held{-1, token});
+  reference[newest] = -1;
+  int64_t jumps = 0;
+  int64_t behind = 0;
+  for (int64_t i = 0; i < 60'000; ++i) {
+    const uint64_t roll = rng() % 100;
+    if (roll < 60) {
+      int64_t key = newest + 1;
+      if (roll >= 50) {
+        key = newest - static_cast<int64_t>(rng() % (kWindow / 2));
+        ++behind;
+      } else if (roll >= 45) {
+        key = newest + 2 + static_cast<int64_t>(rng() % (2 * kWindow));
+        ++jumps;
       }
-      case 1:
-        ASSERT_EQ(window.Erase(key), reference.erase(key) == 1) << key;
-        break;
-      default: {
-        auto it = reference.find(key);
-        const int* found = window.Find(key);
-        ASSERT_EQ(found != nullptr, it != reference.end()) << key;
-        if (found != nullptr) {
-          ASSERT_EQ(*found, it->second);
-        }
+      if (key > newest) {
+        newest = key;
+        reference.erase(reference.begin(),
+                        reference.lower_bound(newest - kWindow + 1));
+      }
+      reference[key] = i;
+      window.Insert(key, Held{i, token});
+    } else if (roll < 75) {
+      // Held, out of the window behind, and above the newest.
+      const int64_t key =
+          newest + 8 - static_cast<int64_t>(rng() % (kWindow + 64));
+      ASSERT_EQ(window.Erase(key), reference.erase(key) == 1) << key;
+    } else {
+      const int64_t key =
+          newest + kWindow - static_cast<int64_t>(rng() % (3 * kWindow));
+      auto it = reference.find(key);
+      const Held* found = window.Find(key);
+      ASSERT_EQ(found != nullptr, it != reference.end())
+          << "key " << key << " newest " << newest;
+      if (found != nullptr) {
+        ASSERT_EQ(found->value, it->second);
       }
     }
-    ASSERT_EQ(window.size(), reference.size());
+    ASSERT_EQ(window.size(), reference.size()) << "step " << i;
+    ASSERT_EQ(static_cast<size_t>(token.use_count() - 1), window.size());
+    if (i % 64 == 0) {
+      std::set<int64_t> pages;
+      for (const auto& [key, value] : reference) {
+        pages.insert((key & (kWindow - 1)) /
+                     static_cast<int64_t>(decltype(window)::kPageSlots));
+      }
+      ASSERT_EQ(window.pages_allocated(), pages.size()) << "step " << i;
+    }
   }
+  EXPECT_GT(jumps, 2000);
+  EXPECT_GT(behind, 2000);
 }
 
 TEST(SeqWindowTest, PagesMaterializeOnTouchAndReleaseWhenEmptied) {
-  static_assert(SeqWindow<int>::kPageSlots == 256);
-  SeqWindow<int> window(/*window=*/1024);
+  static_assert(SeqWindow<int, int64_t>::kPageSlots == 256);
+  SeqWindow<int, int64_t> window(/*window=*/1024);
   EXPECT_EQ(window.pages_allocated(), 0u);
   EXPECT_EQ(window.Find(5), nullptr);
   EXPECT_FALSE(window.Erase(5));  // lookups never allocate
@@ -164,8 +202,9 @@ TEST(SeqWindowTest, PagesMaterializeOnTouchAndReleaseWhenEmptied) {
   EXPECT_EQ(window.pages_allocated(), 0u);
   EXPECT_TRUE(window.empty());
 
-  // The whole window: one page per 256 slots, never more.
-  for (int64_t key = 0; key < 4096; ++key) window.Insert(key, 0);
+  // The whole window: one page per 256 slots, never more. The keys go on
+  // from the newest insert, 1024 + 255 (none may fall W / 2 behind it).
+  for (int64_t key = 1280; key < 1280 + 4096; ++key) window.Insert(key, 0);
   EXPECT_EQ(window.pages_allocated(), 4u);
   EXPECT_EQ(window.size(), 1024u);
 }
@@ -181,19 +220,24 @@ struct Sent {
 // in send order with occasional holes, recent keys are erased at random,
 // and the window is trimmed after most inserts and sometimes after a long
 // pause. The reference models the window exactly: a write evicts every
-// older key of its slot, a trim walks a tail key from the oldest position
-// up to the newest key, erasing the expired entry each slot holds and
-// passing holes until a live unexpired entry. Trimmed(k) holds where the
-// trim erased an entry, no newer key has taken the slot since, and the
-// tail is at most kTrimMemory positions on. `wire` stores 16-bit keys, as
-// the per-path RTX windows do.
-void RunTrimAgainstMap(size_t window_size, bool wire, Duration horizon,
-                       int64_t steps, uint64_t seed) {
+// older key of its slot (and, for unwrapped keys, of every slot a jump
+// skips), a trim walks a tail key from the oldest position up to the
+// newest key, erasing the expired entry each slot holds and passing holes
+// until a live unexpired entry. Trimmed(k) holds where the trim erased an
+// entry, no newer key has taken the slot since, and the tail is at most
+// kTrimMemory positions on. Key uint16_t stores 16-bit keys, as the
+// per-path RTX windows do; int64_t the unwrapped keys themselves.
+template <typename Key>
+void RunTrimAgainstMap(size_t window_size, Duration horizon, int64_t steps,
+                       uint64_t seed) {
+  const bool wire = std::is_same_v<Key, uint16_t>;
   SCOPED_TRACE(testing::Message() << "window " << window_size << " wire "
                                   << wire);
   const int64_t w = static_cast<int64_t>(window_size);
-  auto stored = [&](int64_t key) { return wire ? (key & 0xFFFF) : key; };
-  SeqWindow<Sent> window(window_size);
+  auto stored = [&](int64_t key) {
+    return static_cast<Key>(wire ? (key & 0xFFFF) : key);
+  };
+  SeqWindow<Sent, Key> window(window_size);
   std::map<int64_t, Sent> reference;
   constexpr int64_t kNone = std::numeric_limits<int64_t>::min();
   std::vector<int64_t> owner(window_size, kNone);  // live key per slot
@@ -244,7 +288,7 @@ void RunTrimAgainstMap(size_t window_size, bool wire, Duration horizon,
     if (!wire && key != probe) return;  // Trimmed is positional
     const int64_t lowest = std::max(
         {start, newest - w + 1, tail - w + 1,
-         tail - static_cast<int64_t>(SeqWindow<Sent>::kTrimMemory)});
+         tail - static_cast<int64_t>(SeqWindow<Sent, Key>::kTrimMemory)});
     const bool trimmed = key >= lowest && key < tail && erased_at[key];
     ASSERT_EQ(window.Trimmed(stored(probe)), trimmed)
         << "probe " << probe << " tail " << tail << " newest " << newest;
@@ -269,6 +313,14 @@ void RunTrimAgainstMap(size_t window_size, bool wire, Duration horizon,
         tail = std::max(tail, key - w + 1);
       }
       full_span_seen |= key - tail + 1 == w;
+      if (!wire) {
+        // An unwrapped key that jumps ahead clears the slots it skips:
+        // the keys they hold leave the window.
+        for (int64_t skipped = newest + 1; skipped < key; ++skipped) {
+          const int64_t live = owner[static_cast<size_t>(skipped & (w - 1))];
+          if (live != kNone) erase_ref(live);
+        }
+      }
       newest = key;
       for (int64_t old = key - w; old >= start; old -= w) {
         if (reference.erase(old) == 1) break;  // one live key per slot
@@ -310,12 +362,11 @@ void RunTrimAgainstMap(size_t window_size, bool wire, Duration horizon,
 
 TEST(SeqWindowTest, TrimMatchesMapAcrossWrapsAndPages) {
   // 16-bit keys over three wraps, the span well inside the window.
-  RunTrimAgainstMap(size_t{1} << 16, /*wire=*/true, Duration::Millis(400),
-                    260'000, 41);
+  RunTrimAgainstMap<uint16_t>(size_t{1} << 16, Duration::Millis(400), 260'000,
+                              41);
   // Unwrapped keys in a window the horizon overfills: the count cap and
   // the age bound take turns.
-  RunTrimAgainstMap(1024, /*wire=*/false, Duration::Millis(1500), 120'000,
-                    43);
+  RunTrimAgainstMap<int64_t>(1024, Duration::Millis(1500), 120'000, 43);
 }
 
 // Keys of one flow leave through two FIFO pacers, so some are inserted a few
@@ -323,24 +374,29 @@ TEST(SeqWindowTest, TrimMatchesMapAcrossWrapsAndPages) {
 // baselines). Reference: a std::map and a model cursor in unwrapped keys.
 // An insert behind the newest leaves the newest alone (the tail moves back
 // to it if it had passed it); any other insert is the new newest, and the
-// tail rolls along once the span covers the window. Checked: every key
+// tail rolls along once the span covers the window. An unwrapped key that
+// jumps ahead also clears the slots it skips. Checked: every key
 // inside the horizon and the newest window is found, a key past the horizon
 // is gone unless an unexpired key a few positions before it holds the
 // tail, Trimmed matches the model, and each page is allocated exactly
 // while it holds an entry. Pauses drain both pacers first, so no key is
 // still queued when the whole span has expired.
-void RunInterleavedAgainstMap(size_t window_size, bool wire, Duration horizon,
+template <typename Key>
+void RunInterleavedAgainstMap(size_t window_size, Duration horizon,
                               Duration max_gap, int64_t steps, uint64_t seed) {
+  const bool wire = std::is_same_v<Key, uint16_t>;
   SCOPED_TRACE(testing::Message() << "window " << window_size << " wire "
                                   << wire);
   const int64_t w = static_cast<int64_t>(window_size);
   const int64_t page_slots =
-      std::min<int64_t>(w, SeqWindow<Sent>::kPageSlots);
-  auto stored = [&](int64_t key) { return wire ? (key & 0xFFFF) : key; };
+      std::min<int64_t>(w, SeqWindow<Sent, Key>::kPageSlots);
+  auto stored = [&](int64_t key) {
+    return static_cast<Key>(wire ? (key & 0xFFFF) : key);
+  };
   auto slot_of = [&](int64_t key) {
     return static_cast<size_t>(key & (w - 1));
   };
-  SeqWindow<Sent> window(window_size);
+  SeqWindow<Sent, Key> window(window_size);
   std::map<int64_t, Sent> reference;
   std::map<int64_t, Timestamp> sent_at;  // every key inserted
   constexpr int64_t kNone = std::numeric_limits<int64_t>::min();
@@ -355,7 +411,7 @@ void RunInterleavedAgainstMap(size_t window_size, bool wire, Duration horizon,
   int64_t tail = start;        // its tail key; tail > newest: empty span
   // What the tail remembers of the last positions it passed: the key it
   // passed at each and whether it erased an entry there.
-  const int64_t memory = std::min<int64_t>(w, SeqWindow<Sent>::kTrimMemory);
+  const int64_t memory = std::min<int64_t>(w, SeqWindow<Sent, Key>::kTrimMemory);
   std::vector<std::pair<int64_t, bool>> passed(static_cast<size_t>(memory),
                                                {kNone, false});
   auto pass = [&](int64_t key, bool erased) {
@@ -392,6 +448,13 @@ void RunInterleavedAgainstMap(size_t window_size, bool wire, Duration horizon,
     }
   };
   auto insert = [&](int64_t key) {
+    if (!wire) {
+      // An unwrapped key that jumps ahead clears the slots it skips (a key
+      // still queued in the other pacer among them).
+      for (int64_t skipped = newest + 1; skipped < key; ++skipped) {
+        set_owner(skipped, kNone);
+      }
+    }
     if (tail > newest) {
       ASSERT_GE(key, tail) << "a key still queued when its span emptied";
       for (int64_t skipped = std::max(tail, key - memory); skipped < key;
@@ -499,13 +562,12 @@ void RunInterleavedAgainstMap(size_t window_size, bool wire, Duration horizon,
 
 TEST(SeqWindowTest, InterleavedInsertsMatchMapInsideAndAtTheFullWindow) {
   // 16-bit keys over three wraps, the span well inside the window.
-  RunInterleavedAgainstMap(size_t{1} << 16, /*wire=*/true,
-                           Duration::Millis(400), Duration::Micros(1500),
-                           400'000, 51);
+  RunInterleavedAgainstMap<uint16_t>(size_t{1} << 16, Duration::Millis(400),
+                                     Duration::Micros(1500), 400'000, 51);
   // Unwrapped keys in a window the horizon overfills between pauses: the
   // span often equals the window.
-  RunInterleavedAgainstMap(256, /*wire=*/false, Duration::Millis(300),
-                           Duration::Micros(1500), 120'000, 53);
+  RunInterleavedAgainstMap<int64_t>(256, Duration::Millis(300),
+                                    Duration::Micros(1500), 120'000, 53);
 }
 
 // A steady sender under the real horizon, trimming on every insert as the
@@ -513,13 +575,13 @@ TEST(SeqWindowTest, InterleavedInsertsMatchMapInsideAndAtTheFullWindow) {
 // packets of the last horizon and no more than one page beyond them.
 TEST(SeqWindowTest, TrimmedWindowPagesFollowRateNotCallLength) {
   for (const int64_t rate : {1000, 4000}) {
-    SeqWindow<Sent> window(size_t{1} << 16);
+    SeqWindow<Sent, uint16_t> window(size_t{1} << 16);
     const Duration gap = Duration::Micros(1'000'000 / rate);
     const int64_t horizon_packets =
         kSentHistoryHorizon.us() / gap.us();  // horizon * rate
     const size_t max_pages = static_cast<size_t>(
-        (horizon_packets + SeqWindow<Sent>::kPageSlots - 1) /
-            static_cast<int64_t>(SeqWindow<Sent>::kPageSlots) +
+        (horizon_packets + SeqWindow<Sent, uint16_t>::kPageSlots - 1) /
+            static_cast<int64_t>(SeqWindow<Sent, uint16_t>::kPageSlots) +
         1);
     Timestamp now = Timestamp::Zero();
     size_t peak = 0;
