@@ -17,6 +17,8 @@ NackGenerator::NackGenerator(EventLoop* loop, Config config, SendNackFn send)
 
 NackGenerator::~NackGenerator() = default;
 
+void NackGenerator::Stop() { task_.reset(); }
+
 void NackGenerator::OnPacket(int64_t flow, uint16_t seq) {
   FlowState& st = flows_[flow];
   const int64_t useq = st.unwrapper.Unwrap(seq);

@@ -57,6 +57,10 @@ class NackGenerator {
   // A retransmission plugged the hole at (flow, seq) — stop chasing it.
   void OnRecovered(int64_t flow, uint16_t seq);
 
+  // Cancels the retry timer when the receiving endpoint leaves: no NACK is
+  // sent after it. Packets still fed in are tracked but never NACKed.
+  void Stop();
+
   const Stats& stats() const { return stats_; }
   size_t outstanding() const;
 

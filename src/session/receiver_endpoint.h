@@ -50,9 +50,10 @@ class ReceiverEndpoint {
   ~ReceiverEndpoint();
 
   void Start();
-  // Cancels the periodic feedback timer when the participant leaves mid-call.
-  // Late packets still in flight may keep arriving; they are absorbed (and
-  // counted) but no longer generate feedback toward the sender.
+  // Cancels the periodic feedback and NACK timers when the participant
+  // leaves mid-call. Late packets still in flight may keep arriving; they
+  // are absorbed (and counted) but no longer generate feedback toward the
+  // sender.
   void Stop();
 
   // Network delivery entry points. RTP packets arrive by value and are moved

@@ -467,6 +467,32 @@ TEST(ConferenceStarTest, WebRtcStarAnswersLegacyNacksAtTheHub) {
   EXPECT_GT(recovered, 0);
 }
 
+// A leave stops the hub's uplink feedback endpoint for the leaver, NACK
+// generator included: the endpoint sends toward the departed publisher over
+// a hop that stays open, so a generator still ticking would keep its
+// retired Sender answering NACKs for copies the hop then drops. RTCP that
+// left before the leave may still land within one trip.
+TEST(ConferenceStarTest, LeaverSenderAnswersNoNackAfterItsUplinkStops) {
+  const ConferenceConfig config = fixtures::FixtureStarLegacyChurnConfig();
+  const MembershipEvent& leave = config.membership.front();
+  ASSERT_EQ(leave.kind, MembershipEvent::Kind::kLeave);
+  Conference conference(config);
+  conference.Start();
+  conference.AdvanceTo(leave.at + Duration::Millis(100));
+  const Sender* leaver = nullptr;
+  for (size_t leg = 0; leg < conference.num_legs() && leaver == nullptr;
+       ++leg) {
+    if (conference.leg_from(leg) == leave.participant) {
+      leaver = &conference.leg_sender(leg);
+    }
+  }
+  ASSERT_NE(leaver, nullptr);
+  ASSERT_GT(leaver->stats().rtx_packets_sent, 0);
+  const Sender::Stats at_leave = leaver->stats();
+  conference.AdvanceTo(Timestamp::Zero() + config.duration);
+  EXPECT_EQ(leaver->stats().rtx_packets_sent, at_leave.rtx_packets_sent);
+}
+
 // A late joiner's uplink is built mid-call, so a path-count mismatch against
 // the downlinks must be stamped at the join, not at t = 0. The joiner's
 // uplink has fewer paths than the downlinks, so forwarding path p onto
