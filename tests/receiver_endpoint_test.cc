@@ -3,6 +3,8 @@
 // sequence spaces, and QoE feedback transport.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "session/metrics.h"
 #include "session/receiver_endpoint.h"
 
@@ -130,6 +132,35 @@ TEST_F(ReceiverEndpointTest, TransportFeedbackListsEachSeqOnceInOrder) {
   EXPECT_EQ(second[0].recv_time, Timestamp::Millis(63));
   EXPECT_EQ(second[1].mp_transport_seq, 5);
   EXPECT_EQ(second[1].recv_time, Timestamp::Millis(62));
+}
+
+// An interval whose only arrivals are late (at or below the highest seq
+// already reported) must not move the report point back: the interval
+// after it reports only seqs never reported, each once.
+TEST_F(ReceiverEndpointTest, LateOnlyIntervalDoesNotReportSeqsTwice) {
+  for (uint16_t s = 0; s <= 5; ++s) {
+    if (s == 3) continue;
+    endpoint_->OnRtpPacket(MakePacket(0, s, s), Timestamp::Millis(1 + s), 0);
+  }
+  loop_.RunUntil(Timestamp::Millis(60));  // reports 0..5, 3 as lost
+  endpoint_->OnRtpPacket(MakePacket(0, 3, 3), Timestamp::Millis(70), 0);
+  loop_.RunUntil(Timestamp::Millis(110));  // only the late 3
+  for (uint16_t s = 6; s <= 7; ++s) {
+    endpoint_->OnRtpPacket(MakePacket(0, s, s), Timestamp::Millis(114 + s),
+                           0);
+  }
+  loop_.RunUntil(Timestamp::Millis(160));
+
+  std::map<int64_t, int> reported;
+  for (const auto& [path, fb] : Collect<TransportFeedback>()) {
+    for (const TransportFeedback::Arrival& a : fb.arrivals) {
+      ++reported[a.mp_transport_seq];
+    }
+  }
+  ASSERT_EQ(reported.size(), 8u);
+  for (const auto& [seq, times] : reported) {
+    EXPECT_EQ(times, 1) << "seq " << seq;
+  }
 }
 
 // Per-second FCD/IFD take one sample per gathered frame. Frame 0, a single
