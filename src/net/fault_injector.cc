@@ -77,7 +77,8 @@ Duration FaultyLink::PropDelayNow() const {
 
 int FaultyLink::SendCopies() { return injector_.DrawCopies(loop()->now()); }
 
-void FaultyLink::Send(int64_t bytes, DeliverFn on_deliver, DropFn on_drop) {
+void FaultyLink::Send(int64_t bytes, DeliverFn&& on_deliver,
+                      DropFn on_drop) {
   const Timestamp now = loop()->now();
   const FaultInjector::SendDecision decision = injector_.OnSend(now);
   if (decision.drop) {

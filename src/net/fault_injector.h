@@ -94,7 +94,7 @@ class FaultyLink final : public Link {
  public:
   FaultyLink(EventLoop* loop, Config config, Random rng);
 
-  void Send(int64_t bytes, DeliverFn on_deliver,
+  void Send(int64_t bytes, DeliverFn&& on_deliver,
             DropFn on_drop = nullptr) override;
   int SendCopies() override;
   DataRate CapacityNow() const override;

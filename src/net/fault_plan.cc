@@ -76,10 +76,6 @@ std::string ToString(FaultKind kind) {
   return "?";
 }
 
-FaultPlan::FaultPlan(std::vector<FaultEvent> events) {
-  for (FaultEvent& e : events) Add(std::move(e));
-}
-
 FaultPlan& FaultPlan::Add(FaultEvent event) {
   if (event.kind == FaultKind::kOutage) {
     last_outage_end_ = std::max(last_outage_end_, event.end());

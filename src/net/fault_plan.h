@@ -73,9 +73,6 @@ std::string ToString(FaultKind kind);
 
 class FaultPlan {
  public:
-  FaultPlan() = default;
-  explicit FaultPlan(std::vector<FaultEvent> events);
-
   FaultPlan& Add(FaultEvent event);
 
   bool empty() const { return events_.empty(); }

@@ -20,12 +20,12 @@ int64_t Link::QueueLimitBytes() const {
   return std::max(config_.min_queue_bytes, delay_based);
 }
 
-void Link::Send(int64_t bytes, DeliverFn on_deliver, DropFn on_drop) {
+void Link::Send(int64_t bytes, DeliverFn&& on_deliver, DropFn on_drop) {
   Enqueue(bytes, std::move(on_deliver), std::move(on_drop), Duration::Zero(),
           /*recheck=*/false);
 }
 
-void Link::Enqueue(int64_t bytes, DeliverFn on_deliver, DropFn on_drop,
+void Link::Enqueue(int64_t bytes, DeliverFn&& on_deliver, DropFn on_drop,
                    Duration extra_delay, bool recheck) {
   ++stats_.packets_sent;
   if (queued_bytes_ + bytes > QueueLimitBytes()) {
@@ -36,8 +36,8 @@ void Link::Enqueue(int64_t bytes, DeliverFn on_deliver, DropFn on_drop,
   const uint32_t recheck_slot =
       recheck ? recheck_slots_.Put(Recheck{extra_delay, bytes, nullptr})
               : kNoRecheck;
-  queue_.push_back(
-      Pending{bytes, recheck_slot, std::move(on_deliver), std::move(on_drop)});
+  queue_.push_back(Pending{bytes, deliver_slots_.Put(std::move(on_deliver)),
+                           recheck_slot, std::move(on_drop)});
   queued_bytes_ += bytes;
   if (!busy_) StartTransmission();
 }
@@ -68,6 +68,7 @@ void Link::FinishTransmission() {
   if (lost) {
     ++stats_.packets_lost;
     DropFn on_drop = std::move(pkt.on_drop);
+    deliver_slots_.Take(pkt.deliver);
     if (pkt.recheck != kNoRecheck) recheck_slots_.Take(pkt.recheck);
     queue_.pop_front();
     if (on_drop) on_drop(/*queue_drop=*/false);
@@ -80,9 +81,7 @@ void Link::FinishTransmission() {
     if (pkt.recheck != kNoRecheck) {
       recheck_slots_[pkt.recheck].on_drop = std::move(pkt.on_drop);
     }
-    const Arrival entry{arrival, inflight_seq_++,
-                        deliver_slots_.Put(std::move(pkt.on_deliver)),
-                        pkt.recheck};
+    const Arrival entry{arrival, inflight_seq_++, pkt.deliver, pkt.recheck};
     queue_.pop_front();
     inflight_.push_back(entry);
     std::push_heap(inflight_.begin(), inflight_.end(), std::greater<>{});

@@ -73,7 +73,7 @@ class Link {
 
   // Enqueue `bytes` for transmission. Exactly one of the callbacks fires
   // per copy (see SendCopies for duplication faults).
-  virtual void Send(int64_t bytes, DeliverFn on_deliver,
+  virtual void Send(int64_t bytes, DeliverFn&& on_deliver,
                     DropFn on_drop = nullptr);
 
   // How many copies of the next packet the caller should Send. Plain links
@@ -116,7 +116,7 @@ class Link {
   // arrival time itself, else from an event at the verdict's time. The
   // continuation and the drop callback stay in their in-flight slot until
   // then, so a re-decided packet costs no allocation.
-  void Enqueue(int64_t bytes, DeliverFn on_deliver, DropFn on_drop,
+  void Enqueue(int64_t bytes, DeliverFn&& on_deliver, DropFn on_drop,
                Duration extra_delay, bool recheck);
   virtual ArrivalVerdict OnArrival(Timestamp target) {
     return ArrivalVerdict{false, target};
@@ -158,10 +158,13 @@ class Link {
   };
 
   static constexpr uint32_t kNoRecheck = UINT32_MAX;
+  // A queued packet. Its delivery continuation parks in deliver_slots_ at
+  // Enqueue and stays there until delivered or lost, so it is moved once
+  // and the queue ring holds 4 bytes of it.
   struct Pending {
     int64_t bytes = 0;
+    uint32_t deliver = 0;           // index into deliver_slots_
     uint32_t recheck = kNoRecheck;  // index into recheck_slots_
-    DeliverFn on_deliver;
     DropFn on_drop;
   };
   // What a re-decided packet needs at arrival besides its continuation.
@@ -172,7 +175,7 @@ class Link {
     int64_t bytes = 0;
     DropFn on_drop;
   };
-  // One propagating packet: its delivery continuation parks in a recycled
+  // One propagating packet: its delivery continuation stays in its recycled
   // slot and a 24-byte heap entry orders it by (arrival, seq). Wrapping the
   // continuation plus the arrival timestamp into the event-loop callback
   // directly would exceed the callback's inline buffer and heap-allocate on

@@ -38,11 +38,6 @@ double ValueTrace::ValueAt(Timestamp t) const {
   return std::prev(it)->value;
 }
 
-Duration ValueTrace::span() const {
-  if (samples_.size() < 2) return Duration::Zero();
-  return samples_.back().at - samples_.front().at;
-}
-
 ValueTrace ValueTrace::LoadCsv(const std::string& path, bool repeat) {
   std::ifstream in(path);
   std::vector<TraceSample> samples;

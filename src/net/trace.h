@@ -28,7 +28,6 @@ class ValueTrace {
   double ValueAt(Timestamp t) const;
 
   bool empty() const { return samples_.empty(); }
-  Duration span() const;
   const std::vector<TraceSample>& samples() const { return samples_; }
 
   // CSV format: one `seconds,value` row per sample.

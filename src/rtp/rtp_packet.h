@@ -66,8 +66,8 @@ struct ProtectedPacketMeta {
 
 // Recovery metadata of one FEC parity packet: the encoder's block id, the
 // covered sequence numbers and per-packet rebuild info. Built once by the
-// encoder and shared, immutable, by every copy of the parity packet (sender
-// history, link in-flight captures, receiver buffers) through FecMetaRef.
+// encoder and shared, immutable, by every copy of the parity packet (pacer
+// queues, link in-flight captures, receiver buffers) through FecMetaRef.
 struct FecBlockMeta {
   int64_t block_id = -1;
   std::vector<ProtectedPacketMeta> covered;
@@ -204,8 +204,8 @@ struct RtpPacket {
   }
 };
 static_assert(sizeof(RtpPacket) <= 64,
-              "RtpPacket rides by value through every history, queue and "
-              "in-flight hop; keep it within one cache line");
+              "RtpPacket rides by value through every queue and in-flight "
+              "hop; keep it within one cache line");
 
 // Largest values of the one-byte path fields and the layer nibbles, for the
 // range checks at the sites that store into them.

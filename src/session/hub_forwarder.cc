@@ -812,9 +812,6 @@ double HubForwarder::downlink_loss(PathId path) const {
 Duration HubForwarder::queue_delay(PathId path) const {
   return ProjectedDelay(Path(path));
 }
-int64_t HubForwarder::queued_bytes(PathId path) const {
-  return Path(path).queued_bytes;
-}
 const HubForwarder::DownlinkStats& HubForwarder::stats(PathId path) const {
   return Path(path).stats;
 }

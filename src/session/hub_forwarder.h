@@ -150,7 +150,6 @@ class HubForwarder {
   Duration downlink_srtt(PathId path) const;
   double downlink_loss(PathId path) const;
   Duration queue_delay(PathId path) const;
-  int64_t queued_bytes(PathId path) const;
   const DownlinkStats& stats(PathId path) const;
   const DownlinkCc& cc(PathId path) const;
   // Pages the sent histories hold: the RTX windows and every egress life's

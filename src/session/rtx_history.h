@@ -12,6 +12,11 @@
 // SSRC, that keeps a packet for kSentHistoryHorizon after newer sends on
 // its window (and never past the next wrap). An engine keeps the history
 // of the flavour its call negotiated and ignores NACKs of the other.
+//
+// A window slot keeps what an answer carries, in 40 bytes instead of a
+// 64-byte RtpPacket (DESIGN.md §12): the window key is one of its seqs,
+// the egress re-stamps mp_transport_seq, Stamp sets the RTX fields and the
+// priority, and a media-like packet carries no FEC block.
 #pragma once
 
 #include <algorithm>
@@ -72,11 +77,51 @@ class RtxHistory {
     Timestamp at;
   };
 
-  static RtpPacket Stamp(const RtpPacket& original, bool per_path,
-                         PathId report_path, uint16_t seq);
+  // A sent media-like packet as its window keeps it: every field an answer
+  // carries but the window key (mp_seq for per-path windows, seq for legacy
+  // ones), mp_transport_seq, the RTX fields, the priority and the FEC
+  // block. send_time is an offset from capture_time and payload_bytes 16
+  // bits, both checked when packed.
+  struct Slot {
+    Timestamp capture_time;
+    int32_t send_offset_us = 0;  // send_time - capture_time
+    uint32_t ssrc = 0;
+    uint32_t rtp_timestamp = 0;
+    int32_t frame_id = -1;
+    int32_t gop_id = -1;
+    uint16_t payload_bytes = 0;
+    uint16_t other_seq = 0;  // the seq that is not the key
+    int8_t path_id = 0;
+    uint8_t stream_id = 0;
+    uint8_t qp = 0;
+    uint8_t payload_type = 0;
+    uint8_t spatial_id : 4 = 0;
+    uint8_t num_spatial : 4 = 1;
+    uint8_t temporal_id : 4 = 0;
+    uint8_t num_temporal : 4 = 1;
+    PayloadKind kind : 3 = PayloadKind::kMedia;
+    FrameKind frame_kind : 1 = FrameKind::kDelta;
+    bool marker : 1 = false;
+    bool first_in_frame : 1 = false;
+    bool last_in_frame : 1 = false;
+    bool via_fec : 1 = false;
+    bool is_probe_duplicate : 1 = false;
+
+    Timestamp send_time() const {
+      return capture_time + Duration::Micros(send_offset_us);
+    }
+  };
+  static_assert(sizeof(Slot) <= 40,
+                "an RTX slot is paid per packet held; keep it within 40 B");
+
+  Slot Pack(const RtpPacket& packet) const;
+  // The RTX copy answering a NACK for `seq`, `held` under it: the packet as
+  // sent, stamped as a retransmission.
+  static RtpPacket Stamp(const Slot& held, bool per_path, PathId report_path,
+                         uint16_t seq);
 
   bool per_path_nack_;
-  std::map<Flow, SeqWindow<RtpPacket, uint16_t>> windows_;
+  std::map<Flow, SeqWindow<Slot, uint16_t>> windows_;
   std::deque<Answer> answered_;  // the last kDedupWindow's, oldest first
   int64_t horizon_misses_ = 0;
 };
@@ -96,7 +141,7 @@ void RtxHistory::AnswerNack(int leg, PathId report_path, const Nack& nack,
     // Null: not media, never sent, or aged. Cross-path reordering makes
     // receivers NACK packets that are merely late (§2.3); those answers are
     // simply wasted.
-    const RtpPacket* original = it->second.Find(seq);
+    const Slot* original = it->second.Find(seq);
     if (original == nullptr) {
       if (it->second.Trimmed(seq)) ++horizon_misses_;
       continue;

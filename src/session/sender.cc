@@ -442,16 +442,6 @@ size_t Sender::history_pages_allocated() const {
   return pages;
 }
 
-DataRate Sender::path_rate(PathId path) const {
-  auto it = paths_.find(path);
-  return it == paths_.end() ? DataRate::Zero() : it->second.cc->target_rate();
-}
-
-Duration Sender::path_srtt(PathId path) const {
-  auto it = paths_.find(path);
-  return it == paths_.end() ? Duration::Zero() : it->second.cc->smoothed_rtt();
-}
-
 double Sender::path_loss(PathId path) const {
   auto it = paths_.find(path);
   return it == paths_.end() ? 0.0 : it->second.cc->loss_estimate();

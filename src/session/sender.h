@@ -94,8 +94,6 @@ class Sender {
   // Pages the sent histories hold: RTX windows and feedback windows.
   size_t history_pages_allocated() const;
   DataRate current_encoder_target() const { return encoder_target_; }
-  DataRate path_rate(PathId path) const;
-  Duration path_srtt(PathId path) const;
   double path_loss(PathId path) const;
 
  private:

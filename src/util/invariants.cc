@@ -80,8 +80,6 @@ void InvariantRegistry::SetContext(std::string context) {
   t_context = std::move(context);
 }
 
-void InvariantRegistry::ClearContext() { t_context.clear(); }
-
 int64_t InvariantRegistry::violation_count() {
   return Count().load(std::memory_order_relaxed);
 }

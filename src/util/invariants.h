@@ -48,7 +48,6 @@ class InvariantRegistry {
   // thread — Call::Run sets "<variant> seed=<n>" so a violation inside a
   // parallel multi-seed sweep names the run that produced it.
   static void SetContext(std::string context);
-  static void ClearContext();
 
   static int64_t violation_count();
   static std::vector<InvariantViolation> Snapshot();

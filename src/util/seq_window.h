@@ -22,7 +22,13 @@
 // The slots live in pages of kPageSlots values plus their occupancy bits,
 // one allocation each, materialized on first touch and released once
 // their last entry is erased, so a short or sparse history costs only the
-// pages it uses and a full one never grows by doubling-and-copying.
+// pages it uses and a full one never grows by doubling-and-copying. The
+// page table is sized by the span too: a power-of-two ring of page
+// pointers that covers the pages from the tail's to the newest insert's,
+// growing when the span outgrows it and shrinking to fit once the span
+// needs a quarter of it or less. Every live entry lies in the span, so the
+// pages in it are the only ones allocated, and they map to distinct ring
+// slots.
 //
 // Histories are also bounded by age. A tail cursor follows the slot
 // positions in key order: Trim walks it from the oldest position toward
@@ -41,6 +47,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -65,8 +72,8 @@ class SeqWindow {
   static constexpr bool kWire = std::is_same_v<Key, uint16_t>;
 
  public:
-  // Slots per page.
-  static constexpr size_t kPageSlots = 256;
+  // Slots per page: one 64-bit occupancy word.
+  static constexpr size_t kPageSlots = 64;
   // Positions behind the tail that remember a trim (a window smaller than
   // this remembers all of them).
   static constexpr size_t kTrimMemory = 1024;
@@ -82,9 +89,9 @@ class SeqWindow {
   T& Insert(Key key, U&& value) {
     const size_t index = Index(key);
     if (pages_.empty()) {
-      // The page table itself is sized on first use, so an unused window
-      // costs an empty vector.
-      pages_.resize(window() / kPageSlots);
+      // The page table is made on first use, so an unused window costs an
+      // empty vector.
+      pages_.resize(1);
       tail_ = static_cast<uint32_t>(index);
       newest_ = key;
     }
@@ -104,11 +111,17 @@ class SeqWindow {
       newest_ = key;
     }
     Advance(index, ahead);
-    std::unique_ptr<Page>& page = pages_[index / kPageSlots];
-    if (page == nullptr) page = std::make_unique<Page>();
+    if (const size_t spanned = PagesSpanned(); spanned > pages_.size()) {
+      Resize(spanned);
+    }
+    std::unique_ptr<Page>& page = PageOf(index);
+    if (page == nullptr) {
+      page = std::make_unique<Page>();
+      page->number = static_cast<uint32_t>(index / kPageSlots);
+    }
     const size_t offset = index % kPageSlots;
     if (!page->Has(offset)) {
-      page->occupied[offset / 64] |= uint64_t{1} << (offset % 64);
+      page->occupied |= uint64_t{1} << offset;
       ++page->live;
       ++size_;
     }
@@ -120,7 +133,7 @@ class SeqWindow {
   const T* Find(Key key) const {
     if (!Holds(key)) return nullptr;
     const size_t index = Index(key);
-    return &pages_[index / kPageSlots]->values[index % kPageSlots];
+    return &PageOf(index)->values[index % kPageSlots];
   }
   T* Find(Key key) {
     return const_cast<T*>(std::as_const(*this).Find(key));
@@ -139,11 +152,12 @@ class SeqWindow {
   // live entry it does not hold for. Called with a cutoff that only moves
   // forward, over keys inserted in time order, it keeps exactly the
   // entries that have not expired; an out-of-order key stays until the
-  // live entries before it have expired too.
+  // live entries before it have expired too. The page table then shrinks
+  // to fit if the span needs a quarter of it or less.
   template <typename Expired>
   void Trim(Expired&& expired) {
     while (span_ > 0) {
-      const Page* page = pages_[tail_ / kPageSlots].get();
+      const Page* page = PageOf(tail_).get();
       if (page == nullptr) {
         // A released page holds nothing: step over the rest of it at once.
         StepTail(std::min<size_t>(kPageSlots - tail_ % kPageSlots, span_),
@@ -153,10 +167,14 @@ class SeqWindow {
       const size_t offset = tail_ % kPageSlots;
       const bool live = page->Has(offset);
       if (live) {
-        if (!expired(std::as_const(page->values[offset]))) return;
+        if (!expired(std::as_const(page->values[offset]))) break;
         EraseAt(tail_);
       }
       StepTail(1, live);
+    }
+    if (const size_t spanned = PagesSpanned();
+        pages_.size() > 1 && 4 * spanned <= pages_.size()) {
+      Resize(spanned);
     }
   }
 
@@ -185,26 +203,56 @@ class SeqWindow {
     for (const auto& page : pages_) n += page != nullptr ? 1 : 0;
     return n;
   }
+  // Page pointers the table holds (a power of two; 0 before first use).
+  size_t page_table_slots() const { return pages_.size(); }
 
  private:
   // The values of kPageSlots consecutive slots and which of them are
   // occupied, in one allocation.
   struct Page {
     T values[kPageSlots]{};
-    uint64_t occupied[kPageSlots / 64] = {};
-    uint32_t live = 0;  // occupied slots
-    bool Has(size_t offset) const {
-      return (occupied[offset / 64] >> (offset % 64)) & 1;
-    }
+    uint64_t occupied = 0;
+    uint32_t live = 0;    // occupied slots
+    uint32_t number = 0;  // which page of the window: index / kPageSlots
+    bool Has(size_t offset) const { return (occupied >> offset) & 1; }
   };
 
   size_t Index(Key key) const {
     return static_cast<size_t>(static_cast<uint64_t>(key)) & mask_;
   }
 
+  // The table entry of the page holding `index`, which must lie in a page
+  // the span reaches.
+  std::unique_ptr<Page>& PageOf(size_t index) {
+    return pages_[(index / kPageSlots) & (pages_.size() - 1)];
+  }
+  const std::unique_ptr<Page>& PageOf(size_t index) const {
+    return pages_[(index / kPageSlots) & (pages_.size() - 1)];
+  }
+
+  // Pages the span reaches, from the tail's to the newest insert's.
+  size_t PagesSpanned() const {
+    if (span_ == 0) return 0;
+    return std::min(window() / kPageSlots,
+                    (tail_ % kPageSlots + span_ - 1) / kPageSlots + 1);
+  }
+
+  // Rebuilds the page table with the fewest slots, a power of two, that
+  // hold `pages` pages; every allocated page lies in the span.
+  void Resize(size_t pages) {
+    std::vector<std::unique_ptr<Page>> table(
+        std::bit_ceil(std::max<size_t>(pages, 1)));
+    for (std::unique_ptr<Page>& page : pages_) {
+      if (page != nullptr) {
+        table[page->number & (table.size() - 1)] = std::move(page);
+      }
+    }
+    pages_ = std::move(table);
+  }
+
   bool Has(size_t index) const {
-    const Page* page =
-        pages_.empty() ? nullptr : pages_[index / kPageSlots].get();
+    if (((index - tail_) & mask_) >= span_) return false;  // outside the span
+    const Page* page = PageOf(index).get();
     return page != nullptr && page->Has(index % kPageSlots);
   }
 
@@ -220,9 +268,9 @@ class SeqWindow {
   }
 
   void EraseAt(size_t index) {
-    std::unique_ptr<Page>& page = pages_[index / kPageSlots];
+    std::unique_ptr<Page>& page = PageOf(index);
     const size_t offset = index % kPageSlots;
-    page->occupied[offset / 64] &= ~(uint64_t{1} << (offset % 64));
+    page->occupied &= ~(uint64_t{1} << offset);
     page->values[offset] = T();
     --size_;
     if (--page->live == 0) page.reset();
@@ -307,6 +355,7 @@ class SeqWindow {
   int64_t newest_ = 0;
   // One bit per remembered position: Trim erased an entry there.
   std::unique_ptr<uint64_t[]> trimmed_;
+  // The page table: page n at n & (size - 1).
   std::vector<std::unique_ptr<Page>> pages_;
 };
 

@@ -52,8 +52,6 @@ double SampleSet::Stddev() const {
   return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
-std::vector<double> SampleSet::Sorted() const { return SortedCache(); }
-
 const std::vector<double>& SampleSet::SortedCache() const {
   if (dirty_) {
     sorted_ = samples_;
@@ -65,25 +63,25 @@ const std::vector<double>& SampleSet::SortedCache() const {
 
 void RateEstimator::AddBytes(Timestamp now, int64_t bytes) {
   events_.emplace_back(now, bytes);
+  total_ += bytes;
   Evict(now);
 }
 
 DataRate RateEstimator::Rate(Timestamp now) const {
   Evict(now);
   if (events_.empty() || window_.IsZero()) return DataRate::Zero();
-  int64_t total = 0;
-  for (const auto& [t, b] : events_) total += b;
   // Average over the observed span, not the full window, so a source that
   // has only been running for part of the window is not under-reported.
   Duration span = now - events_.front().first;
   if (span > window_) span = window_;
   if (span < Duration::Millis(1)) span = Duration::Millis(1);
-  return DataRate::BitsPerSec(total * 8 * 1'000'000 / span.us());
+  return DataRate::BitsPerSec(total_ * 8 * 1'000'000 / span.us());
 }
 
 void RateEstimator::Evict(Timestamp now) const {
   const Timestamp cutoff = now - window_;
   while (!events_.empty() && events_.front().first < cutoff) {
+    total_ -= events_.front().second;
     events_.pop_front();
   }
 }

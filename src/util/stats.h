@@ -51,8 +51,6 @@ class SampleSet {
   double Mean() const;
   double Stddev() const;
   const std::vector<double>& samples() const { return samples_; }
-  // Sorted copy, useful for CDF emission.
-  std::vector<double> Sorted() const;
 
  private:
   const std::vector<double>& SortedCache() const;
@@ -85,6 +83,7 @@ class Ewma {
 };
 
 // Windowed byte-rate estimator: bytes observed in the trailing window.
+// Keeps the window's byte total as it goes, so Rate is O(1) amortized.
 class RateEstimator {
  public:
   explicit RateEstimator(Duration window = Duration::Millis(500))
@@ -92,13 +91,17 @@ class RateEstimator {
 
   void AddBytes(Timestamp now, int64_t bytes);
   DataRate Rate(Timestamp now) const;
-  void Clear() { events_.clear(); }
+  void Clear() {
+    events_.clear();
+    total_ = 0;
+  }
 
  private:
   void Evict(Timestamp now) const;
 
   Duration window_;
   mutable std::deque<std::pair<Timestamp, int64_t>> events_;
+  mutable int64_t total_ = 0;  // sum of events_' bytes
 };
 
 // Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.

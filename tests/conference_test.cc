@@ -27,6 +27,7 @@
 #include "trace/generators.h"
 #include "util/inline_function.h"
 #include "util/invariants.h"
+#include "util/seq_window.h"
 
 #include "fixture_configs.h"
 
@@ -656,13 +657,16 @@ HistoryLoad MeasureHistories(const Conference& conference,
 // Runs `config` second by second and checks, each second, that the sent
 // histories hold no more pages than the packets of the trailing horizon
 // can fill. Each packet enters at most two histories (its RTX window and
-// its egress life's feedback records); a window of n entries spans at most
-// n / 256 + 2 pages; each flow has two windows (a restarted leg's previous
-// life goes with its records), and two more pages per flow leave room for
+// its egress life's feedback records), kPageSlots entries to a page. Each
+// flow (two windows; a restarted leg's previous life goes with its
+// records) gets 1,536 records of slack, what six 256-slot pages held: room
+// for the partly filled pages at each end of a window's span, and for
 // records a window keeps past the trailing horizon, since it trims only
-// when it takes a new send. One second of slack covers packets counted
-// when queued but sent later. Without the age bound the RTX windows fill
-// toward 256 pages each as the call goes on. Returns the final stats.
+// when it takes a new send (a path that falls silent keeps its last
+// records). One second of slack covers packets counted when queued but
+// sent later. Without the age bound the RTX windows fill toward
+// 65,536 / kPageSlots pages each as the call goes on. Returns the final
+// stats.
 ConferenceStats RunCheckingHistoryPages(const ConferenceConfig& config) {
   Conference conference(config);
   conference.Start();
@@ -677,7 +681,9 @@ ConferenceStats RunCheckingHistoryPages(const ConferenceConfig& config) {
         load.packets_sent -
         sent_by_second[static_cast<size_t>(
             std::max<int64_t>(0, second - trailing_s))];
-    const int64_t bound = 2 * trailing / 256 + 6 * load.flows;
+    constexpr int64_t kPageSlots = SeqWindow<int, uint16_t>::kPageSlots;
+    const int64_t bound =
+        (2 * trailing + 1'536 * load.flows) / kPageSlots;
     EXPECT_LE(static_cast<int64_t>(load.pages), bound)
         << "at " << second << " s, " << trailing << " packets in the last "
         << trailing_s << " s";

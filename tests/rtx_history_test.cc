@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "session/rtx_history.h"
+#include "util/invariants.h"
 #include "util/seq_window.h"
 
 namespace converge {
@@ -36,12 +38,15 @@ struct Answer {
   RtpPacket rtx;
 };
 
+// mp_transport_seq is not compared: the egress stamps every copy afresh,
+// so the history does not keep it (RtxHistoryTest.SlotRebuildsTheSentPacket
+// checks every other field).
 auto Fields(const Answer& a) {
   const RtpPacket& p = a.rtx;
-  return std::make_tuple(
-      a.target, a.origin, a.seq, p.ssrc, p.seq, p.path_id, p.mp_seq,
-      p.mp_transport_seq, p.kind, p.priority, p.stream_id, p.frame_id,
-      p.via_rtx, p.rtx_for_path, p.rtx_for_mp_seq, p.send_time.us());
+  return std::make_tuple(a.target, a.origin, a.seq, p.ssrc, p.seq, p.path_id,
+                         p.mp_seq, p.kind, p.priority, p.stream_id,
+                         p.frame_id, p.via_rtx, p.rtx_for_path,
+                         p.rtx_for_mp_seq, p.send_time.us());
 }
 
 void ExpectSameAnswers(const std::vector<Answer>& want,
@@ -899,6 +904,141 @@ TEST(RtxHistoryTest, LegacyWindowAgesOutAndCountsMisses) {
   EXPECT_EQ(AnswerAll(history, 0, 0, Nack{0x2000, {10}}, late).size(), 1u);
   EXPECT_TRUE(AnswerAll(history, 0, 0, Nack{0x1000, {12}}, late).empty());
   EXPECT_EQ(history.horizon_misses(), 1);
+}
+
+
+// ---- The compact slot -------------------------------------------------------
+
+// Every RtpPacket field of an answer against the full packet stamped as the
+// engines stamped it before slots were compact, but mp_transport_seq (the
+// egress stamps it afresh).
+void ExpectSameRtx(const RtpPacket& got, const RtpPacket& want) {
+  EXPECT_EQ(got.capture_time, want.capture_time);
+  EXPECT_EQ(got.send_time, want.send_time);
+  EXPECT_TRUE(got.fec == nullptr);
+  EXPECT_EQ(got.ssrc, want.ssrc);
+  EXPECT_EQ(got.rtp_timestamp, want.rtp_timestamp);
+  EXPECT_EQ(got.frame_id, want.frame_id);
+  EXPECT_EQ(got.gop_id, want.gop_id);
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.mp_seq, want.mp_seq);
+  EXPECT_EQ(got.rtx_for_mp_seq, want.rtx_for_mp_seq);
+  EXPECT_EQ(got.path_id, want.path_id);
+  EXPECT_EQ(got.rtx_for_path, want.rtx_for_path);
+  EXPECT_EQ(got.stream_id, want.stream_id);
+  EXPECT_EQ(got.qp, want.qp);
+  EXPECT_EQ(got.payload_type, want.payload_type);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.frame_kind, want.frame_kind);
+  EXPECT_EQ(got.priority, want.priority);
+  EXPECT_EQ(got.spatial_id, want.spatial_id);
+  EXPECT_EQ(got.num_spatial, want.num_spatial);
+  EXPECT_EQ(got.temporal_id, want.temporal_id);
+  EXPECT_EQ(got.num_temporal, want.num_temporal);
+  EXPECT_EQ(got.marker, want.marker);
+  EXPECT_EQ(got.first_in_frame, want.first_in_frame);
+  EXPECT_EQ(got.last_in_frame, want.last_in_frame);
+  EXPECT_EQ(got.via_fec, want.via_fec);
+  EXPECT_EQ(got.via_rtx, want.via_rtx);
+  EXPECT_EQ(got.is_probe_duplicate, want.is_probe_duplicate);
+  EXPECT_EQ(got.wire_size(), want.wire_size());
+}
+
+// Randomized media-like packets, each layer nibble through all 16 values
+// and each flag and small enum through all of its values, in both NACK
+// flavours: the answer built from the slot equals the full packet's.
+TEST(RtxHistoryTest, SlotRebuildsTheSentPacket) {
+  ScopedInvariants guard;
+  std::mt19937_64 rng(21);
+  for (const bool per_path : {true, false}) {
+    RtxHistory history(per_path);
+    Timestamp now = Timestamp::Zero();
+    for (int i = 0; i < 4096; ++i) {
+      RtpPacket p;
+      p.capture_time = Timestamp::Micros(static_cast<int64_t>(rng() >> 20));
+      // Offsets of either sign, up to the int32 microsecond bounds.
+      const int64_t offset =
+          i % 64 == 0   ? std::numeric_limits<int32_t>::max()
+          : i % 64 == 1 ? std::numeric_limits<int32_t>::min()
+                        : static_cast<int64_t>(rng() % 4'000'000) - 1'000'000;
+      p.send_time = p.capture_time + Duration::Micros(offset);
+      p.ssrc = static_cast<uint32_t>(rng()) | 1u;  // legacy NACKs name it
+      p.rtp_timestamp = static_cast<uint32_t>(rng());
+      p.frame_id = static_cast<int32_t>(rng());
+      p.gop_id = static_cast<int32_t>(rng());
+      p.payload_bytes = i % 64 == 2 ? std::numeric_limits<uint16_t>::max()
+                                    : static_cast<int32_t>(rng() % 65536);
+      p.seq = static_cast<uint16_t>(per_path ? rng() : i);
+      p.mp_seq = static_cast<uint16_t>(per_path ? i : rng());
+      p.mp_transport_seq = static_cast<uint16_t>(rng());
+      p.path_id = static_cast<PathId>(rng() % (kMaxPacketPathId + 1));
+      p.stream_id = static_cast<uint8_t>(rng());
+      p.qp = static_cast<uint8_t>(rng());
+      p.payload_type = static_cast<uint8_t>(rng());
+      p.kind = i % 3 == 0   ? PayloadKind::kMedia
+               : i % 3 == 1 ? PayloadKind::kPps
+                            : PayloadKind::kSps;
+      p.frame_kind = (i >> 1) % 2 == 0 ? FrameKind::kKey : FrameKind::kDelta;
+      p.priority = static_cast<Priority>(1 + rng() % 6);
+      p.spatial_id = i % 16;
+      p.num_spatial = (i / 16) % 16;
+      p.temporal_id = (i / 256) % 16;
+      p.num_temporal = (i * 7 + 3) % 16;
+      const int flags = i % 32;
+      p.marker = flags & 1;
+      p.first_in_frame = flags & 2;
+      p.last_in_frame = flags & 4;
+      p.via_fec = flags & 8;
+      p.is_probe_duplicate = flags & 16;
+      // A legacy window takes originals only; a per-path one RTX copies
+      // too.
+      p.via_rtx = per_path && (i / 32) % 2 == 1;
+      if (p.via_rtx) {
+        p.rtx_for_path = static_cast<PathId>(rng() % 3);
+        p.rtx_for_mp_seq = static_cast<uint16_t>(rng());
+      }
+      history.OnSent(0, p);
+
+      const PathId report = per_path ? p.path_id : 0;
+      const Nack nack =
+          per_path ? PerPathNack(p.mp_seq) : Nack{p.ssrc, {p.seq}};
+      now = now + Duration::Millis(50);
+      const std::vector<Answer> got = AnswerAll(history, 0, report, nack, now);
+      ASSERT_EQ(got.size(), 1u) << "packet " << i;
+      RtpPacket want = p;
+      want.via_rtx = true;
+      want.priority = Priority::kRetransmit;
+      want.rtx_for_path = per_path ? report : kInvalidPathId;
+      want.rtx_for_mp_seq = per_path ? p.mp_seq : 0;
+      EXPECT_EQ(got[0].origin, per_path ? report : p.path_id);
+      SCOPED_TRACE(testing::Message() << "packet " << i);
+      ExpectSameRtx(got[0].rtx, want);
+    }
+  }
+  EXPECT_EQ(InvariantRegistry::violation_count(), 0);
+}
+
+// What a slot cannot hold is reported, not wrapped silently: a send time
+// more than the int32 microsecond range from capture, a payload over 16
+// bits, and an FEC block on a media-like packet.
+TEST(RtxHistoryTest, SlotReportsWhatItCannotHold) {
+  ScopedInvariants guard;
+  RtxHistory history(/*per_path_nack=*/true);
+  RtpPacket late = Media(0x1000, 1, 0, 1);
+  late.send_time =
+      late.capture_time +
+      Duration::Micros(int64_t{std::numeric_limits<int32_t>::max()} + 1);
+  history.OnSent(0, late);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 1);
+  RtpPacket big = Media(0x1000, 2, 0, 2);
+  big.payload_bytes = 65536;
+  history.OnSent(0, big);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 2);
+  RtpPacket with_fec = Media(0x1000, 3, 0, 3);
+  with_fec.fec = FecMetaRef::Make(FecBlockMeta{});
+  history.OnSent(0, with_fec);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 3);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -173,39 +174,42 @@ TEST(SeqWindowTest, UnwrappedKeysHoldExactlyTheNewestWindow) {
 }
 
 TEST(SeqWindowTest, PagesMaterializeOnTouchAndReleaseWhenEmptied) {
-  static_assert(SeqWindow<int, int64_t>::kPageSlots == 256);
+  static_assert(SeqWindow<int, int64_t>::kPageSlots == 64);
   SeqWindow<int, int64_t> window(/*window=*/1024);
   EXPECT_EQ(window.pages_allocated(), 0u);
   EXPECT_EQ(window.Find(5), nullptr);
   EXPECT_FALSE(window.Erase(5));  // lookups never allocate
   EXPECT_EQ(window.pages_allocated(), 0u);
+  EXPECT_EQ(window.page_table_slots(), 0u);
 
   // Last slot of page 0 and first slot of page 1.
-  window.Insert(255, 1);
+  window.Insert(63, 1);
   EXPECT_EQ(window.pages_allocated(), 1u);
-  window.Insert(256, 2);
+  window.Insert(64, 2);
   EXPECT_EQ(window.pages_allocated(), 2u);
-  ASSERT_NE(window.Find(255), nullptr);
-  EXPECT_EQ(*window.Find(255), 1);
-  EXPECT_EQ(*window.Find(256), 2);
-  // 1024 + 255 shares slot 255: it replaces the entry without a new page.
-  window.Insert(1024 + 255, 3);
-  EXPECT_EQ(window.Find(255), nullptr);
-  EXPECT_EQ(*window.Find(1024 + 255), 3);
+  ASSERT_NE(window.Find(63), nullptr);
+  EXPECT_EQ(*window.Find(63), 1);
+  EXPECT_EQ(*window.Find(64), 2);
+  // 1024 + 63 shares slot 63: it replaces the entry without a new page.
+  window.Insert(1024 + 63, 3);
+  EXPECT_EQ(window.Find(63), nullptr);
+  EXPECT_EQ(*window.Find(1024 + 63), 3);
   EXPECT_EQ(window.size(), 2u);
   EXPECT_EQ(window.pages_allocated(), 2u);
 
-  EXPECT_FALSE(window.Erase(255));  // the slot holds another key
-  EXPECT_TRUE(window.Erase(1024 + 255));
+  EXPECT_FALSE(window.Erase(63));  // the slot holds another key
+  EXPECT_TRUE(window.Erase(1024 + 63));
   EXPECT_EQ(window.pages_allocated(), 1u);
-  EXPECT_TRUE(window.Erase(256));
+  EXPECT_TRUE(window.Erase(64));
   EXPECT_EQ(window.pages_allocated(), 0u);
   EXPECT_TRUE(window.empty());
 
-  // The whole window: one page per 256 slots, never more. The keys go on
-  // from the newest insert, 1024 + 255 (none may fall W / 2 behind it).
-  for (int64_t key = 1280; key < 1280 + 4096; ++key) window.Insert(key, 0);
-  EXPECT_EQ(window.pages_allocated(), 4u);
+  // The whole window: one page per 64 slots, never more, and a table of
+  // one entry per page. The keys go on from the newest insert, 1024 + 63
+  // (none may fall W / 2 behind it).
+  for (int64_t key = 1088; key < 1088 + 4096; ++key) window.Insert(key, 0);
+  EXPECT_EQ(window.pages_allocated(), 16u);
+  EXPECT_EQ(window.page_table_slots(), 16u);
   EXPECT_EQ(window.size(), 1024u);
 }
 
@@ -600,6 +604,108 @@ TEST(SeqWindowTest, TrimmedWindowPagesFollowRateNotCallLength) {
     EXPECT_LE(peak, max_pages) << rate << " pkt/s";
     EXPECT_GE(peak, max_pages - 1) << rate << " pkt/s";
   }
+}
+
+// The page geometry of a 16-bit window over four wraps, against a model of
+// the live keys: the send rate swings between 200 and 50,000 packets a
+// second under a 200-ms horizon, with pauses that expire everything, some
+// keys never inserted (an FEC packet's) and some erased early. After every
+// trim, each page holding a live key is allocated and no other; the page
+// table is a power of two that reaches the pages from the oldest live key
+// to the newest insert, shrinks once they need a quarter of it, and never
+// covers the whole window; and Trimmed holds for exactly the keys the trim
+// erased among the last kTrimMemory positions behind the tail.
+TEST(SeqWindowTest, PageTableFollowsTheSpanAcrossWraps) {
+  using Window = SeqWindow<Sent, uint16_t>;
+  constexpr int64_t kSlots = Window::kPageSlots;
+  constexpr int64_t kPages = 65536 / kSlots;
+  const Duration horizon = Duration::Millis(200);
+  Window window(size_t{1} << 16);
+  std::map<int64_t, Timestamp> live;  // unwrapped key -> send time
+  std::set<int64_t> trim_erased;
+  std::vector<int64_t> page_live(kPages, 0);
+  std::vector<int64_t> page_takes(kPages, 0);
+  auto page_of = [&](int64_t key) {
+    return static_cast<size_t>((key & 0xFFFF) / kSlots);
+  };
+  auto drop = [&](std::map<int64_t, Timestamp>::iterator it) {
+    --page_live[page_of(it->first)];
+    return live.erase(it);
+  };
+  std::mt19937_64 rng(61);
+  Timestamp now = Timestamp::Zero();
+  int64_t newest = -1;
+  size_t table_peak = 0;
+  int64_t narrowed = 0;  // times the table went from 64+ slots to 2 or 1
+  bool was_wide = false;
+  for (int64_t key = 0; key < 4 * 65536 + 777; ++key) {
+    const bool fast = (key / 20'000) % 2 == 1;
+    now = now + Duration::Micros(fast ? 20 : 5'000);
+    if (rng() % 30'000 == 0) now = now + horizon * 2.0;  // a pause
+    if (!live.empty() && rng() % 50 == 0) {
+      // An early erase of a live key near the newest.
+      auto it = live.lower_bound(newest - static_cast<int64_t>(rng() % 64));
+      if (it != live.end()) {
+        ASSERT_TRUE(window.Erase(static_cast<uint16_t>(it->first)));
+        drop(it);
+      }
+    }
+    if (rng() % 8 != 0) {
+      window.Insert(static_cast<uint16_t>(key), Sent{key, now});
+      if (page_live[page_of(key)]++ == 0) ++page_takes[page_of(key)];
+      live[key] = now;
+      newest = key;
+    }
+    window.Trim([&](const Sent& s) { return now - s.time > horizon; });
+    for (auto it = live.begin();
+         it != live.end() && now - it->second > horizon;) {
+      trim_erased.insert(it->first);
+      it = drop(it);
+    }
+    ASSERT_EQ(window.size(), live.size()) << key;
+
+    const int64_t tail = live.empty() ? newest + 1 : live.begin()->first;
+    const int64_t reach = (tail & 0xFFFF) % kSlots + newest - tail;
+    const size_t spanned =
+        live.empty()
+            ? 0
+            : static_cast<size_t>(std::min(kPages, reach / kSlots + 1));
+    const size_t table = window.page_table_slots();
+    ASSERT_TRUE(std::has_single_bit(table)) << key;
+    ASSERT_GE(table, spanned) << key;
+    ASSERT_TRUE(table == 1 || 4 * spanned > table)
+        << "key " << key << " table " << table << " spans " << spanned;
+    table_peak = std::max(table_peak, table);
+    was_wide |= table >= 64;
+    if (was_wide && table <= 2) {
+      ++narrowed;
+      was_wide = false;
+    }
+    if (key % 32 == 0) {
+      const size_t pages = static_cast<size_t>(std::count_if(
+          page_live.begin(), page_live.end(), [](int64_t n) { return n > 0; }));
+      ASSERT_EQ(window.pages_allocated(), pages) << key;
+    }
+    if (key % 8 == 0) {
+      // Positions behind the tail remember what the trim erased; those at
+      // and after it remember nothing.
+      const int64_t probe =
+          tail - 1 - static_cast<int64_t>(rng() % (Window::kTrimMemory + 64));
+      const int64_t memory = static_cast<int64_t>(Window::kTrimMemory);
+      const bool want =
+          probe >= tail - memory && trim_erased.count(probe) == 1;
+      ASSERT_EQ(window.Trimmed(static_cast<uint16_t>(probe)), want)
+          << "probe " << probe << " tail " << tail;
+      const int64_t ahead = tail + static_cast<int64_t>(rng() % 64);
+      ASSERT_FALSE(window.Trimmed(static_cast<uint16_t>(ahead))) << ahead;
+    }
+  }
+  EXPECT_GE(newest / 65536, 4);
+  // Every page was released and taken again in each wrap at least.
+  EXPECT_GE(*std::min_element(page_takes.begin(), page_takes.end()), 4);
+  EXPECT_GE(table_peak, size_t{128});
+  EXPECT_LT(table_peak, static_cast<size_t>(kPages));
+  EXPECT_GE(narrowed, 5);
 }
 
 // A leg's records age against the leg's own newest send: feedback for an

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/time.h"
@@ -142,6 +146,51 @@ TEST(StatsTest, RateEstimatorWindow) {
   EXPECT_NEAR(est.Rate(t).mbps(), 1.0, 0.05);
   // After the window drains, the rate drops to zero.
   EXPECT_EQ(est.Rate(t + Duration::Seconds(2.0)).bps(), 0);
+}
+
+// The running total answers exactly what summing the trailing window does,
+// through adds, reads at later times, repeated timestamps and clears.
+TEST(StatsTest, RateEstimatorMatchesBruteForceSum) {
+  Random rng(7);
+  for (int run = 0; run < 20; ++run) {
+    const Duration window = Duration::Millis(rng.UniformInt(1, 800));
+    RateEstimator est(window);
+    std::vector<std::pair<Timestamp, int64_t>> added;
+    Timestamp t = Timestamp::Millis(rng.UniformInt(0, 1000));
+    for (int step = 0; step < 2000; ++step) {
+      t += Duration::Micros(rng.UniformInt(0, 3) == 0
+                                ? 0
+                                : rng.UniformInt(1, 40'000));
+      const int64_t op = rng.UniformInt(0, 99);
+      if (op < 60) {
+        const int64_t bytes = rng.UniformInt(0, 1500);
+        est.AddBytes(t, bytes);
+        added.emplace_back(t, bytes);
+        continue;
+      }
+      if (op == 99) {
+        est.Clear();
+        added.clear();
+        continue;
+      }
+      // The reference: every add inside (t - window, ...] still held.
+      const Timestamp cutoff = t - window;
+      int64_t total = 0;
+      Timestamp oldest = Timestamp::PlusInfinity();
+      for (const auto& [at, bytes] : added) {
+        if (at < cutoff) continue;
+        total += bytes;
+        oldest = std::min(oldest, at);
+      }
+      int64_t want = 0;
+      if (oldest.IsFinite()) {
+        Duration span = std::min(t - oldest, window);
+        span = std::max(span, Duration::Millis(1));
+        want = total * 8 * 1'000'000 / span.us();
+      }
+      ASSERT_EQ(est.Rate(t).bps(), want) << "run " << run << " step " << step;
+    }
+  }
 }
 
 TEST(StatsTest, HistogramBinsAndClamping) {
