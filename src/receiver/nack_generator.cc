@@ -13,6 +13,7 @@ NackGenerator::NackGenerator(EventLoop* loop, Config config, SendNackFn send)
       send_(std::move(send)) {
   task_ = std::make_unique<RepeatingTask>(loop_, Duration::Millis(5),
                                           [this] { Process(); });
+  task_->SetIdle(true);  // nothing to chase yet
 }
 
 NackGenerator::~NackGenerator() = default;
@@ -50,6 +51,7 @@ void NackGenerator::OnPacket(int64_t flow, uint16_t seq) {
       st.missing.erase(st.missing.begin());
       ++stats_.abandoned;
     }
+    if (!st.missing.empty() && task_) task_->SetIdle(false);
   } else {
     auto it = st.missing.find(useq);
     if (it != st.missing.end()) {
@@ -80,6 +82,7 @@ void NackGenerator::OnRecovered(int64_t flow, uint16_t seq) {
 
 void NackGenerator::Process() {
   const Timestamp now = loop_->now();
+  bool chasing = false;
   for (auto& [flow, st] : flows_) {
     std::vector<uint16_t> batch;
     for (auto it = st.missing.begin(); it != st.missing.end();) {
@@ -107,11 +110,15 @@ void NackGenerator::Process() {
       }
       send_(flow, batch);
     }
+    chasing = chasing || !st.missing.empty();
   }
   if (TraceRecorder* trace = TraceRecorder::Current()) {
     trace->Counter("nack", "outstanding", now,
                    static_cast<double>(outstanding()));
   }
+  // Nothing left to chase: this tick would do nothing until OnPacket
+  // records a gap, which wakes the timer on its unchanged 5-ms grid.
+  if (!chasing && task_) task_->SetIdle(true);
 }
 
 size_t NackGenerator::outstanding() const {

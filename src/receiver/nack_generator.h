@@ -81,6 +81,8 @@ class NackGenerator {
     std::map<int64_t, Missing> missing;  // keyed by unwrapped mp_seq
   };
 
+  // Runs every 5 ms while anything is outstanding; the timer sleeps (keeps
+  // its grid and its loop seq, skips the call) whenever nothing is.
   void Process();
 
   EventLoop* loop_;

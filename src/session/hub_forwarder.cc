@@ -9,8 +9,6 @@
 namespace converge {
 namespace {
 
-constexpr size_t kDecisionWindow = 64;
-
 // Ingress thinning: while the worst downlink path's projected queue delay
 // exceeds this, newly arriving delta frames are dropped whole (the
 // stream's dependency chain is then gated until the next keyframe).
@@ -205,6 +203,39 @@ double HubForwarder::WorstSmoothedDelayMs() const {
   return worst;
 }
 
+size_t HubForwarder::DecisionWindow::LowerBound(int32_t frame_id) const {
+  return static_cast<size_t>(
+      std::lower_bound(
+          entries_.begin(), entries_.end(), frame_id,
+          [](const Verdict& v, int32_t id) { return v.frame_id < id; }) -
+      entries_.begin());
+}
+
+const int* HubForwarder::DecisionWindow::Find(int32_t frame_id) const {
+  const size_t i = LowerBound(frame_id);
+  if (i == entries_.size() || entries_[i].frame_id != frame_id) {
+    return nullptr;
+  }
+  return &entries_[i].verdict;
+}
+
+void HubForwarder::DecisionWindow::Set(int32_t frame_id, int verdict) {
+  const size_t i = LowerBound(frame_id);
+  if (i < entries_.size() && entries_[i].frame_id == frame_id) {
+    entries_[i].verdict = verdict;
+  } else {
+    entries_.insert(entries_.begin() + static_cast<ptrdiff_t>(i),
+                    {frame_id, verdict});
+  }
+}
+
+void HubForwarder::DecisionWindow::Prune() {
+  if (entries_.size() > kDecisionWindow) {
+    entries_.erase(entries_.begin(),
+                   entries_.end() - static_cast<ptrdiff_t>(kDecisionWindow));
+  }
+}
+
 bool HubForwarder::StreamGate::PliDue(Timestamp now) {
   if (last_pli.IsFinite() && now - last_pli < kPliMinInterval) return false;
   last_pli = now;
@@ -234,10 +265,11 @@ bool HubForwarder::AdmitMedia(int leg, PathId path, const RtpPacket& packet,
   if (packet.frame_kind == FrameKind::kKey) {
     // Keyframes are always admitted; they repair the dependency chain.
     g.open = true;
-    g.decisions[packet.frame_id] = 0;
+    g.decisions.Set(packet.frame_id, 0);
   } else {
-    auto it = g.decisions.find(packet.frame_id);
-    if (it == g.decisions.end()) {
+    const int* held = g.decisions.Find(packet.frame_id);
+    int verdict = held != nullptr ? *held : 0;
+    if (held == nullptr) {
       // First packet of a new delta frame: the whole-frame thinning
       // decision. A closed gate thins it too (and is charged to the path
       // that closed it): the chain stays broken until the next keyframe.
@@ -248,17 +280,16 @@ bool HubForwarder::AdmitMedia(int leg, PathId path, const RtpPacket& packet,
         admit = worst.delay <= kThinQueueDelay;
         culprit = worst.path;
       }
-      it = g.decisions.emplace(packet.frame_id, admit ? 0 : -1).first;
+      verdict = admit ? 0 : -1;
+      g.decisions.Set(packet.frame_id, verdict);
       if (!admit) ThinFrame(g, leg, packet, culprit, now);
     }
-    if (it->second < 0) {
+    if (verdict < 0) {
       ++Path(g.culprit).stats.packets_dropped;
       return false;
     }
   }
-  while (g.decisions.size() > kDecisionWindow) {
-    g.decisions.erase(g.decisions.begin());
-  }
+  g.decisions.Prune();
   return true;
 }
 
@@ -272,12 +303,12 @@ bool HubForwarder::AdmitLayered(StreamGate& g, int leg, PathId path,
     g.rung_window_bytes[packet.spatial_id] += packet.wire_size();
   }
 
-  auto it = g.decisions.find(packet.frame_id);
-  if (it == g.decisions.end()) {
+  const int* held = g.decisions.Find(packet.frame_id);
+  int rung = held != nullptr ? *held : 0;
+  if (held == nullptr) {
     // First packet of this frame_id (any rung, any path): decide which
     // rung of the frame goes downstream. Exactly one rung per frame_id
     // keeps the subscriber's frame continuity — full fps at every rung.
-    int rung;
     if (packet.frame_kind == FrameKind::kKey) {
       if (g.pending >= 0 && g.pending != g.current) {
         // The keyframe all rungs share is the decodable switch boundary.
@@ -307,13 +338,12 @@ bool HubForwarder::AdmitLayered(StreamGate& g, int leg, PathId path,
         ThinFrame(g, leg, packet, worst.path, now);
       }
     }
-    it = g.decisions.emplace(packet.frame_id, rung).first;
+    g.decisions.Set(packet.frame_id, rung);
   }
-  while (g.decisions.size() > kDecisionWindow) {
-    g.decisions.erase(g.decisions.begin());
-  }
+  // The verdict is already read: pruning may drop this very frame's entry
+  // when it is older than every held one.
+  g.decisions.Prune();
 
-  const int rung = it->second;
   if (rung < 0) {
     ++Path(g.culprit).stats.packets_dropped;
     return false;
@@ -538,7 +568,7 @@ void HubForwarder::EvictFrame(PathId path, PathState& ps, int leg,
     if (std::find(frames_gone.begin(), frames_gone.end(), p.frame_id) ==
         frames_gone.end()) {
       frames_gone.push_back(p.frame_id);
-      g.decisions[p.frame_id] = -1;
+      g.decisions.Set(p.frame_id, -1);
     }
     ps.queued_bytes -= p.wire_size();
     ++ps.stats.packets_dropped;

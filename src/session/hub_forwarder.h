@@ -204,6 +204,27 @@ class HubForwarder {
     // Hub-owned egress life per origin leg on this path.
     std::map<int, EgressSeq> egress;
   };
+  // Verdicts sorted by frame id in one flat array: a new frame id is
+  // almost always the newest, so recording it appends, and Prune() drops
+  // the oldest until the newest kDecisionWindow remain.
+  class DecisionWindow {
+   public:
+    static constexpr size_t kDecisionWindow = 64;
+    // The verdict held for `frame_id`, or nullptr. Set and Prune may move
+    // entries, so read it before calling either.
+    const int* Find(int32_t frame_id) const;
+    // Records or overwrites the verdict for `frame_id`.
+    void Set(int32_t frame_id, int verdict);
+    void Prune();
+
+   private:
+    struct Verdict {
+      int32_t frame_id;
+      int32_t verdict;
+    };
+    size_t LowerBound(int32_t frame_id) const;
+    std::vector<Verdict> entries_;
+  };
   // Dependency gate for one (leg, stream): closed after the hub drops any
   // frame of the stream, reopened by the next keyframe. For layered
   // streams it also holds the rung subscription and per-rung rate
@@ -217,9 +238,9 @@ class HubForwarder {
     // within the debounce interval, otherwise claims the slot at `now`.
     bool PliDue(Timestamp now);
     // Admission verdicts for recent frame ids (packets of one frame arrive
-    // interleaved across paths); pruned to the newest kDecisionWindow.
-    // Value: admitted rung (0 for single-layer streams), -1 = dropped.
-    std::map<int64_t, int> decisions;
+    // interleaved across paths). Verdict: admitted rung (0 for
+    // single-layer streams), -1 = dropped.
+    DecisionWindow decisions;
     // ---- layered state (meaningful when num_rungs > 1) ----
     int num_rungs = 1;
     int current = 0;   // subscribed rung, 0 = highest quality

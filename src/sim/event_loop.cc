@@ -128,6 +128,7 @@ void EventLoop::RunUntil(Timestamp end) {
   // recorder is installed; skip the TLS store entirely otherwise so untraced
   // dispatch stays a plain pop + call.
   const bool tag_participants = TraceRecorder::Current() != nullptr;
+  tag_participants_ = tag_participants;
   for (;;) {
     if (cursor_.empty() && !AdvanceCursor(end)) break;
     if (cursor_.front().at > end) break;
@@ -163,12 +164,19 @@ uint64_t EventLoop::StartRepeating(Duration period, Callback tick) {
   }
   RepeatingSlot& rs = repeating_[slot];
   rs.tick = std::move(tick);
-  rs.period = period;
-  const uint32_t generation = rs.generation;
-  ScheduleIn(period, [this, slot, generation] {
-    FireRepeating(slot, generation);
-  });
-  return (static_cast<uint64_t>(slot) << 32) | generation;
+  rs.participant = TraceRecorder::CurrentParticipant();
+  rs.idle = false;
+  uint32_t cohort = 0;
+  while (cohort < cohorts_.size() && cohorts_[cohort].period != period) {
+    ++cohort;
+  }
+  if (cohort == cohorts_.size()) {
+    cohorts_.push_back(Cohort{period, {}, false});
+  }
+  Cohort& c = cohorts_[cohort];
+  c.firings.push_back(Firing{now_ + period, next_seq_++, slot, rs.generation});
+  if (!c.armed) ArmCohort(cohort);
+  return (static_cast<uint64_t>(slot) << 32) | rs.generation;
 }
 
 void EventLoop::CancelRepeating(uint64_t handle) {
@@ -182,20 +190,66 @@ void EventLoop::CancelRepeating(uint64_t handle) {
   repeating_free_.push_back(slot);
 }
 
-void EventLoop::FireRepeating(uint32_t slot, uint32_t generation) {
+void EventLoop::SetRepeatingIdle(uint64_t handle, bool idle) {
+  const uint32_t slot = static_cast<uint32_t>(handle >> 32);
+  if (slot >= repeating_.size()) return;
   RepeatingSlot& rs = repeating_[slot];
-  if (rs.generation != generation) return;  // cancelled while in flight
-  // Move the tick out while it runs: the tick may cancel its own task (which
-  // frees and possibly re-populates the slot) without destroying the
-  // callable mid-call.
-  Callback tick = std::move(rs.tick);
-  tick();
-  RepeatingSlot& after = repeating_[slot];
-  if (after.generation != generation) return;  // cancelled inside the tick
-  after.tick = std::move(tick);
-  ScheduleIn(after.period, [this, slot, generation] {
-    FireRepeating(slot, generation);
-  });
+  if (rs.generation == static_cast<uint32_t>(handle)) rs.idle = idle;
+}
+
+void EventLoop::ArmCohort(uint32_t cohort) {
+  Cohort& c = cohorts_[cohort];
+  c.armed = true;
+  const Firing& front = c.firings.front();
+  Insert(Entry{front.due, front.seq,
+               AcquireSlot([this, cohort] { RunCohort(cohort); })});
+}
+
+void EventLoop::RunCohort(uint32_t cohort) {
+  // The loop entry just dispatched carried the front firing's key, and
+  // now_ is its due time. Appends (re-arms and timers started inside a
+  // tick) go to the back with due = now_ + period and a fresh seq, so the
+  // FIFO stays in (due, seq) order and the front never changes under us.
+  for (;;) {
+    const Firing firing = cohorts_[cohort].firings.front();
+    cohorts_[cohort].firings.pop_front();
+    RepeatingSlot& rs = repeating_[firing.slot];
+    bool rearm = rs.generation == firing.generation;  // else cancelled
+    if (rearm && !rs.idle) {
+      if (tag_participants_) {
+        TraceRecorder::SetCurrentParticipant(rs.participant);
+      }
+      // Move the tick out while it runs: the tick may cancel its own timer
+      // (which frees and possibly re-populates the slot) without destroying
+      // the callable mid-call.
+      Callback tick = std::move(rs.tick);
+      tick();
+      RepeatingSlot& after = repeating_[firing.slot];
+      rearm = after.generation == firing.generation;
+      if (rearm) after.tick = std::move(tick);
+    }
+    Cohort& c = cohorts_[cohort];
+    if (rearm) {
+      c.firings.push_back(Firing{now_ + c.period, next_seq_++, firing.slot,
+                                 firing.generation});
+    }
+    if (c.firings.empty()) {
+      c.armed = false;
+      return;
+    }
+    // Every loop entry at now_ sits in cursor_ (its tick is <= the open
+    // tick), so the next firing runs inline exactly when it sorts before
+    // the cursor's front; otherwise the cohort re-enters the loop.
+    const Firing& next = c.firings.front();
+    const bool next_is_first =
+        next.due == now_ &&
+        (cursor_.empty() ||
+         Later{}(cursor_.front(), Entry{next.due, next.seq, 0}));
+    if (!next_is_first) {
+      ArmCohort(cohort);
+      return;
+    }
+  }
 }
 
 }  // namespace converge

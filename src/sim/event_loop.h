@@ -25,15 +25,23 @@
 //     teardown) overflow into a conventional binary heap and migrate into
 //     buckets as the wheel window slides over them.
 //
+// Repeating timers of one period tick as a cohort: the cohort keeps its
+// members' pending firings in a FIFO and holds a single loop entry, keyed by
+// its front firing, so the co-phased 5-ms ticks of a whole conference cost
+// one wheel insert and one dispatch per grid point instead of one each (see
+// StartRepeating).
+//
 // The dispatch order is bit-for-bit identical to a single global min-heap on
-// (timestamp, seq) — pinned by the heap-vs-wheel differential test and the
-// seed-era call fixtures.
+// (timestamp, seq) in which every repeating timer re-arms itself with a fresh
+// seq after each tick — pinned by the heap-vs-wheel differential tests and
+// the seed-era call fixtures.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "util/inline_function.h"
+#include "util/ring_buffer.h"
 #include "util/time.h"
 
 namespace converge {
@@ -77,6 +85,9 @@ class EventLoop {
   // Run until the queue drains entirely.
   void RunAll();
 
+  // Loop entries, not ticks: a cohort's members wait behind its single
+  // entry, and one cohort dispatch runs every member due before the loop's
+  // next entry.
   size_t pending_events() const {
     return cursor_.size() + near_count_ + overflow_.size();
   }
@@ -91,11 +102,24 @@ class EventLoop {
   // First-class repeating timers (the machinery under RepeatingTask).
   // StartRepeating arms `tick` every `period`; the returned handle cancels
   // via CancelRepeating. Slot-generation based: the tick is stored once in a
-  // recycled slot, each firing re-arms in place, and cancellation bumps the
-  // slot's generation so any in-flight firing becomes a no-op — no
-  // allocation, no shared_ptr liveness flag, no dangling `this`.
+  // recycled slot and cancellation bumps the slot's generation, so a pending
+  // firing of a cancelled timer becomes a no-op — no allocation, no
+  // shared_ptr liveness flag, no dangling `this`.
+  //
+  // Each firing is a (due, seq) key that takes next_seq_++ exactly where a
+  // self-rescheduling timer would call ScheduleIn: at the start, and after
+  // each tick returns, for due = now + period. Every timer of one period
+  // joins that period's cohort, whose FIFO of firings is therefore sorted by
+  // (due, seq). The cohort's one loop entry carries its front firing's key;
+  // its dispatcher runs firings in FIFO order for as long as the next one
+  // sorts before the loop's next entry, then re-enters the loop keyed by
+  // the next firing. The (at, seq) order of every tick and event is thus
+  // the per-timer heap's, by construction.
   uint64_t StartRepeating(Duration period, Callback tick);
   void CancelRepeating(uint64_t handle);
+  // An idle timer keeps its place and still takes its seq every period,
+  // but its tick is not called until it is set busy again.
+  void SetRepeatingIdle(uint64_t handle, bool idle);
 
  private:
   struct Entry {
@@ -113,8 +137,26 @@ class EventLoop {
 
   struct RepeatingSlot {
     Callback tick;
-    Duration period;
     uint32_t generation = 0;
+    // TraceRecorder participant tag when the timer started; restored around
+    // each tick while a recorder is installed.
+    int32_t participant = -1;
+    bool idle = false;
+  };
+  // One pending firing of a cohort member: the loop key it would carry as
+  // its own entry.
+  struct Firing {
+    Timestamp due;
+    int64_t seq;
+    uint32_t slot;
+    uint32_t generation;
+  };
+  struct Cohort {
+    Duration period;
+    RingQueue<Firing> firings;  // (due, seq) order
+    // A loop entry keyed by the front firing is pending, or the dispatcher
+    // is running and will re-enter the loop itself.
+    bool armed = false;
   };
 
   static constexpr int64_t TickOf(Timestamp t) {
@@ -127,12 +169,14 @@ class EventLoop {
   // when nothing is pending at a tick <= TickOf(end).
   bool AdvanceCursor(Timestamp end);
   void DumpBucket(int64_t tick);
-  void FireRepeating(uint32_t slot, uint32_t generation);
+  void ArmCohort(uint32_t cohort);
+  void RunCohort(uint32_t cohort);
 
   Timestamp now_ = Timestamp::Zero();
   int64_t next_seq_ = 0;
   int64_t executed_ = 0;
   int64_t clamped_past_ = 0;
+  bool tag_participants_ = false;  // a recorder was installed at RunUntil
 
   // Tick whose events cursor_ holds. Events scheduled at ticks <= cursor
   // (possible after a RunUntil boundary froze the cursor mid-jump) go
@@ -162,17 +206,22 @@ class EventLoop {
   std::vector<SlotMeta> slot_meta_;
   std::vector<uint32_t> free_slots_;
 
-  // Repeating-timer table (slot-generation cancellation).
+  // Repeating-timer table (slot-generation cancellation) and one cohort per
+  // distinct period, found by a linear scan at StartRepeating (a call arms a
+  // handful of periods).
   std::vector<RepeatingSlot> repeating_;
   std::vector<uint32_t> repeating_free_;
+  std::vector<Cohort> cohorts_;
 };
 
 // Repeating timer helper: invokes `tick` every `period` until cancelled or
 // the owning loop stops running. Cancel by destroying the handle; calling
-// Stop() from inside the tick itself is safe — the task will not re-arm.
+// Stop() from inside the tick itself is safe — the task will not fire again.
 // Thin RAII wrapper over EventLoop::StartRepeating/CancelRepeating: the tick
-// lives in the loop's recycled repeating-slot table as an InlineFunction, so
-// arming, firing and re-arming are allocation-free.
+// lives in the loop's recycled repeating-slot table as an InlineFunction and
+// its firings queue in the period's cohort, so arming and firing are
+// allocation-free once the cohort's FIFO has grown. SetIdle(true) skips the
+// tick (the timer keeps its grid and its place) until SetIdle(false).
 class RepeatingTask {
  public:
   RepeatingTask(EventLoop* loop, Duration period, EventLoop::Callback tick)
@@ -187,6 +236,8 @@ class RepeatingTask {
       loop_->CancelRepeating(handle_);
     }
   }
+
+  void SetIdle(bool idle) { loop_->SetRepeatingIdle(handle_, idle); }
 
  private:
   EventLoop* loop_;

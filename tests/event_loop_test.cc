@@ -151,8 +151,8 @@ TEST(RepeatingTaskTest, StopCancelsFutureTicks) {
   EXPECT_EQ(ticks, 3);
 }
 
-// Stopping from inside the tick itself must prevent the re-arm: the tick
-// lambda re-checks aliveness after running the user callback.
+// Stopping from inside the tick itself must prevent the next firing: the
+// cohort re-checks the timer's generation after running its tick.
 TEST(RepeatingTaskTest, StopFromInsideTickCancels) {
   EventLoop loop;
   int ticks = 0;

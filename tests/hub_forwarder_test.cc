@@ -226,6 +226,33 @@ TEST(HubForwarderTest, LayeredFiltersUnsubscribedRungsWithoutSeqGaps) {
   EXPECT_EQ(h.forwarder.max_selected_rung(), 0);
 }
 
+// A packet of a frame older than every held verdict is decided, and its
+// verdict read, even though keeping the newest 64 verdicts prunes it at
+// once: 65 layered frames (ids 100-164), then one late packet of frame 50.
+TEST(HubForwarderTest, LayeredLateFrameOlderThanTheVerdictWindowIsDecided) {
+  HubForwarder::Config config = FastConfig(10.0);
+  config.layered = true;
+  Harness h(config);
+  uint16_t seq = 0;
+  for (int64_t frame = 100; frame <= 164; ++frame) {
+    const FrameKind kind = frame == 100 ? FrameKind::kKey : FrameKind::kDelta;
+    h.forwarder.OnMediaFromUplink(
+        0, 0, LayeredPacket(0x10, seq++, frame, kind, 0, 2, 1000));
+    h.forwarder.OnMediaFromUplink(
+        0, 0, LayeredPacket(0x10, seq++, frame, kind, 1, 2, 300));
+    h.loop.RunUntil(h.loop.now() + Duration::Millis(33));
+  }
+  h.forwarder.OnMediaFromUplink(
+      0, 0, LayeredPacket(0x10, seq++, 50, FrameKind::kDelta, 0, 2, 1000));
+  h.loop.RunUntil(h.loop.now() + Duration::Millis(200));
+
+  ASSERT_EQ(h.delivered.size(), 66u);
+  EXPECT_EQ(h.delivered.back().packet.frame_id, 50);
+  const HubForwarder::DownlinkStats& stats = h.forwarder.stats(0);
+  EXPECT_EQ(stats.layer_packets_filtered, 65);
+  EXPECT_EQ(stats.packets_dropped, 0);
+}
+
 TEST(HubForwarderTest, LayeredDownswitchCommitsAtKeyframeWithFullFps) {
   // 500 kbps downlink, rung 0 at ~700 kbps, rung 1 at ~96 kbps: the
   // selection engine must ask for a downswitch (debounced PLI), commit it

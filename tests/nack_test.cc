@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "receiver/nack_generator.h"
+#include "util/trace_recorder.h"
 
 namespace converge {
 namespace {
@@ -192,6 +195,47 @@ TEST_F(NackTest, HugeForwardJumpIsBounded) {
   loop_.RunUntil(Timestamp::Millis(50));
   EXPECT_GT(sent_.size(), 0u);
   EXPECT_LE(sent_.size(), 64u);
+}
+
+// With nothing outstanding the 5-ms timer sleeps: Process is not called,
+// so its "outstanding" trace counter is not sampled. A gap wakes it on its
+// unchanged grid, and the NACK leaves at the first grid point past the
+// reorder grace, as it would from a generator that ticked all along.
+TEST(NackSleepTest, SleepsWithNothingOutstandingAndWakesOnItsGrid) {
+  TraceRecorder recorder;
+  TraceScope scope(&recorder);
+  EventLoop loop;
+  using Sent = std::pair<Timestamp, uint16_t>;
+  std::vector<Sent> sent;
+  NackGenerator nack(&loop, {.reorder_grace = Duration::Millis(10)},
+                     [&](int64_t, const std::vector<uint16_t>& seqs) {
+                       for (uint16_t s : seqs) sent.emplace_back(loop.now(), s);
+                     });
+  const auto ticks = [&recorder] {
+    int n = 0;
+    for (const TraceEvent& e : recorder.Snapshot()) {
+      n += std::strcmp(e.name, "outstanding") == 0 ? 1 : 0;
+    }
+    return n;
+  };
+
+  nack.OnPacket(0, 0);
+  loop.RunUntil(Timestamp::Micros(12'300));
+  EXPECT_EQ(ticks(), 0);
+
+  nack.OnPacket(0, 3);  // 1 and 2 missing from 12.3 ms, due at 22.3 ms
+  loop.RunUntil(Timestamp::Millis(30));
+  EXPECT_EQ(ticks(), 4);  // 15, 20, 25 and 30 ms
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0], (Sent{Timestamp::Millis(25), 1}));
+  EXPECT_EQ(sent[1], (Sent{Timestamp::Millis(25), 2}));
+
+  nack.OnPacket(0, 1);
+  nack.OnPacket(0, 2);
+  EXPECT_EQ(nack.outstanding(), 0u);
+  loop.RunUntil(Timestamp::Millis(500));
+  EXPECT_EQ(ticks(), 5);  // the 35-ms tick finds nothing and sleeps
+  EXPECT_EQ(nack.stats().recovered, 2);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Differential test pinning the timer-wheel EventLoop against a reference
-// binary-heap scheduler, plus the schedule-in-the-past accounting the wheel
-// rewrite surfaced.
+// Differential tests pinning the timer-wheel EventLoop against a reference
+// binary-heap scheduler, for one-shot events and for repeating timers, plus
+// the schedule-in-the-past accounting the wheel rewrite surfaced.
 //
 // The reference model is the seed-era implementation distilled to its
 // essentials: a (timestamp, seq) min-heap where seq is assigned at
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -220,6 +221,298 @@ TEST(TimerWheelDifferential, ScheduleInsideCallbackAcrossHorizon) {
   for (size_t i = 1; i < fired.size(); ++i) {
     EXPECT_EQ(fired[i] - fired[i - 1], Duration::Millis(600));
   }
+}
+
+// ---- Repeating timers: cohorts against per-timer re-arming ----
+//
+// The reference gives every repeating timer its own heap entry that re-arms
+// after each tick with a fresh seq, the way a self-rescheduling task would;
+// the EventLoop runs the same timers as cohorts. A random script of ticks
+// and one-shots, acting on both from inside their callbacks, must produce
+// the same dispatch sequence.
+
+enum class Fired { kEvent, kTick };
+
+struct Dispatch {
+  Timestamp at;
+  Fired kind;
+  int id;
+  bool operator==(const Dispatch& o) const {
+    return at == o.at && kind == o.kind && id == o.id;
+  }
+};
+
+constexpr int kTimers = 12;
+
+class RearmHeap {
+ public:
+  using Visit = std::function<void(Fired, int)>;
+  explicit RearmHeap(Visit visit) : visit_(std::move(visit)) {}
+
+  Timestamp now() const { return now_; }
+  void At(Timestamp at, int id) {
+    heap_.push(Entry{std::max(at, now_), next_seq_++, Fired::kEvent, id, 0});
+  }
+  void Start(int id, Duration period) {
+    Timer& t = timers_[id];
+    ++t.generation;
+    t = Timer{period, t.generation, true, false};
+    heap_.push(Entry{now_ + period, next_seq_++, Fired::kTick, id,
+                     t.generation});
+  }
+  void Cancel(int id) {
+    timers_[id].live = false;
+    ++timers_[id].generation;
+  }
+  void SetIdle(int id, bool idle) {
+    if (timers_[id].live) timers_[id].idle = idle;
+  }
+  bool Live(int id) const { return timers_[id].live; }
+  // Heap entries dispatched, idle and cancelled ticks included.
+  int64_t popped() const { return popped_; }
+
+  void RunUntil(Timestamp end) {
+    while (!heap_.empty() && heap_.top().at <= end) {
+      const Entry e = heap_.top();
+      heap_.pop();
+      ++popped_;
+      now_ = e.at;
+      if (e.kind == Fired::kEvent) {
+        visit_(Fired::kEvent, e.id);
+        continue;
+      }
+      if (timers_[e.id].generation != e.generation) continue;  // cancelled
+      if (!timers_[e.id].idle) visit_(Fired::kTick, e.id);
+      const Timer& t = timers_[e.id];
+      if (t.generation != e.generation) continue;  // cancelled in the tick
+      heap_.push(Entry{now_ + t.period, next_seq_++, Fired::kTick, e.id,
+                       e.generation});
+    }
+    if (now_ < end) now_ = end;
+  }
+
+ private:
+  struct Timer {
+    Duration period = Duration::Zero();
+    uint32_t generation = 0;
+    bool live = false;
+    bool idle = false;
+  };
+  struct Entry {
+    Timestamp at;
+    int64_t seq;
+    Fired kind;
+    int id;
+    uint32_t generation;
+    bool operator>(const Entry& o) const {
+      return at != o.at ? at > o.at : seq > o.seq;
+    }
+  };
+  Visit visit_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  Timer timers_[kTimers];
+  Timestamp now_ = Timestamp::Zero();
+  int64_t next_seq_ = 0;
+  int64_t popped_ = 0;
+};
+
+// The same interface over an EventLoop and RepeatingTasks.
+class CohortLoop {
+ public:
+  using Visit = std::function<void(Fired, int)>;
+  explicit CohortLoop(Visit visit) : visit_(std::move(visit)) {}
+
+  Timestamp now() const { return loop_.now(); }
+  void At(Timestamp at, int id) {
+    loop_.ScheduleAt(at, [this, id] { visit_(Fired::kEvent, id); });
+  }
+  void Start(int id, Duration period) {
+    timers_[id] = std::make_unique<RepeatingTask>(
+        &loop_, period, [this, id] { visit_(Fired::kTick, id); });
+  }
+  void Cancel(int id) { timers_[id].reset(); }
+  void SetIdle(int id, bool idle) {
+    if (timers_[id]) timers_[id]->SetIdle(idle);
+  }
+  bool Live(int id) const { return timers_[id] != nullptr; }
+  void RunUntil(Timestamp end) { loop_.RunUntil(end); }
+  const EventLoop& loop() const { return loop_; }
+
+ private:
+  EventLoop loop_;
+  Visit visit_;
+  std::unique_ptr<RepeatingTask> timers_[kTimers];
+};
+
+// 5-, 33- and 50-ms grids, plus a period beyond the wheel horizon so a
+// cohort also re-enters the loop through the overflow heap.
+Duration PickPeriod(Random& rng) {
+  switch (rng.UniformInt(0, 6)) {
+    case 0:
+    case 1:
+    case 2: return Duration::Millis(5);
+    case 3:
+    case 4: return Duration::Millis(33);
+    case 5: return Duration::Millis(50);
+    default: return Duration::Millis(700);
+  }
+}
+
+// One model under the script: every dispatch is logged, then draws its
+// action from the model's own generator. Both models draw in dispatch
+// order, so they take the same actions for as long as their orders agree.
+template <typename Model>
+struct Scripted {
+  explicit Scripted(uint64_t seed)
+      : rng(seed),
+        model([this](Fired kind, int id) { OnDispatch(kind, id); }) {}
+
+  void OnDispatch(Fired kind, int id) {
+    log.push_back(Dispatch{model.now(), kind, id});
+    const int64_t action = rng.UniformInt(0, 99);
+    const Duration period = PickPeriod(rng);
+    const int timer = static_cast<int>(rng.UniformInt(0, kTimers - 1));
+    if (action < 14) {
+      // Zero delay: from a tick, lands behind the grid point's members.
+      model.At(model.now(), next_event++);
+    } else if (action < 30) {
+      // Exactly one period ahead: ties with the next round of every timer
+      // of that period firing now.
+      model.At(model.now() + period, next_event++);
+    } else if (action < 36) {
+      model.At(model.now() + Duration::Micros(rng.UniformInt(0, 60'000)),
+               next_event++);
+    } else if (action < 44) {
+      if (!model.Live(timer)) model.Start(timer, period);
+    } else if (action < 52) {
+      if (model.Live(timer)) model.Cancel(timer);
+    } else if (action < 64) {
+      model.SetIdle(timer, rng.UniformInt(0, 2) == 0);
+    }
+  }
+
+  Random rng;
+  Model model;
+  std::vector<Dispatch> log;
+  int next_event = 1'000'000;
+};
+
+// Drives both models through one script: timers started at t = 0 on shared
+// phases, one-shots on their grid points (and off them), then RunUntil
+// boundaries at `boundaries`, comparing the dispatch logs at each.
+void RunRepeatingDifferential(uint64_t seed,
+                              const std::vector<Timestamp>& boundaries) {
+  Scripted<RearmHeap> heap(seed);
+  Scripted<CohortLoop> cohorts(seed);
+  Random setup(seed ^ 0x5eedULL);
+  struct Step {
+    bool timer;
+    int id;
+    Duration period;
+    Timestamp at;
+  };
+  std::vector<Step> steps;
+  for (int id = 0; id < kTimers / 2; ++id) {
+    steps.push_back({true, id, PickPeriod(setup), Timestamp::Zero()});
+  }
+  for (int i = 0; i < 60; ++i) {
+    const Duration grid = PickPeriod(setup);
+    Timestamp at = Timestamp::Zero() + grid * setup.UniformInt(0, 40);
+    if (setup.UniformInt(0, 3) == 0) {
+      at = at + Duration::Micros(setup.UniformInt(1, 4'999));
+    }
+    steps.push_back({false, i, Duration::Zero(), at});
+  }
+  for (const Step& step : steps) {
+    if (step.timer) {
+      heap.model.Start(step.id, step.period);
+      cohorts.model.Start(step.id, step.period);
+    } else {
+      heap.model.At(step.at, step.id);
+      cohorts.model.At(step.at, step.id);
+    }
+  }
+  for (const Timestamp end : boundaries) {
+    heap.model.RunUntil(end);
+    cohorts.model.RunUntil(end);
+    ASSERT_EQ(cohorts.model.now(), heap.model.now());
+    ASSERT_EQ(cohorts.log.size(), heap.log.size())
+        << "seed " << seed << ": diverged by " << end.us() << "us";
+  }
+  for (size_t i = 0; i < heap.log.size(); ++i) {
+    ASSERT_TRUE(cohorts.log[i] == heap.log[i])
+        << "seed " << seed << ", dispatch " << i << ": cohort ("
+        << cohorts.log[i].at.us() << "us, " << cohorts.log[i].id
+        << ") vs reference (" << heap.log[i].at.us() << "us, "
+        << heap.log[i].id << ")";
+  }
+  // Cohorts batch co-phased ticks into fewer loop dispatches.
+  EXPECT_LT(cohorts.model.loop().executed_events(), heap.model.popped());
+}
+
+TEST(RepeatingCohortDifferential, BoundariesOnGridPoints) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Random rng(seed * 7919);
+    std::vector<Timestamp> boundaries;
+    Timestamp t = Timestamp::Zero();
+    while (t < Timestamp::Seconds(3.0)) {
+      t = t + Duration::Millis(5) * rng.UniformInt(1, 20);
+      boundaries.push_back(t);
+    }
+    RunRepeatingDifferential(seed, boundaries);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(RepeatingCohortDifferential, BoundariesOffTheGrid) {
+  for (uint64_t seed = 100; seed < 108; ++seed) {
+    Random rng(seed);
+    std::vector<Timestamp> boundaries;
+    Timestamp t = Timestamp::Zero();
+    while (t < Timestamp::Seconds(3.0)) {
+      t = t + Duration::Micros(rng.UniformInt(1, 12'000));
+      boundaries.push_back(t);
+    }
+    RunRepeatingDifferential(seed, boundaries);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(RepeatingCohortDifferential, OneLongRun) {
+  for (uint64_t seed = 200; seed < 206; ++seed) {
+    RunRepeatingDifferential(seed, {Timestamp::Seconds(4.0)});
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(RepeatingCohort, CoPhasedTimersShareOneLoopEntry) {
+  EventLoop loop;
+  int ticks = 0;
+  std::vector<std::unique_ptr<RepeatingTask>> timers;
+  for (int i = 0; i < 60; ++i) {
+    timers.push_back(std::make_unique<RepeatingTask>(
+        &loop, Duration::Millis(5), [&ticks] { ++ticks; }));
+  }
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.RunUntil(Timestamp::Millis(100));
+  EXPECT_EQ(ticks, 60 * 20);
+  EXPECT_EQ(loop.executed_events(), 20);
+  EXPECT_EQ(loop.pending_events(), 1u);
+}
+
+TEST(RepeatingCohort, IdleTimerKeepsItsGridAndSkipsItsTick) {
+  EventLoop loop;
+  std::vector<Timestamp> fired;
+  RepeatingTask task(&loop, Duration::Millis(5),
+                     [&] { fired.push_back(loop.now()); });
+  loop.RunUntil(Timestamp::Millis(7));
+  task.SetIdle(true);
+  loop.RunUntil(Timestamp::Millis(23));
+  task.SetIdle(false);
+  loop.RunUntil(Timestamp::Millis(30));
+  EXPECT_EQ(fired, (std::vector<Timestamp>{Timestamp::Millis(5),
+                                           Timestamp::Millis(25),
+                                           Timestamp::Millis(30)}));
 }
 
 TEST(TimerWheelPastClamp, CountsAndClampsScheduleInThePast) {
