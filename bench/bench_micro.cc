@@ -153,6 +153,9 @@ void BM_TraceLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceLookup);
 
+// 10,000 entries pending at once: about 8x the largest pending set any
+// perfbench workload's loop holds (1,218 on hub-fleet), so this is the
+// heap's stress case, not the simulator's shape.
 void BM_EventLoopThroughput(benchmark::State& state) {
   for (auto _ : state) {
     EventLoop loop;
@@ -306,7 +309,7 @@ void BM_TraceProbeDisabled(benchmark::State& state) {
 BENCHMARK(BM_TraceProbeDisabled);
 
 // End-to-end cost of one short 2-party call: the fleet-scale figure of
-// merit. Timer wheel dispatch, link ring buffers and the receive stores
+// merit. Event-heap dispatch, link ring buffers and the receive stores
 // (one stream's sorted packet vector per buffer) all land in this number.
 void BM_SingleCallSimulate(benchmark::State& state) {
   int64_t frames = 0;

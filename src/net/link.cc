@@ -1,7 +1,6 @@
 #include "net/link.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 namespace converge {
@@ -81,43 +80,36 @@ void Link::FinishTransmission() {
     if (pkt.recheck != kNoRecheck) {
       recheck_slots_[pkt.recheck].on_drop = std::move(pkt.on_drop);
     }
-    const Arrival entry{arrival, inflight_seq_++, pkt.deliver, pkt.recheck};
+    const uint32_t slot = pkt.deliver;
+    const uint32_t recheck = pkt.recheck;
     queue_.pop_front();
-    inflight_.push_back(entry);
-    std::push_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
-    loop_->ScheduleAt(arrival, [this] { DeliverNext(); });
+    loop_->ScheduleAt(arrival,
+                      [this, slot, recheck] { Arrive(slot, recheck); });
   }
   StartTransmission();
 }
 
-void Link::DeliverNext() {
-  std::pop_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
-  const Arrival arrival = inflight_.back();
-  inflight_.pop_back();
-  if (arrival.recheck == kNoRecheck) {
-    DeliverFromSlot(arrival.slot, arrival.at);
+void Link::Arrive(uint32_t slot, uint32_t recheck_slot) {
+  if (recheck_slot == kNoRecheck) {
+    Deliver(slot);
     return;
   }
-  Recheck recheck = recheck_slots_.Take(arrival.recheck);
-  const ArrivalVerdict verdict = OnArrival(arrival.at + recheck.extra_delay);
+  const Timestamp now = loop_->now();
+  Recheck recheck = recheck_slots_.Take(recheck_slot);
+  const ArrivalVerdict verdict = OnArrival(now + recheck.extra_delay);
   if (verdict.drop) {
-    deliver_slots_.Take(arrival.slot);
+    deliver_slots_.Take(slot);
     --stats_.packets_delivered;
     stats_.bytes_delivered -= recheck.bytes;
     ++stats_.packets_lost;
     if (recheck.on_drop) recheck.on_drop(/*queue_drop=*/false);
-  } else if (verdict.deliver_at > arrival.at) {
-    loop_->ScheduleAt(verdict.deliver_at,
-                      [this, slot = arrival.slot, at = verdict.deliver_at] {
-                        DeliverFromSlot(slot, at);
-                      });
+  } else if (verdict.deliver_at > now) {
+    loop_->ScheduleAt(verdict.deliver_at, [this, slot] { Deliver(slot); });
   } else {
-    DeliverFromSlot(arrival.slot, arrival.at);
+    Deliver(slot);
   }
 }
 
-void Link::DeliverFromSlot(uint32_t slot, Timestamp at) {
-  deliver_slots_.Take(slot)(at);
-}
+void Link::Deliver(uint32_t slot) { deliver_slots_.Take(slot)(loop_->now()); }
 
 }  // namespace converge

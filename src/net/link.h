@@ -175,27 +175,14 @@ class Link {
     int64_t bytes = 0;
     DropFn on_drop;
   };
-  // One propagating packet: its delivery continuation stays in its recycled
-  // slot and a 24-byte heap entry orders it by (arrival, seq). Wrapping the
-  // continuation plus the arrival timestamp into the event-loop callback
-  // directly would exceed the callback's inline buffer and heap-allocate on
-  // every delivered packet; this keeps the scheduled event a bare `this`
-  // capture.
-  struct Arrival {
-    Timestamp at;
-    int64_t seq;
-    uint32_t slot;
-    uint32_t recheck;
-    bool operator>(const Arrival& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-
   int64_t QueueLimitBytes() const;
   void StartTransmission();
   void FinishTransmission();
-  void DeliverNext();
-  void DeliverFromSlot(uint32_t slot, Timestamp at);
+  // Arrival event of the packet whose continuation sits in deliver `slot`.
+  void Arrive(uint32_t slot, uint32_t recheck_slot);
+  // Runs (and frees) the continuation in `slot` with now() as the delivery
+  // time.
+  void Deliver(uint32_t slot);
 
   EventLoop* loop_;
   Config config_;
@@ -206,15 +193,14 @@ class Link {
   RingQueue<Pending> queue_;
   int64_t queued_bytes_ = 0;
   bool busy_ = false;
-  // In-flight deliveries: min-heap on (arrival, seq) + recycled continuation
-  // slots. Dispatch order matches the event loop's exactly — the loop fires
-  // arrival events in (time, schedule-order) order, which is precisely the
-  // heap's (at, seq) order — so delivery results are unchanged. A packet
-  // whose OnArrival verdict postpones it keeps its slot until delivered.
-  std::vector<Arrival> inflight_;
+  // Recycled continuation slots. A propagating packet's continuation stays
+  // in its slot and its arrival event captures the slot index, so the event
+  // fits the loop's inline callback buffer (wrapping the continuation itself
+  // would not) and the loop's (arrival, seq) order is the delivery order. A
+  // packet whose OnArrival verdict postpones it keeps its slot until
+  // delivered.
   SlotPool<DeliverFn> deliver_slots_;
   SlotPool<Recheck> recheck_slots_;
-  int64_t inflight_seq_ = 0;
   Stats stats_;
 };
 

@@ -1,5 +1,7 @@
 #include "rtp/rtcp.h"
 
+#include "rtp/byte_io.h"
+
 namespace converge {
 namespace {
 
@@ -15,39 +17,6 @@ enum class WireType : uint8_t {
   kSdesFrameRate = 210,
   kQoeFeedback = 211,
 };
-
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v & 0xFF));
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  PutU16(out, static_cast<uint16_t>(v >> 16));
-  PutU16(out, static_cast<uint16_t>(v & 0xFFFF));
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFF));
-}
-
-uint16_t GetU16(const std::vector<uint8_t>& in, size_t& at) {
-  const uint16_t v = static_cast<uint16_t>((in[at] << 8) | in[at + 1]);
-  at += 2;
-  return v;
-}
-
-uint32_t GetU32(const std::vector<uint8_t>& in, size_t& at) {
-  uint32_t v = GetU16(in, at);
-  v = (v << 16) | GetU16(in, at);
-  return v;
-}
-
-uint64_t GetU64(const std::vector<uint8_t>& in, size_t& at) {
-  uint64_t v = GetU32(in, at);
-  v = (v << 32) | GetU32(in, at);
-  return v;
-}
 
 struct WireSizeVisitor {
   int64_t operator()(const SenderReport&) const { return 28; }

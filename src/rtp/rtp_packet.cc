@@ -1,30 +1,9 @@
 #include "rtp/rtp_packet.h"
 
+#include "rtp/byte_io.h"
+
 namespace converge {
 namespace {
-
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v & 0xFF));
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 24));
-  out.push_back(static_cast<uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<uint8_t>(v & 0xFF));
-}
-
-uint16_t GetU16(const std::vector<uint8_t>& in, size_t at) {
-  return static_cast<uint16_t>((in[at] << 8) | in[at + 1]);
-}
-
-uint32_t GetU32(const std::vector<uint8_t>& in, size_t at) {
-  return (static_cast<uint32_t>(in[at]) << 24) |
-         (static_cast<uint32_t>(in[at + 1]) << 16) |
-         (static_cast<uint32_t>(in[at + 2]) << 8) |
-         static_cast<uint32_t>(in[at + 3]);
-}
 
 // RFC 5285 one-byte extension element IDs used by the Converge extension.
 constexpr uint8_t kExtIdPathId = 1;
@@ -93,15 +72,14 @@ bool ParseRtpHeader(const std::vector<uint8_t>& in, RtpPacket* packet) {
   const bool has_extension = (in[0] & 0x10) != 0;
   packet->marker = (in[1] & 0x80) != 0;
   packet->payload_type = in[1] & 0x7F;
-  packet->seq = GetU16(in, 2);
-  packet->rtp_timestamp = GetU32(in, 4);
-  packet->ssrc = GetU32(in, 8);
+  size_t at = 2;
+  packet->seq = GetU16(in, at);
+  packet->rtp_timestamp = GetU32(in, at);
+  packet->ssrc = GetU32(in, at);
   if (!has_extension) return true;
 
-  size_t at = 12;
   if (GetU16(in, at) != kOneByteProfile) return false;
-  const size_t ext_words = GetU16(in, at + 2);
-  at += 4;
+  const size_t ext_words = GetU16(in, at);
   const size_t ext_end = at + ext_words * 4;
   if (ext_end > in.size()) return false;
 
@@ -114,7 +92,8 @@ bool ParseRtpHeader(const std::vector<uint8_t>& in, RtpPacket* packet) {
     const uint8_t id = header >> 4;
     const size_t len = static_cast<size_t>(header & 0x0F) + 1;
     ++at;
-    if (at + len > ext_end) return false;
+    const size_t element_end = at + len;
+    if (element_end > ext_end) return false;
     switch (id) {
       case kExtIdPathId:
         packet->path_id = static_cast<int8_t>(in[at]);
@@ -134,7 +113,7 @@ bool ParseRtpHeader(const std::vector<uint8_t>& in, RtpPacket* packet) {
       default:
         break;  // unknown element: skip
     }
-    at += len;
+    at = element_end;
   }
   return true;
 }

@@ -9,45 +9,23 @@
 
 namespace converge {
 
-EventLoop::EventLoop() : bucket_head_(kWheelTicks, -1) {}
-
 uint32_t EventLoop::AcquireSlot(Callback&& cb) {
   const int32_t participant = TraceRecorder::CurrentParticipant();
   if (!free_slots_.empty()) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     slots_[slot] = std::move(cb);
-    slot_meta_[slot].participant = participant;
+    slot_participant_[slot] = participant;
     return slot;
   }
   slots_.push_back(std::move(cb));
-  slot_meta_.push_back(SlotMeta{Timestamp::Zero(), 0, -1, participant});
+  slot_participant_.push_back(participant);
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
 void EventLoop::Insert(Entry entry) {
-  const int64_t tick = TickOf(entry.at);
-  if (tick <= cursor_tick_) {
-    // The open tick (or, after a RunUntil boundary left the cursor parked on
-    // a future tick, an earlier one): the cursor heap's exact (at, seq)
-    // order puts it in its rightful place among the already-expanded events.
-    cursor_.push_back(entry);
-    std::push_heap(cursor_.begin(), cursor_.end(), Later{});
-  } else if (tick < cursor_tick_ + static_cast<int64_t>(kWheelTicks)) {
-    // Within the wheel horizon: O(1) intrusive push onto the tick's bucket.
-    // The window invariant guarantees one round per bucket, so draining
-    // never has to filter entries by tick.
-    const size_t b = static_cast<uint64_t>(tick) & kWheelMask;
-    SlotMeta& meta = slot_meta_[entry.slot];
-    meta.at = entry.at;
-    meta.seq = entry.seq;
-    meta.next = bucket_head_[b];
-    bucket_head_[b] = static_cast<int32_t>(entry.slot);
-    ++near_count_;
-  } else {
-    overflow_.push_back(entry);
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-  }
+  heap_.push_back(entry);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventLoop::ScheduleAt(Timestamp at, Callback&& cb) {
@@ -66,75 +44,16 @@ void EventLoop::ScheduleIn(Duration delay, Callback&& cb) {
   ScheduleAt(now_ + delay, std::move(cb));
 }
 
-void EventLoop::DumpBucket(int64_t tick) {
-  const size_t b = static_cast<uint64_t>(tick) & kWheelMask;
-  int32_t head = bucket_head_[b];
-  bucket_head_[b] = -1;
-  while (head != -1) {
-    const SlotMeta& meta = slot_meta_[head];
-    cursor_.push_back(Entry{meta.at, meta.seq, static_cast<uint32_t>(head)});
-    std::push_heap(cursor_.begin(), cursor_.end(), Later{});
-    head = meta.next;
-    --near_count_;
-  }
-}
-
-bool EventLoop::AdvanceCursor(Timestamp end) {
-  const int64_t end_tick = TickOf(end);
-  while (near_count_ > 0 || !overflow_.empty()) {
-    int64_t next_tick;
-    if (near_count_ > 0) {
-      // Some bucket inside the window is populated; scan forward. Bounded by
-      // kWheelTicks probes, each a 4-byte load.
-      next_tick = cursor_tick_;
-      do {
-        ++next_tick;
-      } while (bucket_head_[static_cast<uint64_t>(next_tick) & kWheelMask] ==
-               -1);
-    } else {
-      // Wheel empty: jump straight to the earliest far event.
-      next_tick = TickOf(overflow_.front().at);
-    }
-    if (next_tick > end_tick) return false;
-    cursor_tick_ = next_tick;
-    DumpBucket(next_tick);
-    // The window slid forward: pull far events that are now inside it.
-    const int64_t window_end =
-        cursor_tick_ + static_cast<int64_t>(kWheelTicks);
-    while (!overflow_.empty() && TickOf(overflow_.front().at) < window_end) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-      Entry entry = overflow_.back();
-      overflow_.pop_back();
-      if (TickOf(entry.at) <= cursor_tick_) {
-        cursor_.push_back(entry);
-        std::push_heap(cursor_.begin(), cursor_.end(), Later{});
-      } else {
-        const size_t b = static_cast<uint64_t>(TickOf(entry.at)) & kWheelMask;
-        SlotMeta& meta = slot_meta_[entry.slot];
-        meta.at = entry.at;
-        meta.seq = entry.seq;
-        meta.next = bucket_head_[b];
-        bucket_head_[b] = static_cast<int32_t>(entry.slot);
-        ++near_count_;
-      }
-    }
-    if (!cursor_.empty()) return true;
-  }
-  return false;
-}
-
 void EventLoop::RunUntil(Timestamp end) {
   // Restoring the scheduling-time participant tag only matters when a trace
   // recorder is installed; skip the TLS store entirely otherwise so untraced
   // dispatch stays a plain pop + call.
   const bool tag_participants = TraceRecorder::Current() != nullptr;
   tag_participants_ = tag_participants;
-  for (;;) {
-    if (cursor_.empty() && !AdvanceCursor(end)) break;
-    if (cursor_.front().at > end) break;
-    std::pop_heap(cursor_.begin(), cursor_.end(), Later{});
-    const Entry entry = cursor_.back();
-    cursor_.pop_back();
+  while (!heap_.empty() && heap_.front().at <= end) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Entry entry = heap_.back();
+    heap_.pop_back();
     // Move the callback out before running it: the callback may schedule
     // more events, which can reuse the slot.
     Callback cb = std::move(slots_[entry.slot]);
@@ -143,7 +62,7 @@ void EventLoop::RunUntil(Timestamp end) {
     now_ = entry.at;
     ++executed_;
     if (tag_participants) {
-      TraceRecorder::SetCurrentParticipant(slot_meta_[entry.slot].participant);
+      TraceRecorder::SetCurrentParticipant(slot_participant_[entry.slot]);
     }
     cb();
   }
@@ -237,14 +156,14 @@ void EventLoop::RunCohort(uint32_t cohort) {
       c.armed = false;
       return;
     }
-    // Every loop entry at now_ sits in cursor_ (its tick is <= the open
-    // tick), so the next firing runs inline exactly when it sorts before
-    // the cursor's front; otherwise the cohort re-enters the loop.
+    // The next firing runs inline exactly when it is due now and sorts
+    // before every other pending entry; otherwise the cohort re-enters the
+    // loop.
     const Firing& next = c.firings.front();
     const bool next_is_first =
         next.due == now_ &&
-        (cursor_.empty() ||
-         Later{}(cursor_.front(), Entry{next.due, next.seq, 0}));
+        (heap_.empty() ||
+         Later{}(heap_.front(), Entry{next.due, next.seq, 0}));
     if (!next_is_first) {
       ArmCohort(cohort);
       return;

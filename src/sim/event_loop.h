@@ -6,35 +6,22 @@
 //
 // Steady-state scheduling is allocation-free: callbacks are stored in a
 // small-buffer-optimized InlineFunction (big enough for an in-flight
-// RtpPacket capture) inside a recycled slot array, and the ready queue is a
-// hierarchical timer wheel:
-//
-//   - Near events (within kWheelTicks * kTickUs ≈ 0.52 s, which covers
-//     virtually every timer a call arms: link service/propagation, pacer
-//     drains, RTCP feedback, NACK retries, frame-buffer waits) are hashed
-//     into calendar buckets by 1.024 ms tick. Buckets are intrusive singly
-//     linked lists threaded through the slot array — a bucket costs 4 bytes,
-//     insertion is O(1), and no per-event node is ever allocated.
-//   - The bucket whose tick is being drained is expanded into a tiny binary
-//     heap (`cursor_`) ordered by the exact (timestamp, seq) key, so events
-//     within one tick — including events a callback schedules into the
-//     current tick — execute in exactly the order the old flat global heap
-//     produced. The heap holds one tick's population (typically a handful of
-//     events) instead of the whole pending set.
-//   - Far events (> the wheel horizon: multi-second repeating timers, call
-//     teardown) overflow into a conventional binary heap and migrate into
-//     buckets as the wheel window slides over them.
+// RtpPacket capture) inside a recycled slot array, and every pending entry
+// sits in one binary min-heap on the exact (timestamp, seq) key. Each
+// conference owns its loop, so the heap holds one call's pending set: on
+// perfbench seed 1000 a mean of 326 entries at insert (max 1,218) on
+// hub-fleet and 55 (max 154) on paper-driving.
 //
 // Repeating timers of one period tick as a cohort: the cohort keeps its
 // members' pending firings in a FIFO and holds a single loop entry, keyed by
 // its front firing, so the co-phased 5-ms ticks of a whole conference cost
-// one wheel insert and one dispatch per grid point instead of one each (see
+// one heap insert and one dispatch per grid point instead of one each (see
 // StartRepeating).
 //
 // The dispatch order is bit-for-bit identical to a single global min-heap on
 // (timestamp, seq) in which every repeating timer re-arms itself with a fresh
-// seq after each tick — pinned by the heap-vs-wheel differential tests and
-// the seed-era call fixtures.
+// seq after each tick — pinned by the differential tests against a reference
+// heap and the seed-era call fixtures.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +45,7 @@ class EventLoop {
   static constexpr size_t kCallbackInlineBytes = 144;
   using Callback = InlineFunction<void(), kCallbackInlineBytes>;
 
-  // Timer-wheel geometry. One tick is 2^kTickShift µs; the wheel spans
-  // kWheelTicks ticks ahead of the tick currently executing.
-  static constexpr int kTickShift = 10;  // 1.024 ms per tick
-  static constexpr uint64_t kWheelTicks = 512;
-  static constexpr uint64_t kWheelMask = kWheelTicks - 1;
-
-  EventLoop();
+  EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -88,9 +69,7 @@ class EventLoop {
   // Loop entries, not ticks: a cohort's members wait behind its single
   // entry, and one cohort dispatch runs every member due before the loop's
   // next entry.
-  size_t pending_events() const {
-    return cursor_.size() + near_count_ + overflow_.size();
-  }
+  size_t pending_events() const { return heap_.size(); }
   int64_t executed_events() const { return executed_; }
   // Number of ScheduleAt calls whose timestamp was already in the past and
   // got clamped to now. Scheduling in the past is almost always a component
@@ -159,16 +138,8 @@ class EventLoop {
     bool armed = false;
   };
 
-  static constexpr int64_t TickOf(Timestamp t) {
-    return t.us() >> kTickShift;
-  }
-
   uint32_t AcquireSlot(Callback&& cb);
   void Insert(Entry entry);
-  // Moves the earliest pending tick's events into cursor_. Returns false
-  // when nothing is pending at a tick <= TickOf(end).
-  bool AdvanceCursor(Timestamp end);
-  void DumpBucket(int64_t tick);
   void ArmCohort(uint32_t cohort);
   void RunCohort(uint32_t cohort);
 
@@ -178,32 +149,16 @@ class EventLoop {
   int64_t clamped_past_ = 0;
   bool tag_participants_ = false;  // a recorder was installed at RunUntil
 
-  // Tick whose events cursor_ holds. Events scheduled at ticks <= cursor
-  // (possible after a RunUntil boundary froze the cursor mid-jump) go
-  // straight into cursor_, whose (at, seq) heap order absorbs them.
-  int64_t cursor_tick_ = 0;
-  std::vector<Entry> cursor_;        // heap (Later) of the open tick
-  std::vector<int32_t> bucket_head_; // kWheelTicks intrusive list heads
-  size_t near_count_ = 0;            // events resident in buckets
-  std::vector<Entry> overflow_;      // heap (Later) of beyond-horizon events
+  std::vector<Entry> heap_;  // every pending entry, heap (Later)
 
-  // Recycled callback slots. The metadata rides in one packed record so a
-  // bucket insert touches a single cache line, not four parallel vectors.
-  // at/seq/next are only meaningful while the slot sits in a bucket list
-  // (heap entries carry their own copies). `participant` is conference
-  // participant attribution: each event remembers the TraceRecorder
-  // participant tag active when it was scheduled, and dispatch restores it
-  // (only while a recorder is installed), so self-rescheduling component
-  // tasks — pacer drains, RTCP timers — inherit their owner's tag
-  // transitively without any component knowing about participants.
-  struct SlotMeta {
-    Timestamp at;
-    int64_t seq;
-    int32_t next;
-    int32_t participant;
-  };
+  // Recycled callback slots. `slot_participant_` is conference participant
+  // attribution: each event remembers the TraceRecorder participant tag
+  // active when it was scheduled, and dispatch restores it (only while a
+  // recorder is installed), so self-rescheduling component tasks — pacer
+  // drains, RTCP timers — inherit their owner's tag transitively without
+  // any component knowing about participants.
   std::vector<Callback> slots_;
-  std::vector<SlotMeta> slot_meta_;
+  std::vector<int32_t> slot_participant_;
   std::vector<uint32_t> free_slots_;
 
   // Repeating-timer table (slot-generation cancellation) and one cohort per

@@ -86,20 +86,4 @@ void RateEstimator::Evict(Timestamp now) const {
   }
 }
 
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi), bins_(static_cast<size_t>(bins), 0) {}
-
-void Histogram::Add(double x) {
-  const double span = hi_ - lo_;
-  int idx = static_cast<int>((x - lo_) / span * static_cast<double>(bins_.size()));
-  idx = std::clamp(idx, 0, static_cast<int>(bins_.size()) - 1);
-  ++bins_[static_cast<size_t>(idx)];
-  ++count_;
-}
-
-double Histogram::BinCenter(int i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(bins_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * width;
-}
-
 }  // namespace converge

@@ -104,19 +104,4 @@ class RateEstimator {
   mutable int64_t total_ = 0;  // sum of events_' bytes
 };
 
-// Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int bins);
-  void Add(double x);
-  int64_t count() const { return count_; }
-  const std::vector<int64_t>& bins() const { return bins_; }
-  double BinCenter(int i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<int64_t> bins_;
-  int64_t count_ = 0;
-};
-
 }  // namespace converge

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "net/fault_injector.h"
 #include "net/link.h"
 #include "net/network.h"
 #include "net/path.h"
@@ -105,6 +109,67 @@ TEST(LinkTest, OutageStallsDelivery) {
   EXPECT_EQ(second, Timestamp::Zero());
   loop.RunUntil(Timestamp::Seconds(3.0));
   EXPECT_GT(second, Timestamp::Seconds(2.2));
+}
+
+// A propagation delay that falls mid-flight lets a later packet overtake an
+// earlier one; delivery follows (arrival time, send order), and each
+// continuation sees its own arrival time.
+TEST(LinkTest, CrossingArrivalsDeliverInArrivalThenSendOrder) {
+  EventLoop loop;
+  Link::Config c = BasicConfig(DataRate::MegabitsPerSec(8), Duration::Zero());
+  // Packets leave the 1-ms transmitter at 1, 2 and 3 ms.
+  c.prop_delay_trace = ValueTrace({{Timestamp::Zero(), 100'000.0},
+                                   {Timestamp::Millis(2), 99'000.0},
+                                   {Timestamp::Millis(3), 10'000.0}},
+                                  /*repeat=*/false);
+  Link link(&loop, c, Random(1));
+  std::vector<std::pair<int, Timestamp>> delivered;
+  for (int id = 0; id < 3; ++id) {
+    link.Send(1000, [&, id](Timestamp t) { delivered.emplace_back(id, t); });
+  }
+  loop.RunAll();
+  // Packet 2 (3 + 10 ms) passes packets 0 (1 + 100) and 1 (2 + 99), which
+  // tie at 101 ms and keep their send order.
+  const std::vector<std::pair<int, Timestamp>> want = {
+      {2, Timestamp::Millis(13)},
+      {0, Timestamp::Millis(101)},
+      {1, Timestamp::Millis(101)}};
+  EXPECT_EQ(delivered, want);
+}
+
+// A re-decided arrival that an outage postpones is delivered at the
+// outage's end, after the packets that arrive before it. Two packets
+// postponed to the same instant go in the order their arrivals were
+// re-decided, not their send order.
+TEST(LinkTest, PostponedArrivalDeliversAtOutageEndBehindLaterPackets) {
+  FaultPlan plan;
+  plan.Add(FaultEvent::Outage(Timestamp::Millis(50), Duration::Millis(100),
+                              InFlightPolicy::kDelayToEnd));
+  Link::Config c = BasicConfig(DataRate::MegabitsPerSec(8), Duration::Zero());
+  c.prop_delay_trace = ValueTrace({{Timestamp::Zero(), 100'000.0},
+                                   {Timestamp::Millis(2), 10'000.0}},
+                                  /*repeat=*/false);
+  c.faults = std::move(plan);
+  EventLoop loop;
+  auto link = MakeLink(&loop, std::move(c), Random(3));
+  std::vector<std::pair<int, Timestamp>> delivered;
+  auto send = [&](int id) {
+    link->Send(1000, [&, id](Timestamp t) { delivered.emplace_back(id, t); });
+  };
+  send(0);  // arrives at 1 + 100 ms, inside the outage: postponed
+  send(1);  // arrives at 2 + 10 ms
+  loop.RunUntil(Timestamp::Millis(30));
+  send(2);  // arrives at 41 ms
+  loop.RunUntil(Timestamp::Millis(45));
+  send(3);  // arrives at 56 ms, postponed; re-decided before packet 0
+  loop.RunAll();
+  const std::vector<std::pair<int, Timestamp>> want = {
+      {1, Timestamp::Millis(12)},
+      {2, Timestamp::Millis(41)},
+      {3, Timestamp::Millis(150)},
+      {0, Timestamp::Millis(150)}};
+  EXPECT_EQ(delivered, want);
+  EXPECT_EQ(link->stats().packets_delivered, 4);
 }
 
 TEST(GilbertElliottTest, AverageRateMatchesStationaryDistribution) {

@@ -1,14 +1,15 @@
-// Differential tests pinning the timer-wheel EventLoop against a reference
-// binary-heap scheduler, for one-shot events and for repeating timers, plus
-// the schedule-in-the-past accounting the wheel rewrite surfaced.
+// Differential tests pinning EventLoop against a reference binary-heap
+// scheduler, for one-shot events and for repeating timers, plus the
+// schedule-in-the-past accounting.
 //
 // The reference model is the seed-era implementation distilled to its
 // essentials: a (timestamp, seq) min-heap where seq is assigned at
-// ScheduleAt time. The wheel must execute the exact same sequence of
-// (time, id) pairs on every schedule the heap handles — same-timestamp
-// bursts (cursor-heap tie-breaks), events beyond the 512-tick wheel horizon
-// (overflow migration), and callbacks that schedule more work for the
-// current instant (cursor re-entry).
+// ScheduleAt time. EventLoop must execute the exact same sequence of
+// (time, id) pairs on every schedule the reference handles — same-timestamp
+// bursts, events more than 0.5 s ahead, and callbacks that schedule more
+// work for the current instant. The file and the `wheel` names date from
+// the timer wheel the loop once was (512 ticks of 1.024 ms, a cursor heap
+// and an overflow heap); the schedules still probe that design's edges.
 #include <algorithm>
 #include <cstdint>
 #include <functional>

@@ -193,17 +193,5 @@ TEST(StatsTest, RateEstimatorMatchesBruteForceSum) {
   }
 }
 
-TEST(StatsTest, HistogramBinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(-100.0);  // clamps to first bin
-  h.Add(100.0);   // clamps to last bin
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.bins().front(), 2);
-  EXPECT_EQ(h.bins().back(), 2);
-  EXPECT_NEAR(h.BinCenter(0), 0.5, 1e-9);
-}
-
 }  // namespace
 }  // namespace converge
