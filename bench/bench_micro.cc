@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot components: the packet
 // scheduler decision, XOR FEC encode/recover, the trendline estimator,
-// packet-buffer insertion, trace sampling, and raw event-loop throughput.
+// packet-buffer insertion, trace sampling, raw event-loop throughput, and
+// the sent histories' per-packet cost.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -14,6 +15,8 @@
 #include "receiver/packet_buffer.h"
 #include "rtp/rtp_packet.h"
 #include "session/call.h"
+#include "session/egress_seq.h"
+#include "session/rtx_history.h"
 #include "sim/event_loop.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -218,35 +221,51 @@ void BM_EventLoopPacketCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopPacketCapture);
 
-// Link enqueue/deliver with an RtpPacket riding in the delivery callback —
-// the per-transmitted-packet hot path of every simulated call.
+// Link enqueue/deliver with an RtpPacket riding in the delivery callback:
+// the per-transmitted-packet hot path of every simulated call. The sender
+// offers each packet from the loop as it runs, one every 900 us (~10 Mbps,
+// well under capacity, so nothing queues long), next to kOtherTimers
+// entries that stand for a call's other pending timers and stay pending
+// past the run. The loop so holds a call's depth (perfbench's loops
+// average 55 to 326 pending entries), not all 2,000 sends at once.
 void BM_LinkEnqueueDeliver(benchmark::State& state) {
   constexpr int kPackets = 2'000;
+  constexpr int kOtherTimers = 200;
+  constexpr Duration kGap = Duration::Micros(900);
   RtpPacket proto;
   proto.kind = PayloadKind::kMedia;
   proto.payload_bytes = 1100;
+  struct Source {
+    EventLoop* loop;
+    Link* link;
+    const RtpPacket* proto;
+    int64_t delivered_bytes = 0;
+    int sent = 0;
+
+    void SendNext() {
+      RtpPacket p = *proto;
+      p.seq = static_cast<uint16_t>(sent);
+      link->Send(p.payload_bytes + 12,
+                 [pkt = std::move(p), this](Timestamp) {
+                   delivered_bytes += pkt.payload_bytes;
+                 });
+      if (++sent < kPackets) loop->ScheduleIn(kGap, [this] { SendNext(); });
+    }
+  };
+  const Timestamp end = Timestamp::Zero() + kGap * (kPackets + 100);
   for (auto _ : state) {
     EventLoop loop;
     Link::Config config;
     config.capacity = BandwidthTrace::Constant(DataRate::MegabitsPerSec(100));
     config.prop_delay = Duration::Millis(10);
     Link link(&loop, config, Random(1));
-    int64_t delivered_bytes = 0;
-    Timestamp at = Timestamp::Zero();
-    for (int i = 0; i < kPackets; ++i) {
-      // ~10 Mbps offered load: well under capacity, so nothing queues long.
-      at += Duration::Micros(900);
-      loop.ScheduleAt(at, [&link, &delivered_bytes, &proto, i] {
-        RtpPacket p = proto;
-        p.seq = static_cast<uint16_t>(i);
-        link.Send(p.payload_bytes + 12,
-                  [pkt = std::move(p), &delivered_bytes](Timestamp) {
-                    delivered_bytes += pkt.payload_bytes;
-                  });
-      });
+    for (int i = 0; i < kOtherTimers; ++i) {
+      loop.ScheduleAt(end + Duration::Micros(i), [] {});
     }
-    loop.RunAll();
-    benchmark::DoNotOptimize(delivered_bytes);
+    Source source{&loop, &link, &proto};
+    loop.ScheduleIn(kGap, [&source] { source.SendNext(); });
+    loop.RunUntil(end);
+    benchmark::DoNotOptimize(source.delivered_bytes);
   }
   state.SetItemsProcessed(state.iterations() * kPackets);
 }
@@ -273,6 +292,75 @@ void BM_RtpPacketCopy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RtpPacketCopy);
+
+// One sent media packet recorded for retransmission: the RTX history's
+// per-packet cost in steady state, where each insert also trims the packet
+// the 10-s horizon releases. Frames of 8 packets at 1,000 packets/s, so a
+// window holds 10,000 slots over 1,250 frame records. Arg: 1 for a
+// per-path window, 0 for a legacy one.
+void BM_RtxHistoryOnSent(benchmark::State& state) {
+  const bool per_path = state.range(0) == 1;
+  RtxHistory history(per_path);
+  RtpPacket p;
+  p.kind = PayloadKind::kMedia;
+  p.payload_bytes = 1100;
+  p.ssrc = 0x1000;
+  int64_t n = 0;
+  auto next = [&] {
+    p.send_time = Timestamp::Micros(n * 1000);
+    if (n % 8 == 0) {
+      p.capture_time = p.send_time;
+      ++p.frame_id;
+      p.rtp_timestamp += 3000;
+    }
+    p.seq = static_cast<uint16_t>(n);
+    p.mp_seq = static_cast<uint16_t>(n);
+    ++n;
+  };
+  // Past the horizon first, so every insert trims one.
+  for (int i = 0; i < 12'000; ++i) {
+    next();
+    history.OnSent(0, p);
+  }
+  for (auto _ : state) {
+    next();
+    history.OnSent(0, p);
+  }
+  benchmark::DoNotOptimize(history.pages_allocated());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RtxHistoryOnSent)->Arg(1)->Arg(0);
+
+// One packet through an egress life's send records: its Stamp, which
+// records and trims, and its share of the transport feedback that names
+// it, matched in batches of 20 as a receiver reports them. Steady state at
+// 1,000 packets/s, so the records hold the 8,192-packet window.
+void BM_EgressSeqStampMatch(benchmark::State& state) {
+  constexpr int kBatch = 20;
+  EgressSeq egress;
+  RtpPacket p;
+  p.kind = PayloadKind::kMedia;
+  p.payload_bytes = 1100;
+  int64_t n = 0;
+  int64_t misses = 0;
+  TransportFeedback feedback;
+  auto send = [&] {
+    p.send_time = Timestamp::Micros(n * 1000);
+    egress.Stamp(p);
+    feedback.arrivals.push_back(
+        {n, p.send_time + Duration::Millis(30)});
+    ++n;
+    if (feedback.arrivals.size() == kBatch) {
+      benchmark::DoNotOptimize(egress.Match(feedback, misses));
+      feedback.arrivals.clear();
+    }
+  };
+  for (int i = 0; i < 12'000; ++i) send();
+  for (auto _ : state) send();
+  benchmark::DoNotOptimize(misses);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EgressSeqStampMatch);
 
 // Multi-quantile QoE report over one sample set — the shape of every bench
 // table row (p5/p25/p50/p75/p95/p99 of e2e latency). Guards the sorted-order

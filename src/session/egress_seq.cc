@@ -1,14 +1,30 @@
 #include "session/egress_seq.h"
 
+#include <string>
+
+#include "util/invariants.h"
+
 namespace converge {
 
 void EgressSeq::Stamp(RtpPacket& packet) {
   packet.mp_seq = next_mp_seq_++;
   packet.mp_transport_seq = static_cast<uint16_t>(transport_count_ & 0xFFFF);
   const Timestamp sent = packet.send_time;
-  sent_.Insert(transport_count_++, SentRecord{sent, packet.wire_size()});
+  const int64_t bytes = packet.wire_size();
+  // One check for both narrowings, so the per-packet cost is one.
+  CONVERGE_INVARIANT(
+      "EgressSeq", sent,
+      sent.us() >= 0 && sent.us() <= SentRecord::kMaxSendTimeUs &&
+          bytes >= 0 && bytes <= SentRecord::kMaxBytes,
+      "send time " + std::to_string(sent.us()) + " us, wire size " +
+          std::to_string(bytes) + " B");
+  const uint64_t word =
+      (static_cast<uint64_t>(bytes) << SentRecord::kTimeBits) |
+      (static_cast<uint64_t>(sent.us()) &
+       static_cast<uint64_t>(SentRecord::kMaxSendTimeUs));
+  sent_.Insert(transport_count_++, SentRecord{word});
   sent_.Trim([&](const SentRecord& held) {
-    return sent - held.send_time > kSentHistoryHorizon;
+    return sent - held.send_time() > kSentHistoryHorizon;
   });
 }
 
@@ -27,8 +43,8 @@ std::vector<PacketResult> EgressSeq::Match(const TransportFeedback& feedback,
     }
     PacketResult r;
     r.transport_seq = a.mp_transport_seq;
-    r.send_time = rec->send_time;
-    r.bytes = rec->bytes;
+    r.send_time = rec->send_time();
+    r.bytes = rec->bytes();
     r.received = a.recv_time.IsFinite();
     r.recv_time = a.recv_time;
     results.push_back(r);

@@ -24,8 +24,9 @@ class EgressSeq {
  public:
   // Stamps `packet` with this life's next mp_seq and mp_transport_seq (the
   // low 16 bits of the unwrapped transport counter) and records its
-  // send_time and wire size under the unwrapped value. Callers stamp at
-  // pacer or queue output (see Sender::DispatchPacket).
+  // send_time and wire size under the unwrapped value (SentRecord's
+  // ranges, checked). Callers stamp at pacer or queue output (see
+  // Sender::DispatchPacket).
   void Stamp(RtpPacket& packet);
 
   // The send records `feedback`'s arrivals name, in arrival order. Arrival
@@ -40,10 +41,24 @@ class EgressSeq {
   size_t pages_allocated() const { return sent_.pages_allocated(); }
 
  private:
+  // A send record in one word: the send time in µs in the low 40 bits
+  // (about 12.7 simulated days) and the wire size in bytes in the high 24
+  // (16 MiB), both checked when packed.
   struct SentRecord {
-    Timestamp send_time;
-    int64_t bytes = 0;
+    static constexpr int kTimeBits = 40;
+    static constexpr int kSizeBits = 24;
+    static constexpr int64_t kMaxSendTimeUs = (int64_t{1} << kTimeBits) - 1;
+    static constexpr int64_t kMaxBytes = (int64_t{1} << kSizeBits) - 1;
+
+    uint64_t word = 0;
+
+    Timestamp send_time() const {
+      return Timestamp::Micros(static_cast<int64_t>(word & kMaxSendTimeUs));
+    }
+    int64_t bytes() const { return static_cast<int64_t>(word >> kTimeBits); }
   };
+  static_assert(sizeof(SentRecord) == 8,
+                "a send record is paid per packet held; keep it one word");
   // The last kSentWindow packets, less those older than
   // kSentHistoryHorizon.
   static constexpr size_t kSentWindow = 8192;

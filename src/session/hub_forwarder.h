@@ -155,6 +155,10 @@ class HubForwarder {
   // Pages the sent histories hold: the RTX windows and every egress life's
   // send records.
   size_t history_pages_allocated() const;
+  // Frame records the RTX windows hold (RtxHistory::frame_records).
+  RtxHistory::FrameRecords history_frame_records() const {
+    return rtx_.frame_records();
+  }
 
   // Layered forwarding introspection. selected_rung: the rung (origin leg,
   // stream) is currently subscribed to (0 when the stream is unknown or

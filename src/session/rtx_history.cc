@@ -1,7 +1,9 @@
 #include "session/rtx_history.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "util/invariants.h"
 
@@ -16,19 +18,62 @@ void RtxHistory::OnSent(int leg, const RtpPacket& packet) {
   const Flow flow{leg, per_path_nack_ ? int64_t{packet.path_id}
                                       : int64_t{packet.ssrc}};
   const uint16_t seq = per_path_nack_ ? packet.mp_seq : packet.seq;
-  SeqWindow<Slot, uint16_t>& window =
-      windows_.try_emplace(flow, size_t{1} << 16).first->second;
+  Window& window = windows_[flow];
+  // An entry this seq still holds from one wrap ago is stale: it goes, and
+  // its frame record loses it.
+  if (const Slot* stale = window.slots.Find(seq)) window.Release(stale->frame);
   if (media_like) {
-    window.Insert(seq, Pack(packet));
+    window.slots.Insert(seq, Pack(window, packet));
   } else {
-    window.Erase(seq);  // stale wrap-around entry
+    window.slots.Erase(seq);
   }
-  window.Trim([&](const Slot& held) {
-    return packet.send_time - held.send_time() > kSentHistoryHorizon;
+  window.slots.Trim([&](const Slot& held) {
+    if (packet.send_time - window.SendTime(held) <= kSentHistoryHorizon) {
+      return false;
+    }
+    window.Release(held.frame);
+    return true;
   });
 }
 
-RtxHistory::Slot RtxHistory::Pack(const RtpPacket& packet) const {
+void RtxHistory::Window::Release(uint32_t id) {
+  --frames[id - front].refs;
+  while (!frames.empty() && frames.front().refs == 0) {
+    frames.pop_front();
+    ++front;
+  }
+}
+
+RtxHistory::Frame::Frame(const RtpPacket& packet)
+    : capture_time(packet.capture_time),
+      ssrc(packet.ssrc),
+      rtp_timestamp(packet.rtp_timestamp),
+      frame_id(packet.frame_id),
+      gop_id(packet.gop_id),
+      stream_id(packet.stream_id),
+      qp(packet.qp),
+      payload_type(packet.payload_type),
+      spatial_id(packet.spatial_id),
+      num_spatial(packet.num_spatial),
+      temporal_id(packet.temporal_id),
+      num_temporal(packet.num_temporal),
+      frame_kind(packet.frame_kind) {}
+
+bool RtxHistory::Frame::Holds(const RtpPacket& packet) const {
+  return capture_time == packet.capture_time && ssrc == packet.ssrc &&
+         rtp_timestamp == packet.rtp_timestamp &&
+         frame_id == packet.frame_id && gop_id == packet.gop_id &&
+         stream_id == packet.stream_id && qp == packet.qp &&
+         payload_type == packet.payload_type &&
+         spatial_id == packet.spatial_id &&
+         num_spatial == packet.num_spatial &&
+         temporal_id == packet.temporal_id &&
+         num_temporal == packet.num_temporal &&
+         frame_kind == packet.frame_kind;
+}
+
+RtxHistory::Slot RtxHistory::Pack(Window& window,
+                                  const RtpPacket& packet) const {
   const int64_t send_offset_us = (packet.send_time - packet.capture_time).us();
   // One check for the three narrowings, so the per-packet cost is one.
   CONVERGE_INVARIANT(
@@ -40,25 +85,19 @@ RtxHistory::Slot RtxHistory::Pack(const RtpPacket& packet) const {
           " us after capture, payload " +
           std::to_string(packet.payload_bytes) + " B, FEC block " +
           (packet.fec == nullptr ? "none" : "held"));
+  // A record's count saturating starts a new record for the same frame.
+  if (window.frames.empty() || !window.frames.back().Holds(packet) ||
+      window.frames.back().refs == std::numeric_limits<uint16_t>::max()) {
+    window.frames.emplace_back(packet);
+  }
+  ++window.frames.back().refs;
   Slot slot;
-  slot.capture_time = packet.capture_time;
+  slot.frame = window.front + static_cast<uint32_t>(window.frames.size() - 1);
   slot.send_offset_us = static_cast<int32_t>(send_offset_us);
-  slot.ssrc = packet.ssrc;
-  slot.rtp_timestamp = packet.rtp_timestamp;
-  slot.frame_id = packet.frame_id;
-  slot.gop_id = packet.gop_id;
   slot.payload_bytes = static_cast<uint16_t>(packet.payload_bytes);
   slot.other_seq = per_path_nack_ ? packet.seq : packet.mp_seq;
   slot.path_id = packet.path_id;
-  slot.stream_id = packet.stream_id;
-  slot.qp = packet.qp;
-  slot.payload_type = packet.payload_type;
-  slot.spatial_id = packet.spatial_id;
-  slot.num_spatial = packet.num_spatial;
-  slot.temporal_id = packet.temporal_id;
-  slot.num_temporal = packet.num_temporal;
   slot.kind = packet.kind;
-  slot.frame_kind = packet.frame_kind;
   slot.marker = packet.marker;
   slot.first_in_frame = packet.first_in_frame;
   slot.last_in_frame = packet.last_in_frame;
@@ -76,33 +115,47 @@ void RtxHistory::ForgetLeg(int leg) {
 size_t RtxHistory::pages_allocated() const {
   size_t pages = 0;
   for (const auto& [flow, window] : windows_) {
-    pages += window.pages_allocated();
+    pages += window.slots.pages_allocated();
   }
   return pages;
 }
 
-RtpPacket RtxHistory::Stamp(const Slot& held, bool per_path,
-                            PathId report_path, uint16_t seq) {
+RtxHistory::FrameRecords RtxHistory::frame_records() const {
+  FrameRecords records;
+  for (const auto& [flow, window] : windows_) {
+    records.held += window.frames.size();
+    std::vector<uint32_t> ids;
+    window.slots.ForEach([&](const Slot& slot) { ids.push_back(slot.frame); });
+    std::sort(ids.begin(), ids.end());
+    records.referenced += static_cast<size_t>(
+        std::unique(ids.begin(), ids.end()) - ids.begin());
+  }
+  return records;
+}
+
+RtpPacket RtxHistory::Stamp(const Window& window, const Slot& held,
+                            bool per_path, PathId report_path, uint16_t seq) {
+  const Frame& frame = window.frame(held.frame);
   RtpPacket rtx;
-  rtx.capture_time = held.capture_time;
-  rtx.send_time = held.send_time();
-  rtx.ssrc = held.ssrc;
-  rtx.rtp_timestamp = held.rtp_timestamp;
-  rtx.frame_id = held.frame_id;
-  rtx.gop_id = held.gop_id;
+  rtx.capture_time = frame.capture_time;
+  rtx.send_time = window.SendTime(held);
+  rtx.ssrc = frame.ssrc;
+  rtx.rtp_timestamp = frame.rtp_timestamp;
+  rtx.frame_id = frame.frame_id;
+  rtx.gop_id = frame.gop_id;
   rtx.payload_bytes = held.payload_bytes;
   rtx.seq = per_path ? held.other_seq : seq;
   rtx.mp_seq = per_path ? seq : held.other_seq;
   rtx.path_id = held.path_id;
-  rtx.stream_id = held.stream_id;
-  rtx.qp = held.qp;
-  rtx.payload_type = held.payload_type;
+  rtx.stream_id = frame.stream_id;
+  rtx.qp = frame.qp;
+  rtx.payload_type = frame.payload_type;
   rtx.kind = held.kind;
-  rtx.frame_kind = held.frame_kind;
-  rtx.spatial_id = held.spatial_id;
-  rtx.num_spatial = held.num_spatial;
-  rtx.temporal_id = held.temporal_id;
-  rtx.num_temporal = held.num_temporal;
+  rtx.frame_kind = frame.frame_kind;
+  rtx.spatial_id = frame.spatial_id;
+  rtx.num_spatial = frame.num_spatial;
+  rtx.temporal_id = frame.temporal_id;
+  rtx.num_temporal = frame.num_temporal;
   rtx.marker = held.marker;
   rtx.first_in_frame = held.first_in_frame;
   rtx.last_in_frame = held.last_in_frame;

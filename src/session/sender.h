@@ -93,6 +93,10 @@ class Sender {
   int64_t feedback_horizon_misses() const { return feedback_horizon_misses_; }
   // Pages the sent histories hold: RTX windows and feedback windows.
   size_t history_pages_allocated() const;
+  // Frame records the RTX windows hold (RtxHistory::frame_records).
+  RtxHistory::FrameRecords history_frame_records() const {
+    return rtx_.frame_records();
+  }
   DataRate current_encoder_target() const { return encoder_target_; }
   double path_loss(PathId path) const;
 

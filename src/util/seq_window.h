@@ -195,6 +195,17 @@ class SeqWindow {
     return trimmed_ != nullptr && ((trimmed_[bit / 64] >> (bit % 64)) & 1);
   }
 
+  // Calls `fn(value)` for every live entry, in no particular order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const std::unique_ptr<Page>& page : pages_) {
+      if (page == nullptr) continue;
+      for (uint64_t bits = page->occupied; bits != 0; bits &= bits - 1) {
+        fn(page->values[std::countr_zero(bits)]);
+      }
+    }
+  }
+
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t window() const { return mask_ + 1; }

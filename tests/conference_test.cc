@@ -613,8 +613,14 @@ TEST(ConferenceAllocationTest, CascadeStarNeverFallsBackToTheHeap) {
 // path, origin) flows they keep windows for.
 struct HistoryLoad {
   size_t pages = 0;
+  RtxHistory::FrameRecords frames;
   int64_t packets_sent = 0;  // cumulative, every kind
   int64_t flows = 0;
+
+  void AddFrames(const RtxHistory::FrameRecords& records) {
+    frames.held += records.held;
+    frames.referenced += records.referenced;
+  }
 };
 
 HistoryLoad MeasureHistories(const Conference& conference,
@@ -629,6 +635,7 @@ HistoryLoad MeasureHistories(const Conference& conference,
     if (!senders.insert(sender).second) continue;
     const Sender::Stats& st = sender->stats();
     load.pages += sender->history_pages_allocated();
+    load.AddFrames(sender->history_frame_records());
     load.packets_sent += st.media_packets_sent + st.fec_packets_sent +
                          st.rtx_packets_sent + st.probe_packets_sent;
     load.flows +=
@@ -637,6 +644,7 @@ HistoryLoad MeasureHistories(const Conference& conference,
   auto add_engine = [&](const HubForwarder* engine) {
     if (engine == nullptr) return;
     load.pages += engine->history_pages_allocated();
+    load.AddFrames(engine->history_frame_records());
     for (PathId path : engine->path_ids()) {
       const HubForwarder::DownlinkStats& st = engine->stats(path);
       load.packets_sent += st.packets_forwarded + st.padding_packets;
@@ -665,8 +673,10 @@ HistoryLoad MeasureHistories(const Conference& conference,
 // when it takes a new send (a path that falls silent keeps its last
 // records). One second of slack covers packets counted when queued but
 // sent later. Without the age bound the RTX windows fill toward
-// 65,536 / kPageSlots pages each as the call goes on. Returns the final
-// stats.
+// 65,536 / kPageSlots pages each as the call goes on. The RTX windows'
+// frame records never outnumber the distinct records their live slots
+// name: a per-path window takes its keys in send order, so a record is
+// dropped as soon as its last packet leaves. Returns the final stats.
 ConferenceStats RunCheckingHistoryPages(const ConferenceConfig& config) {
   Conference conference(config);
   conference.Start();
@@ -687,6 +697,9 @@ ConferenceStats RunCheckingHistoryPages(const ConferenceConfig& config) {
     EXPECT_LE(static_cast<int64_t>(load.pages), bound)
         << "at " << second << " s, " << trailing << " packets in the last "
         << trailing_s << " s";
+    EXPECT_LE(load.frames.held, load.frames.referenced)
+        << "at " << second << " s";
+    EXPECT_GT(load.frames.referenced, 0u) << "at " << second << " s";
   }
   return conference.Collect();
 }

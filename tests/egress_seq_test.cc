@@ -1,7 +1,8 @@
 // EgressSeq against a reference that keeps every send: both wire fields
 // across several 16-bit wraps, and transport-feedback matching under the
 // 8,192-packet window and the age bound, in stretches where either one
-// decides what is held.
+// decides what is held. Directed tests pin the one-word send record's
+// limits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "session/egress_seq.h"
+#include "util/invariants.h"
 
 namespace converge {
 namespace {
@@ -114,6 +116,63 @@ TEST(EgressSeqTest, MatchesReferenceAcrossWrapsAndAgeBound) {
   EXPECT_GT(lost, 1'000);
   EXPECT_GT(edge_misses, 1'000);
   EXPECT_GT(misses, edge_misses);
+}
+
+// A send record keeps a send time up to 2^40 - 1 us and a wire size up to
+// 2^24 - 1 B exactly, and Match returns them as sent.
+TEST(EgressSeqTest, SendRecordHoldsItsLimits) {
+  ScopedInvariants guard;
+  constexpr int64_t kMaxUs = (int64_t{1} << 40) - 1;
+  constexpr int64_t kMaxBytes = (int64_t{1} << 24) - 1;
+  constexpr int64_t kOverhead = kRtpHeaderBytes + kMultipathExtensionBytes;
+  EgressSeq egress;
+  RtpPacket largest;
+  largest.payload_bytes = static_cast<int32_t>(kMaxBytes - kOverhead);
+  largest.send_time = Timestamp::Micros(kMaxUs);
+  egress.Stamp(largest);
+  RtpPacket empty;
+  empty.send_time = Timestamp::Micros(kMaxUs);
+  egress.Stamp(empty);
+  ASSERT_EQ(largest.wire_size(), kMaxBytes);
+
+  const Timestamp recv = Timestamp::Micros(kMaxUs) + Duration::Millis(20);
+  TransportFeedback fb;
+  fb.arrivals = {{0, recv}, {1, Timestamp::MinusInfinity()}};
+  int64_t misses = 0;
+  const std::vector<PacketResult> results = egress.Match(fb, misses);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].send_time, Timestamp::Micros(kMaxUs));
+  EXPECT_EQ(results[0].bytes, kMaxBytes);
+  EXPECT_TRUE(results[0].received);
+  EXPECT_EQ(results[1].send_time, Timestamp::Micros(kMaxUs));
+  EXPECT_EQ(results[1].bytes, kOverhead);
+  EXPECT_FALSE(results[1].received);
+  EXPECT_EQ(misses, 0);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 0);
+}
+
+// What a send record cannot hold is reported, not wrapped silently: a send
+// time one past 2^40 - 1 us or before 0, and a wire size one past
+// 2^24 - 1 B.
+TEST(EgressSeqTest, SendRecordReportsWhatItCannotHold) {
+  ScopedInvariants guard;
+  constexpr int64_t kMaxUs = (int64_t{1} << 40) - 1;
+  constexpr int64_t kMaxBytes = (int64_t{1} << 24) - 1;
+  EgressSeq egress;
+  RtpPacket late;
+  late.send_time = Timestamp::Micros(kMaxUs + 1);
+  egress.Stamp(late);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 1);
+  RtpPacket early;
+  early.send_time = Timestamp::Micros(-1);
+  egress.Stamp(early);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 2);
+  RtpPacket big;
+  big.payload_bytes = static_cast<int32_t>(
+      kMaxBytes + 1 - kRtpHeaderBytes - kMultipathExtensionBytes);
+  big.send_time = Timestamp::Micros(kMaxUs);
+  egress.Stamp(big);
+  EXPECT_EQ(InvariantRegistry::violation_count(), 3);
 }
 
 }  // namespace

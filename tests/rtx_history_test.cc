@@ -1041,5 +1041,463 @@ TEST(RtxHistoryTest, SlotReportsWhatItCannotHold) {
   EXPECT_EQ(InvariantRegistry::violation_count(), 3);
 }
 
+// ---- Frame records against whole packets ------------------------------------
+// A window keeps a frame's shared fields once per run of its packets. The
+// reference keeps every packet whole, trimmed as a window trims: in key
+// order from the oldest held key, up to the first one a new send has not
+// aged past the horizon. Frame-structured traffic (interleaved simulcast
+// streams, SPS and PPS inside keyframes, RTX copies of old frames, FEC and
+// probes, legacy packets of one SSRC swapped between two pacers, and legs
+// that leave and rejoin) drives both through several 16-bit wraps, in
+// stretches dense enough that wraps overwrite and sparse enough that the
+// age bound trims. Every answer must equal the reference's in every field
+// but mp_transport_seq.
+
+class WholePacketReference {
+ public:
+  explicit WholePacketReference(bool per_path_nack)
+      : per_path_nack_(per_path_nack) {}
+
+  void OnSent(int leg, const RtpPacket& packet) {
+    if (!per_path_nack_ && (!packet.IsMediaLike() || packet.via_rtx)) return;
+    Flow& flow = flows_[{leg, FlowId(packet)}];
+    const uint16_t seq = Key(packet);
+    flow.Remove(seq);
+    if (packet.IsMediaLike()) flow.Add(seq, packet);
+    flow.Trim(packet.send_time);
+  }
+
+  void ForgetLeg(int leg) {
+    for (auto it = flows_.begin(); it != flows_.end();) {
+      it = it->first.first == leg ? flows_.erase(it) : std::next(it);
+    }
+  }
+
+  // Whether `packet` is still held under its key.
+  bool Holds(int leg, const RtpPacket& packet) const {
+    auto it = flows_.find({leg, FlowId(packet)});
+    if (it == flows_.end()) return false;
+    auto held = it->second.held.find(Key(packet));
+    return held != it->second.held.end() &&
+           held->second.send_time == packet.send_time;
+  }
+
+  std::vector<Answer> AnswerNack(int leg, PathId report, const Nack& nack,
+                                 Timestamp now) {
+    std::vector<Answer> out;
+    const bool per_path = nack.ssrc == 0;
+    if (per_path != per_path_nack_) return out;
+    const int64_t id = per_path ? int64_t{report} : int64_t{nack.ssrc};
+    auto it = flows_.find({leg, id});
+    if (it == flows_.end()) return out;
+    for (uint16_t seq : nack.seqs) {
+      auto held = it->second.held.find(seq);
+      if (held == it->second.held.end()) continue;
+      const auto key = std::make_tuple(leg, id, seq);
+      auto last = answered_.find(key);
+      if (last != answered_.end() &&
+          now - last->second < RtxHistory::kDedupWindow) {
+        continue;
+      }
+      answered_[key] = now;
+      RtpPacket rtx = held->second;
+      rtx.via_rtx = true;
+      rtx.priority = Priority::kRetransmit;
+      rtx.rtx_for_path = per_path ? report : kInvalidPathId;
+      rtx.rtx_for_mp_seq = per_path ? seq : 0;
+      const PathId origin = per_path ? report : rtx.path_id;
+      out.push_back({origin, origin, seq, rtx});
+    }
+    return out;
+  }
+
+ private:
+  struct Flow {
+    std::map<uint16_t, RtpPacket> held;
+    std::deque<uint16_t> order;  // the held keys, oldest first
+
+    void Add(uint16_t seq, const RtpPacket& packet) {
+      held[seq] = packet;
+      // A key behind the newest goes to its place in key order.
+      auto at = order.end();
+      while (at != order.begin() &&
+             static_cast<int16_t>(seq - *std::prev(at)) < 0) {
+        --at;
+      }
+      order.insert(at, seq);
+    }
+    void Remove(uint16_t seq) {
+      if (held.erase(seq) == 0) return;
+      order.erase(std::find(order.begin(), order.end(), seq));
+    }
+    void Trim(Timestamp now) {
+      while (!order.empty() &&
+             now - held.at(order.front()).send_time > kSentHistoryHorizon) {
+        held.erase(order.front());
+        order.pop_front();
+      }
+    }
+  };
+
+  int64_t FlowId(const RtpPacket& packet) const {
+    return per_path_nack_ ? int64_t{packet.path_id} : int64_t{packet.ssrc};
+  }
+  uint16_t Key(const RtpPacket& packet) const {
+    return per_path_nack_ ? packet.mp_seq : packet.seq;
+  }
+
+  bool per_path_nack_;
+  std::map<std::pair<int, int64_t>, Flow> flows_;
+  std::map<std::tuple<int, int64_t, uint16_t>, Timestamp> answered_;
+};
+
+// Legs send frames on three simulcast streams, a packet at a time, the
+// streams' packets interleaved on the paths. Leg 0 never leaves and sends
+// most, mostly on path 0 and stream 0, so those flows wrap.
+class FrameWorkload {
+ public:
+  FrameWorkload(uint64_t seed, bool per_path_nack)
+      : rng_(seed), per_path_nack_(per_path_nack) {
+    for (int leg = 0; leg < kLegs; ++leg) Join(leg);
+  }
+
+  template <typename Check>
+  void Run(int64_t steps, RtxHistory& history,
+           WholePacketReference& reference, Check&& check) {
+    for (int64_t step = 0; step < steps && !testing::Test::HasFailure();
+         ++step) {
+      // 200,000-step stretches: ~50 us apart, so a busy flow's seqs wrap
+      // inside the horizon, and ~350 us apart, so the age bound trims.
+      const bool dense = (step / 200'000) % 2 == 0;
+      now_ = now_ + Duration::Micros(static_cast<int64_t>(
+                        dense ? 20 + rng_() % 60 : 100 + rng_() % 500));
+      const uint64_t roll = rng_() % 1000;
+      if (roll < 880) {
+        const int leg = rng_() % 10 < 6 ? 0 : static_cast<int>(rng_() % kLegs);
+        for (const RtpPacket& packet : NextPackets(leg)) {
+          history.OnSent(leg, packet);
+          reference.OnSent(leg, packet);
+        }
+      } else if (roll < 999 || rng_() % 30 != 0) {
+        const int leg = static_cast<int>(rng_() % kLegs);
+        const PathId report = static_cast<PathId>(rng_() % 3);
+        const Nack nack = MakeNack(leg, report);
+        const std::vector<Answer> want =
+            reference.AnswerNack(leg, report, nack, now_);
+        std::vector<Answer> got;
+        history.AnswerNack(leg, report, nack, now_,
+                           [&](RtpPacket rtx, PathId origin, uint16_t seq) {
+                             got.push_back({origin, origin, seq, rtx});
+                             return true;
+                           });
+        ASSERT_EQ(got.size(), want.size()) << "step " << step;
+        for (size_t i = 0; i < want.size(); ++i) {
+          SCOPED_TRACE(testing::Message() << "step " << step << " answer "
+                                          << i << " seq " << want[i].seq);
+          ASSERT_EQ(got[i].origin, want[i].origin);
+          ASSERT_EQ(got[i].seq, want[i].seq);
+          ExpectSameRtx(got[i].rtx, want[i].rtx);
+        }
+        answers_ += static_cast<int64_t>(want.size());
+      } else {
+        // A leg other than 0 leaves and rejoins: new SSRCs and seqs, its
+        // per-path seqs from 0.
+        const int leg = 1 + static_cast<int>(rng_() % (kLegs - 1));
+        history.ForgetLeg(leg);
+        reference.ForgetLeg(leg);
+        Join(leg);
+        ++rejoins_;
+      }
+      if (step % 2'000 == 0) check(step);
+    }
+  }
+
+  // Most wraps one flow's keys made within one life of its leg.
+  int max_wraps() const {
+    int best = 0;
+    for (const auto& [flow, wraps] : wraps_) best = std::max(best, wraps);
+    return best;
+  }
+  int64_t answers() const { return answers_; }
+  int64_t rejoins() const { return rejoins_; }
+  int64_t swaps() const { return swaps_; }
+  // Legacy packets sent ahead of the one before them (whose key is behind
+  // theirs), paired with their leg, still held by `reference`. Each can
+  // keep one drained record in its window's ring: the one its late
+  // neighbour made, behind its own frame's record.
+  int64_t HeldAheadOfSwaps(const WholePacketReference& reference) {
+    std::erase_if(ahead_, [&](const std::pair<int, RtpPacket>& a) {
+      return !reference.Holds(a.first, a.second);
+    });
+    return static_cast<int64_t>(ahead_.size());
+  }
+
+  static constexpr int kLegs = 4;
+
+ private:
+  struct Stream {
+    uint32_t ssrc = 0;
+    uint16_t seq = 0;
+    int32_t frame_id = 0;
+    int32_t gop_id = -1;
+    std::vector<RtpPacket> frame;  // its current frame's unsent packets
+  };
+  struct Leg {
+    Stream streams[3];
+    std::map<PathId, uint16_t> mp_seq;
+    std::deque<RtpPacket> sent;  // recent media-like originals, for RTX
+  };
+
+  void Join(int leg) {
+    Leg& l = legs_[leg];
+    l = Leg{};
+    for (uint32_t s = 0; s < 3; ++s) {
+      l.streams[s].ssrc = 0x1000u + 0x100u * static_cast<uint32_t>(joins_) + s;
+      l.streams[s].seq = static_cast<uint16_t>(rng_());
+    }
+    for (auto it = wraps_.begin(); it != wraps_.end();) {
+      it = std::get<0>(it->first) == leg ? wraps_.erase(it) : std::next(it);
+    }
+    ++joins_;
+  }
+
+  // Captures `stream`'s next frame: a keyframe (SPS, PPS, then slices)
+  // every 30 frames, else 1 to 6 delta slices; stream 0 sends more.
+  void Capture(Leg& l, int s) {
+    Stream& st = l.streams[s];
+    const bool key = st.frame_id % 30 == 0;
+    if (key) ++st.gop_id;
+    RtpPacket p;
+    p.capture_time = now_;
+    p.ssrc = st.ssrc;
+    p.rtp_timestamp = static_cast<uint32_t>(now_.us() * 9 / 100);
+    p.frame_id = st.frame_id++;
+    p.gop_id = st.gop_id;
+    p.stream_id = static_cast<uint8_t>(s);
+    p.qp = static_cast<uint8_t>(20 + rng_() % 20);
+    p.payload_type = static_cast<uint8_t>(96 + s);
+    p.spatial_id = s;
+    p.num_spatial = 3;
+    p.temporal_id = p.frame_id % 2;
+    p.num_temporal = 2;
+    p.frame_kind = key ? FrameKind::kKey : FrameKind::kDelta;
+    std::vector<PayloadKind> kinds;
+    if (key) kinds = {PayloadKind::kSps, PayloadKind::kPps};
+    const int slices = 1 + static_cast<int>(rng_() % (s == 0 ? 6 : 2)) +
+                       (key ? 3 : 0);
+    kinds.insert(kinds.end(), static_cast<size_t>(slices), PayloadKind::kMedia);
+    for (size_t i = 0; i < kinds.size(); ++i) {
+      RtpPacket q = p;
+      q.kind = kinds[i];
+      q.payload_bytes = static_cast<int32_t>(
+          kinds[i] == PayloadKind::kMedia ? 200 + rng_() % 1000 : 20);
+      q.first_in_frame = i == 0;
+      q.last_in_frame = i + 1 == kinds.size();
+      q.marker = q.last_in_frame;
+      q.priority = key ? Priority::kKeyframe : Priority::kNone;
+      st.frame.push_back(q);
+    }
+    std::reverse(st.frame.begin(), st.frame.end());  // sent from the back
+  }
+
+  // Stamps `packet` for `path` as the egress would and records the wrap.
+  RtpPacket Dispatch(int leg, RtpPacket packet) {
+    const PathId path = rng_() % 10 < 6 ? 0 : static_cast<PathId>(rng_() % 3);
+    uint16_t& next = legs_[leg].mp_seq[path];
+    packet.path_id = path;
+    packet.mp_seq = next++;
+    packet.mp_transport_seq = static_cast<uint16_t>(rng_());
+    packet.send_time = now_;
+    if (next == 0) ++wraps_[{leg, path, 0}];
+    if (!packet.via_rtx && packet.IsMediaLike() && packet.seq == 0xFFFF) {
+      ++wraps_[{leg, -1, packet.ssrc}];
+    }
+    return packet;
+  }
+
+  // The packets the leg sends at this instant: usually one, two when a
+  // legacy pair is swapped.
+  std::vector<RtpPacket> NextPackets(int leg) {
+    Leg& l = legs_[leg];
+    const uint64_t roll = rng_() % 100;
+    if (roll < 4 && !l.sent.empty()) {
+      // An RTX copy of an earlier frame's packet, up to seconds old.
+      RtpPacket rtx = l.sent[rng_() % l.sent.size()];
+      rtx.via_rtx = true;
+      rtx.priority = Priority::kRetransmit;
+      rtx.rtx_for_path = static_cast<PathId>(rng_() % 3);
+      rtx.rtx_for_mp_seq = static_cast<uint16_t>(rng_());
+      return {Dispatch(leg, rtx)};
+    }
+    if (roll < 10) {
+      RtpPacket other;
+      other.kind = roll < 8 ? PayloadKind::kFec : PayloadKind::kProbe;
+      other.ssrc = l.streams[0].ssrc;
+      other.seq = static_cast<uint16_t>(rng_());
+      other.capture_time = now_;
+      other.priority = roll < 8 ? Priority::kFec : Priority::kNone;
+      other.is_probe_duplicate = roll >= 8;
+      return {Dispatch(leg, other)};
+    }
+    // Stream 0 carries most packets; the streams' frames interleave.
+    const int s = rng_() % 10 < 7 ? 0 : 1 + static_cast<int>(rng_() % 2);
+    Stream& st = l.streams[s];
+    if (st.frame.empty()) Capture(l, s);
+    std::vector<RtpPacket> out = {st.frame.back()};
+    st.frame.pop_back();
+    out[0].seq = st.seq++;
+    // Two pacers: a legacy flow's next packet, of this frame or the next
+    // one, leaves ahead of this one now and then.
+    if (rng_() % 8 == 0) {
+      if (st.frame.empty()) Capture(l, s);
+      RtpPacket ahead = st.frame.back();
+      st.frame.pop_back();
+      ahead.seq = st.seq++;
+      out.insert(out.begin(), ahead);
+      ++swaps_;
+    }
+    for (RtpPacket& p : out) {
+      p = Dispatch(leg, p);
+      l.sent.push_back(p);
+      if (l.sent.size() > 4'000) l.sent.pop_front();
+    }
+    if (out.size() == 2 && !per_path_nack_) ahead_.emplace_back(leg, out[0]);
+    return out;
+  }
+
+  // 1 to 5 recent, old or arbitrary keys of one flow of `leg`. NACKs come
+  // every few hundred microseconds, so recent keys repeat inside the dedup
+  // window.
+  Nack MakeNack(int leg, PathId report) {
+    Leg& l = legs_[leg];
+    Nack nack;
+    uint16_t head;
+    if (per_path_nack_) {
+      head = l.mp_seq[report];
+    } else {
+      const Stream& st = l.streams[rng_() % 10 < 7 ? 0 : 1 + rng_() % 2];
+      nack.ssrc = st.ssrc;
+      head = st.seq;
+    }
+    const int count = 1 + static_cast<int>(rng_() % 5);
+    for (int i = 0; i < count; ++i) {
+      const uint64_t r = rng_() % 20;
+      nack.seqs.push_back(
+          r < 14   ? static_cast<uint16_t>(head - 1 - rng_() % 300)
+          : r < 18 ? static_cast<uint16_t>(head - 1 - rng_() % 60'000)
+                   : static_cast<uint16_t>(rng_()));
+    }
+    return nack;
+  }
+
+  std::mt19937_64 rng_;
+  bool per_path_nack_;
+  Leg legs_[kLegs];
+  // Wraps per (leg, path, 0) for mp_seq and (leg, -1, ssrc) for seq.
+  std::map<std::tuple<int, int, uint32_t>, int> wraps_;
+  std::vector<std::pair<int, RtpPacket>> ahead_;
+  Timestamp now_ = Timestamp::Millis(1);
+  int joins_ = 0;
+  int64_t answers_ = 0;
+  int64_t rejoins_ = 0;
+  int64_t swaps_ = 0;
+};
+
+// A packet shares the newest frame record only when every per-frame field
+// equals it: for each field, a packet that differs from the one before in
+// that field alone is answered with its own value, in both flavours.
+TEST(RtxHistoryTest, SharesAFrameRecordOnlyWhenEveryFrameFieldEquals) {
+  using Change = void (*)(RtpPacket&);
+  const Change changes[] = {
+      [](RtpPacket& p) {
+        p.capture_time = p.capture_time + Duration::Micros(1);
+      },
+      [](RtpPacket& p) { p.ssrc += 2; },
+      [](RtpPacket& p) { ++p.rtp_timestamp; },
+      [](RtpPacket& p) { ++p.frame_id; },
+      [](RtpPacket& p) { ++p.gop_id; },
+      [](RtpPacket& p) { ++p.stream_id; },
+      [](RtpPacket& p) { ++p.qp; },
+      [](RtpPacket& p) { ++p.payload_type; },
+      [](RtpPacket& p) { p.spatial_id = p.spatial_id + 1; },
+      [](RtpPacket& p) { p.num_spatial = p.num_spatial + 1; },
+      [](RtpPacket& p) { p.temporal_id = p.temporal_id + 1; },
+      [](RtpPacket& p) { p.num_temporal = p.num_temporal + 1; },
+      [](RtpPacket& p) { p.frame_kind = FrameKind::kKey; },
+  };
+  for (const bool per_path : {true, false}) {
+    RtxHistory history(per_path);
+    uint16_t seq = 0;
+    Timestamp now = Timestamp::Millis(1);
+    for (const Change change : changes) {
+      RtpPacket first = Media(0x1001, seq, 0, seq);
+      first.capture_time = now;
+      first.send_time = now;
+      RtpPacket second = first;
+      change(second);
+      ++seq;
+      second.seq = seq;
+      second.mp_seq = seq;
+      ++seq;
+      SCOPED_TRACE(testing::Message()
+                   << (per_path ? "per-path" : "legacy") << " change "
+                   << seq / 2);
+      for (const RtpPacket& sent : {first, second}) history.OnSent(0, sent);
+      for (const RtpPacket& sent : {first, second}) {
+        const Nack nack =
+            per_path ? PerPathNack(sent.mp_seq) : Nack{sent.ssrc, {sent.seq}};
+        const std::vector<Answer> got = AnswerAll(history, 0, 0, nack, now);
+        ASSERT_EQ(got.size(), 1u);
+        RtpPacket want = sent;
+        want.via_rtx = true;
+        want.priority = Priority::kRetransmit;
+        want.rtx_for_path = per_path ? 0 : kInvalidPathId;
+        want.rtx_for_mp_seq = per_path ? sent.mp_seq : 0;
+        ExpectSameRtx(got[0].rtx, want);
+      }
+      now = now + Duration::Millis(1);
+    }
+    // One record per packet: no two consecutive packets agreed.
+    EXPECT_EQ(history.frame_records().held, 2 * std::size(changes));
+  }
+}
+
+void RunFrameRecordsAgainstWholePackets(bool per_path_nack, uint64_t seed) {
+  RtxHistory history(per_path_nack);
+  WholePacketReference reference(per_path_nack);
+  FrameWorkload workload(seed, per_path_nack);
+  int64_t checks = 0;
+  int64_t drained_behind = 0;
+  workload.Run(900'000, history, reference, [&](int64_t step) {
+    // The records held never outnumber the distinct ones live slots name,
+    // but for a record a swapped legacy pair's late packet made, behind
+    // its held ahead packet's record; and no slot names a dropped record.
+    const RtxHistory::FrameRecords records = history.frame_records();
+    const int64_t allowed = workload.HeldAheadOfSwaps(reference);
+    ASSERT_LE(records.referenced, records.held) << "step " << step;
+    ASSERT_LE(records.held, records.referenced + static_cast<size_t>(allowed))
+        << "step " << step;
+    drained_behind +=
+        static_cast<int64_t>(records.held - records.referenced);
+    ++checks;
+  });
+  EXPECT_GE(workload.max_wraps(), 4);
+  EXPECT_GT(workload.answers(), 20'000);
+  EXPECT_GT(workload.rejoins(), 3);
+  EXPECT_GT(workload.swaps(), 10'000);
+  EXPECT_GT(checks, 400);
+  if (per_path_nack) {
+    EXPECT_EQ(drained_behind, 0);
+  }
+}
+
+TEST(RtxHistoryTest, PerPathFrameRecordsMatchWholePackets) {
+  RunFrameRecordsAgainstWholePackets(/*per_path_nack=*/true, 31);
+}
+
+TEST(RtxHistoryTest, LegacyFrameRecordsMatchWholePackets) {
+  RunFrameRecordsAgainstWholePackets(/*per_path_nack=*/false, 32);
+}
+
 }  // namespace
 }  // namespace converge
