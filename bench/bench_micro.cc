@@ -4,7 +4,10 @@
 // the sent histories' per-packet cost.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "cc/trendline.h"
 #include "core/video_aware_scheduler.h"
@@ -270,6 +273,70 @@ void BM_LinkEnqueueDeliver(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPackets);
 }
 BENCHMARK(BM_LinkEnqueueDeliver);
+
+// A packet crossing a star call's three hops: uplink (20 Mbps, 10 ms),
+// trunk (100 Mbps, 15 ms) and downlink (10 Mbps, 20 ms), each delivery
+// sending its RtpPacket on into the next link. As above, the sender offers
+// one packet every 900 us from the running loop beside kOtherTimers
+// entries that stay pending, so the loop holds a call's depth. Items are
+// link hops (three per packet).
+void BM_LinkChainHop(benchmark::State& state) {
+  constexpr int kPackets = 2'000;
+  constexpr int kOtherTimers = 200;
+  constexpr int kHops = 3;
+  constexpr Duration kGap = Duration::Micros(900);
+  RtpPacket proto;
+  proto.kind = PayloadKind::kMedia;
+  proto.payload_bytes = 1100;
+  struct Chain {
+    EventLoop* loop;
+    std::array<Link*, kHops> hops;
+    const RtpPacket* proto;
+    int64_t delivered_bytes = 0;
+    int sent = 0;
+
+    void Forward(int hop, RtpPacket p) {
+      const int64_t bytes = p.payload_bytes + 12;
+      hops[hop]->Send(bytes, [pkt = std::move(p), hop,
+                              this](Timestamp) mutable {
+        if (hop + 1 < kHops) {
+          Forward(hop + 1, std::move(pkt));
+        } else {
+          delivered_bytes += pkt.payload_bytes;
+        }
+      });
+    }
+    void SendNext() {
+      RtpPacket p = *proto;
+      p.seq = static_cast<uint16_t>(sent);
+      Forward(0, std::move(p));
+      if (++sent < kPackets) loop->ScheduleIn(kGap, [this] { SendNext(); });
+    }
+  };
+  const Timestamp end = Timestamp::Zero() + kGap * (kPackets + 100);
+  const std::array<std::pair<double, int>, kHops> shape = {
+      {{20, 10}, {100, 15}, {10, 20}}};
+  for (auto _ : state) {
+    EventLoop loop;
+    std::vector<std::unique_ptr<Link>> links;
+    for (const auto& [mbps, prop_ms] : shape) {
+      Link::Config config;
+      config.capacity = BandwidthTrace::Constant(DataRate::MegabitsPerSec(mbps));
+      config.prop_delay = Duration::Millis(prop_ms);
+      links.push_back(std::make_unique<Link>(&loop, config, Random(1)));
+    }
+    for (int i = 0; i < kOtherTimers; ++i) {
+      loop.ScheduleAt(end + Duration::Micros(i), [] {});
+    }
+    Chain chain{&loop, {links[0].get(), links[1].get(), links[2].get()},
+                &proto};
+    loop.ScheduleIn(kGap, [&chain] { chain.SendNext(); });
+    loop.RunUntil(end);
+    benchmark::DoNotOptimize(chain.delivered_bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * kPackets * kHops);
+}
+BENCHMARK(BM_LinkChainHop);
 
 // Copy of a 64-byte RtpPacket carrying shared FEC metadata: a flat copy
 // plus one non-atomic increment of the FecMetaRef count. Guards the

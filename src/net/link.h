@@ -11,6 +11,11 @@
 // virtual so a decorator can inject faults without touching callers: see
 // FaultyLink in net/fault_injector.h, which MakeLink() substitutes whenever
 // the config carries a non-empty FaultPlan.
+//
+// A link is an EventLoop::Target: its transmission in progress and its
+// packets in flight wait in the link, behind one loop entry each, keyed as
+// the one-shot events they replace would have been (DESIGN.md §9, "Links
+// as loop targets").
 #pragma once
 
 #include <cstdint>
@@ -28,7 +33,7 @@
 
 namespace converge {
 
-class Link {
+class Link : private EventLoop::Target {
  public:
   struct Config {
     BandwidthTrace capacity;
@@ -113,9 +118,10 @@ class Link {
   // when it arrives: OnArrival gets the arrival time plus `extra_delay` and
   // its verdict either drops the packet (a delivery converted to a loss;
   // on_drop fires) or delivers it — at once when the verdict is the
-  // arrival time itself, else from an event at the verdict's time. The
-  // continuation and the drop callback stay in their in-flight slot until
-  // then, so a re-decided packet costs no allocation.
+  // arrival time itself, else as an arrival at the verdict's time, keyed
+  // when the verdict is taken. The continuation and the drop callback stay
+  // in their in-flight slot until then, so a re-decided packet costs no
+  // allocation.
   void Enqueue(int64_t bytes, DeliverFn&& on_deliver, DropFn on_drop,
                Duration extra_delay, bool recheck);
   virtual ArrivalVerdict OnArrival(Timestamp target) {
@@ -135,14 +141,17 @@ class Link {
   template <typename T>
   class SlotPool {
    public:
-    uint32_t Put(T value) {
+    // Constructs the value in its slot, so a moved-in argument moves once.
+    template <typename... Args>
+    uint32_t Put(Args&&... args) {
       if (free_.empty()) {
-        slots_.push_back(std::move(value));
+        slots_.emplace_back(std::forward<Args>(args)...);
         return static_cast<uint32_t>(slots_.size() - 1);
       }
       const uint32_t slot = free_.back();
       free_.pop_back();
-      slots_[slot] = std::move(value);
+      std::destroy_at(&slots_[slot]);
+      std::construct_at(&slots_[slot], std::forward<Args>(args)...);
       return slot;
     }
     T& operator[](uint32_t slot) { return slots_[slot]; }
@@ -175,11 +184,30 @@ class Link {
     int64_t bytes = 0;
     DropFn on_drop;
   };
-  int64_t QueueLimitBytes() const;
-  void StartTransmission();
+  // A packet in flight: its continuation's slot and, if it is re-decided at
+  // arrival, its recheck slot.
+  struct Parcel {
+    uint32_t deliver;
+    uint32_t recheck;
+  };
+  struct Arrival {
+    EventLoop::Key key;
+    Parcel parcel;
+  };
+  // Loop entry args: the transmission in progress, the front of arrivals_,
+  // or kDetachedEntry + a detached_ slot.
+  static constexpr uint32_t kFinishEntry = 0;
+  static constexpr uint32_t kArrivalEntry = 1;
+  static constexpr uint32_t kDetachedEntry = 2;
+
+  void OnLoopEntry(uint32_t arg) override;
+  int64_t QueueLimitBytes(DataRate capacity) const;
+  void StartTransmission(DataRate capacity);
   void FinishTransmission();
-  // Arrival event of the packet whose continuation sits in deliver `slot`.
-  void Arrive(uint32_t slot, uint32_t recheck_slot);
+  // Puts a packet in flight under `key`: at the back of arrivals_, or
+  // behind its own loop entry when it sorts before the ring's back.
+  void Launch(const EventLoop::Key& key, Parcel parcel);
+  void Arrive(Parcel parcel);
   // Runs (and frees) the continuation in `slot` with now() as the delivery
   // time.
   void Deliver(uint32_t slot);
@@ -187,18 +215,28 @@ class Link {
   EventLoop* loop_;
   Config config_;
   Random rng_;
+  const uint32_t target_;  // this link's id in the loop
   // Recycled ring: after the queue grows to its steady-state depth once, the
   // per-packet enqueue/dequeue path never touches the allocator (a deque
   // allocates/frees chunks as it slides through memory).
   RingQueue<Pending> queue_;
   int64_t queued_bytes_ = 0;
+  // While busy_, the head of queue_ is in service and finish_ is the key of
+  // its transmission's end, which holds one loop entry.
   bool busy_ = false;
+  EventLoop::Key finish_{};
+  // Packets in flight in (at, seq) order; the front holds one loop entry.
+  // Arrivals keyed at a link's finishes rarely cross: only a propagation
+  // delay that falls mid-flight, or a postponed re-decided packet, can sort
+  // before the back, and those go to detached_ instead. Starts at 4 slots:
+  // a call's feedback links rarely hold more in flight, and every link
+  // pays for its ring.
+  RingQueue<Arrival, 4> arrivals_;
+  SlotPool<Arrival> detached_;
   // Recycled continuation slots. A propagating packet's continuation stays
-  // in its slot and its arrival event captures the slot index, so the event
-  // fits the loop's inline callback buffer (wrapping the continuation itself
-  // would not) and the loop's (arrival, seq) order is the delivery order. A
-  // packet whose OnArrival verdict postpones it keeps its slot until
-  // delivered.
+  // in its slot and its in-flight record names the slot, so the
+  // continuation moves once, at Enqueue. A packet whose OnArrival verdict
+  // postpones it keeps its slot until delivered.
   SlotPool<DeliverFn> deliver_slots_;
   SlotPool<Recheck> recheck_slots_;
   Stats stats_;

@@ -18,7 +18,7 @@ void RtxHistory::OnSent(int leg, const RtpPacket& packet) {
   const Flow flow{leg, per_path_nack_ ? int64_t{packet.path_id}
                                       : int64_t{packet.ssrc}};
   const uint16_t seq = per_path_nack_ ? packet.mp_seq : packet.seq;
-  Window& window = windows_[flow];
+  Window& window = WindowFor(flow);
   // An entry this seq still holds from one wrap ago is stale: it goes, and
   // its frame record loses it.
   if (const Slot* stale = window.slots.Find(seq)) window.Release(stale->frame);
@@ -34,6 +34,16 @@ void RtxHistory::OnSent(int leg, const RtpPacket& packet) {
     window.Release(held.frame);
     return true;
   });
+}
+
+RtxHistory::Window& RtxHistory::WindowFor(const Flow& flow) {
+  // Legs and paths are small; SSRCs are spread by the allocator.
+  CachedWindow& cached = window_cache_[static_cast<size_t>(
+      flow.first * 2 + flow.second) % window_cache_.size()];
+  if (cached.window == nullptr || cached.flow != flow) {
+    cached = CachedWindow{flow, &windows_[flow]};
+  }
+  return *cached.window;
 }
 
 void RtxHistory::Window::Release(uint32_t id) {
@@ -110,6 +120,7 @@ void RtxHistory::ForgetLeg(int leg) {
   constexpr int64_t kLowest = std::numeric_limits<int64_t>::min();
   windows_.erase(windows_.lower_bound({leg, kLowest}),
                  windows_.lower_bound({leg + 1, kLowest}));
+  window_cache_.fill(CachedWindow{});
 }
 
 size_t RtxHistory::pages_allocated() const {

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -43,6 +44,10 @@ class RtxHistory {
   static constexpr Duration kDedupWindow = Duration::Millis(40);
 
   explicit RtxHistory(bool per_path_nack) : per_path_nack_(per_path_nack) {}
+  // Movable, not copyable: the window cache points into the map's nodes,
+  // which a move hands over.
+  RtxHistory(RtxHistory&&) = default;
+  RtxHistory& operator=(RtxHistory&&) = default;
 
   // Records `packet`, already stamped with its path_id and mp_seq, as sent
   // by `leg`'s origin.
@@ -160,8 +165,19 @@ class RtxHistory {
   static RtpPacket Stamp(const Window& window, const Slot& held,
                          bool per_path, PathId report_path, uint16_t seq);
 
+  // `flow`'s window, made on first use. The map is walked only when the
+  // flow misses window_cache_, a direct-mapped cache of window pointers
+  // (map nodes stay put until ForgetLeg erases them, which empties it).
+  Window& WindowFor(const Flow& flow);
+
+  struct CachedWindow {
+    Flow flow;
+    Window* window = nullptr;
+  };
+
   bool per_path_nack_;
   std::map<Flow, Window> windows_;
+  std::array<CachedWindow, 8> window_cache_{};
   std::deque<Answer> answered_;  // the last kDedupWindow's, oldest first
   int64_t horizon_misses_ = 0;
 };

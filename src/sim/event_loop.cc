@@ -9,8 +9,7 @@
 
 namespace converge {
 
-uint32_t EventLoop::AcquireSlot(Callback&& cb) {
-  const int32_t participant = TraceRecorder::CurrentParticipant();
+uint32_t EventLoop::AcquireSlot(Callback&& cb, int32_t participant) {
   if (!free_slots_.empty()) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -23,12 +22,42 @@ uint32_t EventLoop::AcquireSlot(Callback&& cb) {
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-void EventLoop::Insert(Entry entry) {
+void EventLoop::Insert(const Entry& entry) {
+  if (root_spent_) {
+    root_spent_ = false;
+    SiftDown(entry);
+    return;
+  }
   heap_.push_back(entry);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void EventLoop::ScheduleAt(Timestamp at, Callback&& cb) {
+void EventLoop::SiftDown(const Entry& entry) {
+  const size_t n = heap_.size();
+  size_t hole = 0;
+  for (size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+    if (!Before(heap_[child], entry)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = entry;
+}
+
+void EventLoop::PopRoot() {
+  root_spent_ = false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+}
+
+const EventLoop::Entry* EventLoop::FirstOther() const {
+  if (!root_spent_) return heap_.empty() ? nullptr : &heap_[0];
+  if (heap_.size() < 2) return nullptr;
+  if (heap_.size() == 2 || Before(heap_[1], heap_[2])) return &heap_[1];
+  return &heap_[2];
+}
+
+EventLoop::Key EventLoop::TakeKey(Timestamp at) {
   if (at < now_) {
     ++clamped_past_;
     CONVERGE_INVARIANT("EventLoop", now_, at >= now_,
@@ -36,12 +65,22 @@ void EventLoop::ScheduleAt(Timestamp at, Callback&& cb) {
                            " now=" + now_.ToString());
     at = now_;
   }
-  const uint32_t slot = AcquireSlot(std::move(cb));
-  Insert(Entry{at, next_seq_++, slot});
+  return Key{at, next_seq_++, TraceRecorder::CurrentParticipant()};
+}
+
+void EventLoop::ScheduleAt(Timestamp at, Callback&& cb) {
+  const Key key = TakeKey(at);
+  Insert(Entry{key.at, key.seq, AcquireSlot(std::move(cb), key.participant),
+               0});
 }
 
 void EventLoop::ScheduleIn(Duration delay, Callback&& cb) {
   ScheduleAt(now_ + delay, std::move(cb));
+}
+
+uint32_t EventLoop::AddTarget(Target* target) {
+  targets_.push_back(target);
+  return static_cast<uint32_t>(targets_.size() - 1);
 }
 
 void EventLoop::RunUntil(Timestamp end) {
@@ -51,20 +90,26 @@ void EventLoop::RunUntil(Timestamp end) {
   const bool tag_participants = TraceRecorder::Current() != nullptr;
   tag_participants_ = tag_participants;
   while (!heap_.empty() && heap_.front().at <= end) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Entry entry = heap_.back();
-    heap_.pop_back();
-    // Move the callback out before running it: the callback may schedule
-    // more events, which can reuse the slot.
-    Callback cb = std::move(slots_[entry.slot]);
-    slots_[entry.slot] = nullptr;
-    free_slots_.push_back(entry.slot);
+    const Entry entry = heap_.front();
+    root_spent_ = true;
     now_ = entry.at;
     ++executed_;
-    if (tag_participants) {
-      TraceRecorder::SetCurrentParticipant(slot_participant_[entry.slot]);
+    if (entry.slot == kCohortSlot) {
+      RunCohort(entry.arg);
+    } else if (entry.slot & kTargetBit) {
+      targets_[entry.slot & ~kTargetBit]->OnLoopEntry(entry.arg);
+    } else {
+      // Move the callback out before running it: the callback may schedule
+      // more events, which can reuse the slot.
+      Callback cb = std::move(slots_[entry.slot]);
+      slots_[entry.slot] = nullptr;
+      free_slots_.push_back(entry.slot);
+      if (tag_participants) {
+        TraceRecorder::SetCurrentParticipant(slot_participant_[entry.slot]);
+      }
+      cb();
     }
-    cb();
+    if (root_spent_) PopRoot();
   }
   if (tag_participants) TraceRecorder::SetCurrentParticipant(-1);
   if (end.IsFinite() && now_ < end) now_ = end;
@@ -120,8 +165,7 @@ void EventLoop::ArmCohort(uint32_t cohort) {
   Cohort& c = cohorts_[cohort];
   c.armed = true;
   const Firing& front = c.firings.front();
-  Insert(Entry{front.due, front.seq,
-               AcquireSlot([this, cohort] { RunCohort(cohort); })});
+  Insert(Entry{front.due, front.seq, kCohortSlot, cohort});
 }
 
 void EventLoop::RunCohort(uint32_t cohort) {
@@ -158,12 +202,13 @@ void EventLoop::RunCohort(uint32_t cohort) {
     }
     // The next firing runs inline exactly when it is due now and sorts
     // before every other pending entry; otherwise the cohort re-enters the
-    // loop.
+    // loop. The cohort's own spent entry may still be the heap's root, so
+    // the comparison is with the first entry besides it.
     const Firing& next = c.firings.front();
+    const Entry* other = FirstOther();
     const bool next_is_first =
         next.due == now_ &&
-        (heap_.empty() ||
-         Later{}(heap_.front(), Entry{next.due, next.seq, 0}));
+        (other == nullptr || Before(Entry{next.due, next.seq, 0, 0}, *other));
     if (!next_is_first) {
       ArmCohort(cohort);
       return;

@@ -9,14 +9,19 @@
 // RtpPacket capture) inside a recycled slot array, and every pending entry
 // sits in one binary min-heap on the exact (timestamp, seq) key. Each
 // conference owns its loop, so the heap holds one call's pending set: on
-// perfbench seed 1000 a mean of 326 entries at insert (max 1,218) on
-// hub-fleet and 55 (max 154) on paper-driving.
+// perfbench seed 1000 a mean of 78 entries at insert (max 151) on
+// hub-fleet and 11 (max 56) on paper-driving.
 //
 // Repeating timers of one period tick as a cohort: the cohort keeps its
 // members' pending firings in a FIFO and holds a single loop entry, keyed by
 // its front firing, so the co-phased 5-ms ticks of a whole conference cost
 // one heap insert and one dispatch per grid point instead of one each (see
 // StartRepeating).
+//
+// Other event sources keep their pending items the same way: a Target (a
+// Link) takes each item's key with TakeKey exactly where it would have
+// called ScheduleAt, keeps the items itself, and holds one loop entry per
+// ordered channel, keyed by the channel's front item (see Arm).
 //
 // The dispatch order is bit-for-bit identical to a single global min-heap on
 // (timestamp, seq) in which every repeating timer re-arms itself with a fresh
@@ -30,6 +35,7 @@
 #include "util/inline_function.h"
 #include "util/ring_buffer.h"
 #include "util/time.h"
+#include "util/trace_recorder.h"
 
 namespace converge {
 
@@ -61,15 +67,17 @@ class EventLoop {
   void ScheduleIn(Duration delay, Callback&& cb);
 
   // Run until the queue drains or `end` is reached (events at exactly `end`
-  // still execute).
+  // still execute). Not reentrant: the entry being dispatched stays at the
+  // heap's root, so no event may run the loop it is dispatched from.
   void RunUntil(Timestamp end);
   // Run until the queue drains entirely.
   void RunAll();
 
-  // Loop entries, not ticks: a cohort's members wait behind its single
-  // entry, and one cohort dispatch runs every member due before the loop's
-  // next entry.
-  size_t pending_events() const { return heap_.size(); }
+  // Loop entries, not ticks or items: a cohort's members wait behind its
+  // single entry, one cohort dispatch runs every member due before the
+  // loop's next entry, and a target's items wait behind its channels'
+  // entries.
+  size_t pending_events() const { return heap_.size() - root_spent_; }
   int64_t executed_events() const { return executed_; }
   // Number of ScheduleAt calls whose timestamp was already in the past and
   // got clamped to now. Scheduling in the past is almost always a component
@@ -100,17 +108,65 @@ class EventLoop {
   // but its tick is not called until it is set busy again.
   void SetRepeatingIdle(uint64_t handle, bool idle);
 
+  // Event sources that keep their own pending items. A target takes each
+  // item's key with TakeKey at exactly the point where it would have called
+  // ScheduleAt, so the key (and every other event's seq) is the one a
+  // callback would have carried. It keeps its items in (at, seq) order per
+  // channel and arms one loop entry per non-empty channel, keyed by the
+  // channel's front item; the loop calls OnLoopEntry with the entry's `arg`
+  // when that key comes up, with now() at its time. The dispatch order is
+  // therefore the one a callback per item would give.
+  class Target {
+   public:
+    virtual void OnLoopEntry(uint32_t arg) = 0;
+
+   protected:
+    ~Target() = default;
+  };
+  // What ScheduleAt would record for an event: its clamped time, its seq
+  // and the TraceRecorder participant tag in force.
+  struct Key {
+    Timestamp at;
+    int64_t seq;
+    int32_t participant;
+  };
+  // Registers `target` for Arm. Like a callback capturing it, a target
+  // must outlive its pending entries.
+  uint32_t AddTarget(Target* target);
+  // Clamps `at` to now (counted, as ScheduleAt does) and takes the next seq.
+  Key TakeKey(Timestamp at);
+  // One loop entry for `target` under `key`. Like every insert made from
+  // inside a dispatch, the first one takes the dispatched entry's place at
+  // the heap's root with one sift-down instead of a pop and a push.
+  void Arm(const Key& key, uint32_t target, uint32_t arg) {
+    Insert(Entry{key.at, key.seq, kTargetBit | target, arg});
+  }
+  // Restores a key's participant tag while a recorder is installed, as the
+  // loop does for a callback it dispatches.
+  void RestoreParticipant(int32_t participant) const {
+    if (tag_participants_) TraceRecorder::SetCurrentParticipant(participant);
+  }
+
  private:
+  // `slot` names a callback slot, or, with kTargetBit set, a target (arg is
+  // the target's channel) or a cohort (kCohortSlot; arg is the cohort).
   struct Entry {
     Timestamp at;
     int64_t seq;
     uint32_t slot;
+    uint32_t arg;
   };
-  // Min-heap on (at, seq) expressed as std::*_heap's max-heap of "later".
+  static_assert(sizeof(Entry) == 24, "a heap entry is moved per sift level");
+  static constexpr uint32_t kTargetBit = 1u << 31;
+  static constexpr uint32_t kCohortSlot = UINT32_MAX;
+  static bool Before(const Entry& a, const Entry& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
+  // The min-heap on (at, seq) as std::*_heap's max-heap of "later".
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+      return Before(b, a);
     }
   };
 
@@ -138,8 +194,13 @@ class EventLoop {
     bool armed = false;
   };
 
-  uint32_t AcquireSlot(Callback&& cb);
-  void Insert(Entry entry);
+  uint32_t AcquireSlot(Callback&& cb, int32_t participant);
+  void Insert(const Entry& entry);
+  // Fills the root's place with `entry` and restores heap order below it.
+  void SiftDown(const Entry& entry);
+  void PopRoot();
+  // The first pending entry besides the one being dispatched, or null.
+  const Entry* FirstOther() const;
   void ArmCohort(uint32_t cohort);
   void RunCohort(uint32_t cohort);
 
@@ -149,7 +210,14 @@ class EventLoop {
   int64_t clamped_past_ = 0;
   bool tag_participants_ = false;  // a recorder was installed at RunUntil
 
-  std::vector<Entry> heap_;  // every pending entry, heap (Later)
+  // Every pending entry, a binary min-heap on (at, seq). The entry being
+  // dispatched stays at the root until its dispatch inserts a new entry,
+  // which takes its place, or ends (`root_spent_` meanwhile): every entry
+  // inserted meanwhile sorts after it, so no other entry can reach the root
+  // first.
+  std::vector<Entry> heap_;
+  bool root_spent_ = false;
+  std::vector<Target*> targets_;  // by id
 
   // Recycled callback slots. `slot_participant_` is conference participant
   // attribution: each event remembers the TraceRecorder participant tag

@@ -15,11 +15,14 @@
 
 namespace converge {
 
-template <typename T>
+// The slot array is materialized at kFirstCapacity slots on first use and
+// doubled as needed.
+template <typename T, size_t kFirstCapacity = 16>
 class RingQueue {
  public:
-  // Starts empty and cheap; the slot array is only materialized (and then
-  // doubled as needed) on first use.
+  static_assert((kFirstCapacity & (kFirstCapacity - 1)) == 0 &&
+                kFirstCapacity > 0, "capacities stay powers of two");
+
   RingQueue() = default;
 
   bool empty() const { return size_ == 0; }
@@ -29,6 +32,9 @@ class RingQueue {
 
   T& front() { return slots_[head_]; }
   const T& front() const { return slots_[head_]; }
+  const T& back() const {
+    return slots_[(head_ + size_ - 1) & (slots_.size() - 1)];
+  }
 
   // Forwards straight into the recycled slot: an rvalue is move-assigned
   // once, with no intermediate parameter copy.
@@ -51,7 +57,8 @@ class RingQueue {
 
  private:
   void Grow() {
-    const size_t new_cap = slots_.empty() ? 16 : slots_.size() * 2;
+    const size_t new_cap =
+        slots_.empty() ? kFirstCapacity : slots_.size() * 2;
     std::vector<T> grown(new_cap);
     for (size_t i = 0; i < size_; ++i) {
       grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
